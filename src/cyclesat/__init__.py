@@ -47,9 +47,7 @@ from .graphs import (
     LoopEdgeError,
     VertexRangeError,
     brute_force_isomorphic,
-    build_graph,
     canonical_code,
-    canonical_form,
     canonical_form_and_code,
 )
 from .oracle import (
@@ -57,14 +55,13 @@ from .oracle import (
     GenerationTimeout,
     OracleResult,
     append_golden,
-    brute_classes_with_edges,
     classes_with_edges,
     exact_min,
-    exact_min_sharded,
     search_stratum,
 )
 from .saturation import (
     Certificate,
+    CertificateError,
     DegreePartition,
     SaturationVerdict,
     StructureReport,

@@ -56,12 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cyclesat",
         description="Cycle-saturated graph constructions, verifiers, bounds, and exact search.",
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed governing any randomized workflow (fixed default; current subcommands are deterministic)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a graph family member")
@@ -102,7 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--k", type=int, required=True)
     o.add_argument("--n", type=int, required=True)
     o.add_argument("--mode", required=True, choices=["sat", "ssat"])
-    o.add_argument("--shards", type=int, default=1)
     o.add_argument("--max-seconds", type=float, default=None)
     o.add_argument("--ceiling", type=int, default=None)
     o.add_argument("--golden", default="oracle_values.csv", help="golden CSV to append to")
@@ -139,9 +132,16 @@ def _write(text: str, path: str | None) -> None:
 
 def _default_budget(flag_value: float | None) -> float | None:
     if flag_value is not None:
-        return flag_value
-    env = os.environ.get(BUDGET_ENV)
-    return float(env) if env else None
+        source, value = "--max-seconds", flag_value
+    else:
+        env = os.environ.get(BUDGET_ENV)
+        if not env:
+            return None
+        source, value = BUDGET_ENV, float(env)
+    # NaN compares false with everything, so a NaN deadline would never pass.
+    if not value >= 0:
+        raise _UsageError(f"{source} must be a non-negative number of seconds, got {value}")
+    return value
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -260,7 +260,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         args.n,
         args.k,
         args.mode,
-        shards=args.shards,
         ceiling=args.ceiling,
         budget_seconds=_default_budget(args.max_seconds),
     )
@@ -280,12 +279,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_mine(args: argparse.Namespace) -> int:
     mode = "kk2-suitable" if args.plus else "k-suitable"
-    kwargs = {}
-    if args.ceiling is not None:
-        kwargs["ceiling"] = args.ceiling
-    result = mine_suitable(
-        args.k, mode, budget_seconds=_default_budget(args.max_seconds), **kwargs
-    )
+    budget = _default_budget(args.max_seconds)
+    result = mine_suitable(args.k, mode, ceiling=args.ceiling, budget_seconds=budget)
     if result.status == "budget-exhausted":
         print(f"mining {mode} at k={args.k}: budget exhausted "
               f"after {result.classes_examined} classes")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _iter_bits
+from .graphs import Graph, _bfs_layers, _iter_bits
 
 DEFAULT_EXPANSION_BUDGET = 10**8
 
@@ -81,8 +81,9 @@ class CycleWitness:
 class _Budget:
     __slots__ = ("left",)
 
-    def __init__(self, limit: int):
-        self.left = limit
+    def __init__(self, limit: int | None):
+        # Only None means the default; 0 allows no expansion at all.
+        self.left = DEFAULT_EXPANSION_BUDGET if limit is None else limit
 
     def spend(self) -> None:
         self.left -= 1
@@ -99,6 +100,7 @@ def _usable(adj: tuple[int, ...], avail: int, cur: int, target: int, remaining: 
     its distances from ``cur`` and to ``target`` sum to at most
     ``remaining``.
     """
+    # Inlined, not _bfs_layers: per search node, a generator measurably slows.
     # BFS layers out of cur through available vertices.
     from_cur = [1 << cur]
     seen = 1 << cur
@@ -210,7 +212,7 @@ def exists_path_of_length(
         raise ValueError(f"path length must be positive, got {length}")
     if length > G.n - 1:
         return None
-    return _search_path(G, u, v, length, _Budget(budget or DEFAULT_EXPANSION_BUDGET))
+    return _search_path(G, u, v, length, _Budget(budget))
 
 
 def has_cycle_of_length(G: Graph, k: int, budget: int | None = None) -> CycleWitness | None:
@@ -224,7 +226,7 @@ def has_cycle_of_length(G: Graph, k: int, budget: int | None = None) -> CycleWit
         raise ValueError(f"cycle length must be at least 3, got {k}")
     if k > G.n:
         return None
-    shared = _Budget(budget or DEFAULT_EXPANSION_BUDGET)
+    shared = _Budget(budget)
     for u, v in G.edges:
         stripped = G.without_edge(u, v)
         found = _search_path(stripped, u, v, k - 1, shared)
@@ -244,28 +246,14 @@ def shortest_cycle_through(G: Graph, w: int) -> int | None:
     nbrs = G.neighbors(w)
     if len(nbrs) < 2:
         return None
-    adj = G.adj
     avail = ((1 << G.n) - 1) & ~(1 << w)
     best: int | None = None
-    for idx, u in enumerate(nbrs):
-        # BFS distances from u in G - w.
-        dist = {u: 0}
-        frontier = 1 << u
-        seen = frontier
-        d = 0
-        while frontier:
-            d += 1
-            nxt = 0
-            for x in _iter_bits(frontier):
-                nxt |= adj[x]
-            nxt &= avail & ~seen
-            for x in _iter_bits(nxt):
-                dist[x] = d
-            seen |= nxt
-            frontier = nxt
-        for v in nbrs[idx + 1 :]:
-            if v in dist:
-                cand = dist[v] + 2
-                if best is None or cand < best:
-                    best = cand
+    for u in nbrs:
+        # Neighbors of w above u; pairs below u were covered from their side.
+        later = G.adj[w] >> (u + 1) << (u + 1)
+        for d, layer in enumerate(_bfs_layers(G.adj, 1 << u, avail), 1):
+            if layer & later:
+                if best is None or d + 2 < best:
+                    best = d + 2
+                break
     return best

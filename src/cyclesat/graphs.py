@@ -34,6 +34,25 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _bfs_layers(adj: tuple[int, ...], start: int, avail: int) -> Iterator[int]:
+    """Breadth-first layers out of the vertex set ``start`` inside ``avail``.
+
+    All sets are bitmasks.  The d-th yielded mask (d = 1, 2, ...) holds the
+    vertices of ``avail`` at distance exactly d from ``start`` in the
+    subgraph induced by ``avail`` plus ``start``.
+    """
+    seen = frontier = start
+    while True:
+        nxt = 0
+        for v in _iter_bits(frontier):
+            nxt |= adj[v]
+        frontier = nxt & avail & ~seen
+        if not frontier:
+            return
+        seen |= frontier
+        yield frontier
+
+
 class Graph:
     """Simple undirected graph on ``n`` vertices, stored immutably.
 
@@ -101,15 +120,11 @@ class Graph:
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
+        full = (1 << self.n) - 1
         seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in _iter_bits(frontier):
-                nxt |= self.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << self.n) - 1
+        for layer in _bfs_layers(self.adj, 1, full):
+            seen |= layer
+        return seen == full
 
     # -- derived graphs ------------------------------------------------
 
@@ -170,11 +185,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={len(self.edges)})"
-
-
-def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Validate and normalize an edge list into a Graph value."""
-    return Graph(n, edges)
 
 
 # -- canonical forms -----------------------------------------------------
@@ -257,18 +267,6 @@ def canonical_order(G: Graph) -> tuple[int, ...]:
     return _canonical_order(G.n, G.adj)
 
 
-def canonical_form(G: Graph) -> Graph:
-    """The canonically relabeled copy of ``G``.
-
-    Two graphs are isomorphic iff their canonical forms are equal.
-    """
-    order = canonical_order(G)
-    position = [0] * G.n
-    for pos, v in enumerate(order):
-        position[v] = pos
-    return G.relabel(position)
-
-
 def _code_from_order(G: Graph, order: tuple[int, ...]) -> bytes:
     bits = 0
     nbits = 0
@@ -287,7 +285,10 @@ def canonical_code(G: Graph) -> bytes:
 
 
 def canonical_form_and_code(G: Graph) -> tuple[Graph, bytes]:
-    """Canonical relabeling and its code from a single labeling search."""
+    """Canonical relabeling and its code from a single labeling search.
+
+    Two graphs are isomorphic iff their canonical relabelings are equal.
+    """
     order = canonical_order(G)
     position = [0] * G.n
     for pos, v in enumerate(order):

@@ -10,17 +10,13 @@ The search scans edge counts upward from the best applicable lower bound,
 verifying connected classes only (adding any non-edge between components
 creates no cycle, so a disconnected graph cannot be semisaturated); for
 k in {3, 4} the winning level is additionally swept to confirm no
-disconnected graph passes.  Within a level, classes are sorted by
-canonical code and split into index-striped shards; each shard reports its
-first passing class and the merge takes the least code, so results do not
-depend on the shard count.
+disconnected graph passes.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from pathlib import Path
@@ -68,21 +64,6 @@ def classes_with_edges(
     return sorted(levels[m].items())
 
 
-def brute_classes_with_edges(n: int, m: int) -> list[tuple[bytes, Graph]]:
-    """Same classes via raw bitmask enumeration; cross-check for n <= 6."""
-    if n > 6:
-        raise ValueError("brute enumeration limited to n <= 6")
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    found: dict[bytes, Graph] = {}
-    for mask in range(1 << len(pairs)):
-        if mask.bit_count() != m:
-            continue
-        g = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-        h, code = canonical_form_and_code(g)
-        found.setdefault(code, h)
-    return sorted(found.items())
-
-
 @dataclass(frozen=True)
 class SearchStats:
     graphs_examined: int
@@ -117,39 +98,22 @@ def _verifier(mode: str, k: int):
 
 
 def search_stratum(
-    n: int, k: int, mode: str, m: int, shards: int = 1, deadline: float | None = None
+    n: int, k: int, mode: str, m: int, deadline: float | None = None
 ) -> tuple[Graph | None, int, bool]:
     """Scan one edge-count stratum; returns (witness, examined, timed_out).
 
-    The witness is the least-canonical-code connected passer, or None.
+    Classes come in ascending canonical-code order, so the first connected
+    passer is the least-code one; None when the stratum has no passer.
     """
     passes = _verifier(mode, k)
-    classes = classes_with_edges(n, m, deadline=deadline)
-
-    def scan(shard: int) -> tuple[bytes | None, Graph | None, int, bool]:
-        examined = 0
-        for code, g in classes[shard::shards]:
-            if deadline is not None and time.monotonic() > deadline:
-                return None, None, examined, True
-            examined += 1
-            if not g.is_connected():
-                continue
-            if passes(g):
-                return code, g, examined, False
-        return None, None, examined, False
-
-    if shards == 1:
-        results = [scan(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=shards) as pool:
-            results = list(pool.map(scan, range(shards)))
-    examined = sum(r[2] for r in results)
-    timed_out = any(r[3] for r in results)
-    hits = [(code, g) for code, g, _, _ in results if code is not None]
-    if not hits:
-        return None, examined, timed_out
-    _, best = min(hits, key=lambda cg: cg[0])
-    return best, examined, timed_out
+    examined = 0
+    for _, g in classes_with_edges(n, m, deadline=deadline):
+        if deadline is not None and time.monotonic() > deadline:
+            return None, examined, True
+        examined += 1
+        if g.is_connected() and passes(g):
+            return g, examined, False
+    return None, examined, False
 
 
 def exact_min(
@@ -157,7 +121,6 @@ def exact_min(
     k: int,
     mode: str,
     *,
-    shards: int = 1,
     ceiling: int | None = None,
     budget_seconds: float | None = None,
 ) -> OracleResult:
@@ -175,55 +138,32 @@ def exact_min(
     cap = DEFAULT_CEILING[mode] if ceiling is None else ceiling
     if n > cap:
         raise CeilingExceeded(f"n={n} above ceiling {cap}; raise `ceiling` to allow")
-    if shards < 1:
-        raise ValueError(f"shards must be positive, got {shards}")
     t0 = time.monotonic()
     budget = DEFAULT_BUDGET_SECONDS if budget_seconds is None else budget_seconds
     deadline = t0 + budget
     floor = max(n - 1, eval_bounds(n, k).lower_floor(mode))
     examined_total = 0
     classes_total = 0
+
+    def result(status: str, m: int, witness: Graph | None) -> OracleResult:
+        stats = SearchStats(examined_total, classes_total, time.monotonic() - t0)
+        return OracleResult(n, k, mode, status, m, witness, stats)
+
     for m in range(floor, comb(n, 2) + 1):
         try:
-            witness, examined, timed_out = search_stratum(
-                n, k, mode, m, shards=shards, deadline=deadline
-            )
+            witness, examined, timed_out = search_stratum(n, k, mode, m, deadline=deadline)
         except GenerationTimeout:
-            return OracleResult(
-                n, k, mode, "lower-bound-only", m, None,
-                SearchStats(examined_total, classes_total, time.monotonic() - t0),
-            )
+            return result("lower-bound-only", m, None)
         examined_total += examined
         classes_total += len(classes_with_edges(n, m))
         if timed_out:
-            return OracleResult(
-                n, k, mode, "lower-bound-only", m, None,
-                SearchStats(examined_total, classes_total, time.monotonic() - t0),
-            )
+            return result("lower-bound-only", m, None)
         if witness is not None:
             if k in (3, 4):
                 _confirm_no_disconnected_passer(n, k, mode, m)
             assert _verifier(mode, k)(witness)
-            return OracleResult(
-                n, k, mode, "exact", m, witness,
-                SearchStats(examined_total, classes_total, time.monotonic() - t0),
-            )
+            return result("exact", m, witness)
     raise AssertionError("edge-count scan exhausted without a passing graph")
-
-
-def exact_min_sharded(
-    n: int,
-    k: int,
-    mode: str,
-    shards: int,
-    *,
-    ceiling: int | None = None,
-    budget_seconds: float | None = None,
-) -> OracleResult:
-    """Sharded variant; identical value and witness for any shard count."""
-    return exact_min(
-        n, k, mode, shards=shards, ceiling=ceiling, budget_seconds=budget_seconds
-    )
 
 
 def _confirm_no_disconnected_passer(n: int, k: int, mode: str, m: int) -> None:

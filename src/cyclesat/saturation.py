@@ -23,11 +23,15 @@ from .cycles import (
     has_cycle_of_length,
     shortest_cycle_through,
 )
-from .graphs import Graph
+from .graphs import Graph, _bfs_layers, _iter_bits
 
 
 class TooFewVertices(ValueError):
     """Saturation is undefined on graphs with fewer than k vertices."""
+
+
+class CertificateError(ValueError):
+    """Malformed certificate text; the message names the line or header."""
 
 
 # -- certificates ---------------------------------------------------------
@@ -89,29 +93,26 @@ class Certificate:
 
     @classmethod
     def from_text(cls, text: str) -> "Certificate":
-        header: dict[str, str] = {}
+        """Parse ``to_text`` output; raises CertificateError naming the line."""
+        header: dict[str, int | str] = {}
         per: dict[tuple[int, int], CycleWitness] = {}
-        freeness: bool | None = None
-        for ln in text.splitlines():
+        for lineno, ln in enumerate(text.splitlines(), 1):
             ln = ln.strip()
-            if not ln:
-                continue
-            if ":" in ln:
-                pair, _, cyc = ln.partition(":")
-                u, v = (int(x) for x in pair.split())
-                per[(u, v)] = CycleWitness(tuple(int(x) for x in cyc.split()))
-            else:
-                key, _, val = ln.partition(" ")
-                header[key] = val.strip()
-        if "freeness" in header:
-            freeness = header["freeness"] == "confirmed"
-        return cls(
-            n=int(header["n"]),
-            k=int(header["k"]),
-            mode=header["mode"],
-            freeness=freeness,
-            per_nonedge=per,
-        )
+            try:
+                if ":" in ln:
+                    pair, _, cyc = ln.partition(":")
+                    u, v = (int(x) for x in pair.split())
+                    per[(u, v)] = CycleWitness(tuple(int(x) for x in cyc.split()))
+                elif ln:
+                    key, _, val = ln.partition(" ")
+                    header[key] = int(val) if key in ("n", "k") else val.strip()
+            except ValueError as exc:
+                raise CertificateError(f"line {lineno}: {ln!r}: {exc}") from exc
+        for key in ("n", "k", "mode"):
+            if key not in header:
+                raise CertificateError(f"missing header {key!r}")
+        freeness = header["freeness"] == "confirmed" if "freeness" in header else None
+        return cls(header["n"], header["k"], header["mode"], freeness, per)
 
 
 # -- verdicts --------------------------------------------------------------
@@ -374,24 +375,17 @@ def check_structure(
 
 def _path_components(sub: Graph, k: int, back: dict[int, int]) -> list[str]:
     """Messages for components of ``sub`` that are not paths of length <= k-2."""
-    if sub.n == 0:
-        return []
     msgs = []
-    seen: set[int] = set()
+    full = (1 << sub.n) - 1
+    seen = 0
     for start in range(sub.n):
-        if start in seen:
+        if seen >> start & 1:
             continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in sub.neighbors(v):
-                    if w not in comp:
-                        comp.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        seen |= comp
+        mask = 1 << start
+        for layer in _bfs_layers(sub.adj, mask, full):
+            mask |= layer
+        seen |= mask
+        comp = list(_iter_bits(mask))
         original = sorted(back[v] for v in comp)
         degs = sorted(sub.degree(v) for v in comp)
         edges = sum(degs) // 2

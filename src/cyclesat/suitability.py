@@ -70,16 +70,31 @@ def split_pairs(k: int, mode: str) -> list[tuple[int, int]]:
     raise ValueError(f"unknown suitability mode {mode!r}")
 
 
-def _report(core: LabeledGraph, k: int, mode: str) -> SuitabilityReport:
-    G = core.graph
-    a1, a2 = core.special_pair()
-    semi = is_semisaturated(G, k, want_certificate=False)
+def _report(
+    G: Graph,
+    a1: int,
+    a2: int,
+    k: int,
+    mode: str,
+    pairs: list[tuple[int, int]],
+    stop_at_failure: bool = False,
+) -> SuitabilityReport | None:
+    """Evaluate S2, S3 and S1 for the special pair (a1, a2), cheapest first.
 
+    The a1a2 edge is checked before the longer S2 lengths, and path queries
+    for S3 are memoised.  With ``stop_at_failure`` the first failed
+    condition returns None without further queries (the miner's use).
+    """
     s2_witnesses: dict[int, PathWitness] = {}
     s2_missing: list[int] = []
     for ell in range(1, k - 1):
-        w = exists_path_of_length(G, a1, a2, ell)
+        if ell == 1:
+            w = PathWitness((a1, a2)) if G.has_edge(a1, a2) else None
+        else:
+            w = exists_path_of_length(G, a1, a2, ell)
         if w is None:
+            if stop_at_failure:
+                return None
             s2_missing.append(ell)
         else:
             s2_witnesses[ell] = w
@@ -92,7 +107,6 @@ def _report(core: LabeledGraph, k: int, mode: str) -> SuitabilityReport:
             memo[key] = exists_path_of_length(G, src, q, m)
         return memo[key]
 
-    pairs = split_pairs(k, mode)
     s3_failures: list[tuple[int, int, int]] = []
     s3_witnesses: dict[tuple[int, int, int], tuple[int, PathWitness]] = {}
     for q in range(G.n):
@@ -107,8 +121,13 @@ def _report(core: LabeledGraph, k: int, mode: str) -> SuitabilityReport:
             if w is not None:
                 s3_witnesses[(q, m1, m2)] = (2, w)
                 continue
+            if stop_at_failure:
+                return None
             s3_failures.append((q, m1, m2))
 
+    semi = is_semisaturated(G, k, want_certificate=False)
+    if stop_at_failure and not semi.holds:
+        return None
     return SuitabilityReport(
         mode=mode,
         k=k,
@@ -127,38 +146,16 @@ def is_k_suitable(core: LabeledGraph, k: int) -> SuitabilityReport:
     """Full report for the plain suitability conditions S1-S3."""
     if k < 4:
         raise ValueError(f"suitability needs k >= 4, got k={k}")
-    return _report(core, k, "k-suitable")
+    mode = "k-suitable"
+    return _report(core.graph, *core.special_pair(), k, mode, split_pairs(k, mode))
 
 
 def is_kk2_suitable(core: LabeledGraph, k: int) -> SuitabilityReport:
     """Full report for the extended conditions S1, S2, and the two-split S3."""
     if k < 6:
         raise ValueError(f"extended suitability needs k >= 6, got k={k}")
-    return _report(core, k, "kk2-suitable")
-
-
-def _quick_suitable(G: Graph, a1: int, a2: int, k: int, pairs: list[tuple[int, int]]) -> bool:
-    """Short-circuit suitability test ordered cheapest-first (for mining)."""
-    if not G.has_edge(a1, a2):
-        return False
-    for ell in range(2, k - 1):
-        if exists_path_of_length(G, a1, a2, ell) is None:
-            return False
-    memo: dict[tuple[int, int, int], bool] = {}
-
-    def reach(src: int, q: int, m: int) -> bool:
-        key = (src, q, m)
-        if key not in memo:
-            memo[key] = exists_path_of_length(G, src, q, m) is not None
-        return memo[key]
-
-    for q in range(G.n):
-        if q in (a1, a2):
-            continue
-        for m1, m2 in pairs:
-            if not (reach(a1, q, m1) or reach(a2, q, m2)):
-                return False
-    return is_semisaturated(G, k, want_certificate=False).holds
+    mode = "kk2-suitable"
+    return _report(core.graph, *core.special_pair(), k, mode, split_pairs(k, mode))
 
 
 @dataclass(frozen=True)
@@ -178,7 +175,7 @@ DEFAULT_MINE_CEILING = 8
 def mine_suitable(
     k: int,
     mode: str = "k-suitable",
-    ceiling: int = DEFAULT_MINE_CEILING,
+    ceiling: int | None = None,
     budget_seconds: float | None = None,
 ) -> MiningResult:
     """Minimum edge count of a k-vertex core passing the given mode.
@@ -192,9 +189,10 @@ def mine_suitable(
 
     if mode not in ("k-suitable", "kk2-suitable"):
         raise ValueError(f"unknown suitability mode {mode!r}")
-    if k > ceiling:
+    cap = DEFAULT_MINE_CEILING if ceiling is None else ceiling
+    if k > cap:
         raise ValueError(
-            f"k={k} above the mining ceiling {ceiling}; raise `ceiling` explicitly"
+            f"k={k} above the mining ceiling {cap}; raise `ceiling` explicitly"
         )
     if k < 4 or (mode == "kk2-suitable" and k < 6):
         raise ValueError(f"k={k} below the minimum for mode {mode}")
@@ -202,31 +200,25 @@ def mine_suitable(
     t0 = time.monotonic()
     deadline = None if budget_seconds is None else t0 + budget_seconds
     examined = 0
+
+    def result(status: str, m: int | None = None, witness: LabeledGraph | None = None):
+        return MiningResult(k, mode, status, m, witness, examined, time.monotonic() - t0)
+
     for m in range(k - 1, k * (k - 1) // 2 + 1):
         try:
             stratum = classes_with_edges(k, m, deadline=deadline)
         except GenerationTimeout:
-            return MiningResult(
-                k, mode, "budget-exhausted", None, None,
-                examined, time.monotonic() - t0,
-            )
-        for code, G in stratum:
+            return result("budget-exhausted")
+        for _, G in stratum:
             if deadline is not None and time.monotonic() > deadline:
-                return MiningResult(
-                    k, mode, "budget-exhausted", None, None,
-                    examined, time.monotonic() - t0,
-                )
+                return result("budget-exhausted")
             examined += 1
             if not G.is_connected():
                 continue
             for a1 in range(k):
                 for a2 in range(a1 + 1, k):
-                    if _quick_suitable(G, a1, a2, k, pairs):
-                        witness = LabeledGraph(
-                            G, {"a1": a1, "a2": a2}, G.edge_count, None
-                        )
-                        return MiningResult(
-                            k, mode, "exact", m, witness,
-                            examined, time.monotonic() - t0,
-                        )
-    return MiningResult(k, mode, "not-found", None, None, examined, time.monotonic() - t0)
+                    if _report(G, a1, a2, k, mode, pairs, stop_at_failure=True):
+                        labels = {"a1": a1, "a2": a2}
+                        witness = LabeledGraph(G, labels, G.edge_count, None)
+                        return result("exact", m, witness)
+    return result("not-found")

@@ -11,7 +11,7 @@ import itertools
 
 from hypothesis import strategies as st
 
-from cyclesat.graphs import Graph
+from cyclesat.graphs import Graph, canonical_form_and_code
 
 
 @st.composite
@@ -73,6 +73,21 @@ def naive_is_semisaturated(G: Graph, k: int) -> bool:
         if naive_count_cycles(G.with_edge(u, v), k) <= base:
             return False
     return True
+
+
+def brute_classes_with_edges(n: int, m: int) -> list[tuple[bytes, Graph]]:
+    """Isomorphism classes with m edges via raw bitmask enumeration (n <= 6)."""
+    if n > 6:
+        raise ValueError("brute enumeration limited to n <= 6")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    found: dict[bytes, Graph] = {}
+    for mask in range(1 << len(pairs)):
+        if mask.bit_count() != m:
+            continue
+        g = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        h, code = canonical_form_and_code(g)
+        found.setdefault(code, h)
+    return sorted(found.items())
 
 
 def path_graph(n: int) -> Graph:

@@ -1,5 +1,7 @@
 import io
 
+import pytest
+
 from cyclesat.cli import main
 from cyclesat.codec import graph6_decode, graph6_encode, labels_decode
 from cyclesat.families import build_h1, build_wheel
@@ -182,15 +184,6 @@ def test_oracle_budget_exit_3(capsys, tmp_path):
     assert "budget exhausted" in out
 
 
-def test_oracle_shards_flag(capsys):
-    code, out, _ = run(
-        capsys, "oracle", "--k", "3", "--n", "6", "--mode", "sat",
-        "--shards", "4", "--no-golden",
-    )
-    assert code == 0
-    assert "sat(6, C3) = 5" in out
-
-
 def test_mine_suitable_cli(capsys):
     code, out, _ = run(capsys, "mine-suitable", "--k", "6")
     assert code == 0
@@ -208,8 +201,8 @@ def test_identical_invocations_identical_output(capsys):
     a = run(capsys, "bounds", "--k", "8", "--n", "30", "--csv")
     b = run(capsys, "bounds", "--k", "8", "--n", "30", "--csv")
     assert a == b
-    c = run(capsys, "--seed", "0", "construct", "--family", "h1", "--k", "7", "--n", "9")
-    d = run(capsys, "--seed", "0", "construct", "--family", "h1", "--k", "7", "--n", "9")
+    c = run(capsys, "construct", "--family", "h1", "--k", "7", "--n", "9")
+    d = run(capsys, "construct", "--family", "h1", "--k", "7", "--n", "9")
     assert c == d
 
 
@@ -219,3 +212,19 @@ def test_env_budget_default(capsys, monkeypatch, tmp_path):
         capsys, "oracle", "--k", "4", "--n", "8", "--mode", "sat", "--no-golden"
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+@pytest.mark.parametrize("command", [
+    ("oracle", "--k", "4", "--n", "8", "--mode", "sat", "--no-golden"),
+    ("mine-suitable", "--k", "6"),
+])
+def test_bad_budget_rejected(capsys, monkeypatch, command, value):
+    monkeypatch.delenv("CYCLESAT_BUDGET_SECONDS", raising=False)
+    code, _, err = run(capsys, *command, "--max-seconds", value)
+    assert code == 2
+    assert "--max-seconds must be a non-negative number" in err
+    monkeypatch.setenv("CYCLESAT_BUDGET_SECONDS", value)
+    code, _, err = run(capsys, *command)
+    assert code == 2
+    assert "CYCLESAT_BUDGET_SECONDS must be a non-negative number" in err

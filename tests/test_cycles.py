@@ -133,12 +133,37 @@ def test_shortest_cycle_through_c5():
         assert shortest_cycle_through(cycle_graph(5), v) == 5
 
 
+@given(graphs(min_n=1, max_n=6))
+@settings(max_examples=150, deadline=None)
+def test_shortest_cycle_through_agrees_with_exhaustive_scan(g):
+    for w in range(g.n):
+        others = [x for x in range(g.n) if x != w]
+        expect = None
+        for length in range(3, g.n + 1):
+            for mids in itertools.permutations(others, length - 1):
+                seq = (w, *mids)
+                if all(g.has_edge(a, b) for a, b in zip(seq, seq[1:] + seq[:1])):
+                    expect = length
+                    break
+            if expect is not None:
+                break
+        assert shortest_cycle_through(g, w) == expect
+
+
 def test_budget_exceeded_is_reported():
     # complete bipartite: no odd-length path joins two same-side vertices,
     # and proving that absence takes far more than 50 expansions
     g = Graph(12, [(u, v) for u in range(6) for v in range(6, 12)])
     with pytest.raises(SearchBudgetExceeded):
         exists_path_of_length(g, 0, 1, 11, budget=50)
+
+
+def test_zero_budget_is_not_the_default():
+    # only None selects the default budget; 0 allows no expansion at all
+    with pytest.raises(SearchBudgetExceeded):
+        exists_path_of_length(complete_graph(4), 0, 1, 3, budget=0)
+    with pytest.raises(SearchBudgetExceeded):
+        has_cycle_of_length(cycle_graph(4), 4, budget=0)
 
 
 def test_budget_generous_enough_succeeds():

@@ -1,14 +1,13 @@
 import pytest
 
+from conftest import brute_classes_with_edges
 from cyclesat.bounds import Observation, check_consistency
-from cyclesat.graphs import canonical_code
+from cyclesat.graphs import canonical_code, canonical_form_and_code
 from cyclesat.oracle import (
     CeilingExceeded,
     append_golden,
-    brute_classes_with_edges,
     classes_with_edges,
     exact_min,
-    exact_min_sharded,
     search_stratum,
 )
 from cyclesat.saturation import is_saturated, is_semisaturated
@@ -62,9 +61,7 @@ def test_witness_reverifies_and_is_canonical():
     result = exact_min(7, 4, "sat")
     assert result.witness.edge_count == result.value
     assert is_saturated(result.witness, 4, want_certificate=False).holds
-    from cyclesat.graphs import canonical_form
-
-    assert canonical_form(result.witness) == result.witness
+    assert canonical_form_and_code(result.witness)[0] == result.witness
 
 
 def test_minimality_no_witness_one_below():
@@ -73,11 +70,16 @@ def test_minimality_no_witness_one_below():
     assert below is None
 
 
-def test_shard_invariance():
-    for n, k in [(5, 4), (6, 3)]:
-        base = exact_min(n, k, "sat")
-        for shards in (2, 3, 8):
-            assert base.same_answer(exact_min_sharded(n, k, "sat", shards))
+@pytest.mark.parametrize("n,k", [(5, 4), (6, 3), (7, 4)])
+def test_witness_is_least_code_connected_passer(n, k):
+    result = exact_min(n, k, "sat")
+    passers = [
+        (code, g)
+        for code, g in classes_with_edges(n, result.value)
+        if g.is_connected() and is_saturated(g, k, want_certificate=False).holds
+    ]
+    _, least = min(passers, key=lambda cg: cg[0])
+    assert result.witness == least
 
 
 def test_values_respect_lower_bounds():
@@ -103,8 +105,6 @@ def test_parameter_validation():
         exact_min(4, 5, "sat")
     with pytest.raises(ValueError):
         exact_min(5, 4, "weird")
-    with pytest.raises(ValueError):
-        exact_min(5, 4, "sat", shards=0)
 
 
 def test_budget_exhaustion_yields_partial_result():

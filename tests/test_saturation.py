@@ -16,6 +16,7 @@ from cyclesat.families import build_h1, build_wheel
 from cyclesat.graphs import Graph
 from cyclesat.saturation import (
     Certificate,
+    CertificateError,
     TooFewVertices,
     all_pairs,
     check_structure,
@@ -128,6 +129,19 @@ def test_certificate_text_round_trip():
     parsed = Certificate.from_text(cert.to_text())
     assert parsed == cert
     assert parsed.validate(h.graph) == []
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("n 6\nmode semisaturated\n", "missing header 'k'"),
+        ("n 6\nk six\nmode semisaturated\n", "line 2"),
+        ("n 6\nk 6\nmode semisaturated\n0 2 : 0 1 x 3 4 5\n", "line 4"),
+    ],
+)
+def test_certificate_parse_errors_are_typed(text, message):
+    with pytest.raises(CertificateError, match=message):
+        Certificate.from_text(text)
 
 
 def test_certificate_validation_catches_tampering():

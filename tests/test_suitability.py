@@ -3,7 +3,9 @@ import pytest
 from conftest import path_graph
 from cyclesat.families import LabeledGraph, build_wheel
 from cyclesat.graphs import Graph
+from cyclesat.oracle import classes_with_edges
 from cyclesat.suitability import (
+    _report,
     is_k_suitable,
     is_kk2_suitable,
     mine_suitable,
@@ -104,12 +106,12 @@ def test_mine_k6_witness_reverifies():
 
 def test_mine_k6_witness_is_canonical_golden():
     from cyclesat.codec import graph6_encode
-    from cyclesat.graphs import canonical_form
+    from cyclesat.graphs import canonical_form_and_code
 
     result = mine_suitable(6, "k-suitable")
     assert graph6_encode(result.witness.graph) == "EJew"
     # the enumerator hands out canonical representatives
-    assert canonical_form(result.witness.graph) == result.witness.graph
+    assert canonical_form_and_code(result.witness.graph)[0] == result.witness.graph
 
 
 def test_mine_k6_extended():
@@ -129,6 +131,34 @@ def test_mine_k5():
 def test_mine_ceiling_guard():
     with pytest.raises(ValueError):
         mine_suitable(9, "k-suitable")
+    with pytest.raises(ValueError):
+        mine_suitable(9, "k-suitable", ceiling=None)
+    with pytest.raises(ValueError):
+        mine_suitable(6, "k-suitable", ceiling=5)
+
+
+@pytest.mark.parametrize(
+    "mode,full", [("k-suitable", is_k_suitable), ("kk2-suitable", is_kk2_suitable)]
+)
+def test_early_exit_verdict_matches_full_report(mode, full):
+    # the miner's short-circuit call against the full report, on every
+    # connected 6-vertex class and every special pair
+    k = 6
+    pairs = split_pairs(k, mode)
+    checked = 0
+    for m in range(k - 1, k * (k - 1) // 2 + 1):
+        for _, g in classes_with_edges(k, m):
+            if not g.is_connected():
+                continue
+            for a1 in range(k):
+                for a2 in range(a1 + 1, k):
+                    quick = _report(g, a1, a2, k, mode, pairs, stop_at_failure=True)
+                    report = full(as_core(g, a1, a2), k)
+                    assert (quick is not None) == report.suitable, (g.edges, a1, a2)
+                    if quick is not None:
+                        assert quick == report
+                    checked += 1
+    assert checked == 112 * 15
 
 
 def test_mine_budget_exhaustion():
