@@ -1,5 +1,7 @@
 """Cycle-saturated graph families, verifiers, bounds, and exact search."""
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     BoundEntry,
     BoundTable,
@@ -84,5 +86,10 @@ from .suitability import (
     split_pairs,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Every imported public name, but not the submodules bound as attributes.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 __version__ = "0.1.0"

@@ -48,18 +48,6 @@ class BoundTable:
                 return e
         raise KeyError(name)
 
-    def applicable(
-        self, mode: str | None = None, kinds: Iterable[str] | None = None
-    ) -> list[BoundEntry]:
-        ks = None if kinds is None else set(kinds)
-        return [
-            e
-            for e in self.entries
-            if e.applicable
-            and (mode is None or e.mode == mode)
-            and (ks is None or e.kind in ks)
-        ]
-
     def lower_floor(self, mode: str) -> int:
         """Smallest integer edge count consistent with applicable lower bounds.
 

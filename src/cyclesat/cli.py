@@ -137,10 +137,14 @@ def _default_budget(flag_value: float | None) -> float | None:
         env = os.environ.get(BUDGET_ENV)
         if not env:
             return None
-        source, value = BUDGET_ENV, float(env)
+        source = BUDGET_ENV
+        try:
+            value = float(env)
+        except ValueError:
+            value = env
     # NaN compares false with everything, so a NaN deadline would never pass.
-    if not value >= 0:
-        raise _UsageError(f"{source} must be a non-negative number of seconds, got {value}")
+    if not (isinstance(value, float) and value >= 0):
+        raise _UsageError(f"{source} must be a non-negative number of seconds, got {value!r}")
     return value
 
 
@@ -184,7 +188,7 @@ def _cmd_verify(args: argparse.Namespace, always_certificate: bool = False) -> i
     cert_path = args.out if always_certificate else args.certificate
     if args.mode == "free":
         res = is_ck_free(G, args.k)
-        if res.free:
+        if res.holds:
             print("FREE")
             return EXIT_OK
         print("NOT FREE")

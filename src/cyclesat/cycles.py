@@ -17,6 +17,7 @@ of a hang.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .graphs import Graph, _bfs_layers, _iter_bits
 
@@ -91,7 +92,7 @@ class _Budget:
             raise SearchBudgetExceeded("node expansion budget exhausted")
 
 
-def _usable(adj: tuple[int, ...], avail: int, cur: int, target: int, remaining: int):
+def _usable(adj: Sequence[int], avail: int, cur: int, target: int, remaining: int):
     """Vertices usable by some completion of the current branch.
 
     Returns ``(usable_mask, target_dist)`` where ``target_dist`` is the
@@ -151,9 +152,10 @@ def _usable(adj: tuple[int, ...], avail: int, cur: int, target: int, remaining: 
     return usable, target_dist
 
 
-def _search_path(G: Graph, u: int, v: int, length: int, budget: _Budget):
-    adj = G.adj
-    full = (1 << G.n) - 1
+def _search_path(
+    adj: Sequence[int], n: int, u: int, v: int, length: int, budget: _Budget
+):
+    full = (1 << n) - 1
     tbit = 1 << v
     path = [u]
 
@@ -212,24 +214,28 @@ def exists_path_of_length(
         raise ValueError(f"path length must be positive, got {length}")
     if length > G.n - 1:
         return None
-    return _search_path(G, u, v, length, _Budget(budget))
+    return _search_path(G.adj, G.n, u, v, length, _Budget(budget))
 
 
 def has_cycle_of_length(G: Graph, k: int, budget: int | None = None) -> CycleWitness | None:
     """A simple cycle on exactly ``k`` vertices, if any exists.
 
     Scans edges in sorted order; for each edge uv, looks for a u-v path of
-    length k-1 in the graph with uv removed.  The first hit, closed by uv,
-    is the witness.
+    length k-1 in the graph with uv removed (cleared in one adjacency list
+    and put back, not rebuilt).  The first hit, closed by uv, is the witness.
     """
     if k < 3:
         raise ValueError(f"cycle length must be at least 3, got {k}")
     if k > G.n:
         return None
     shared = _Budget(budget)
+    adj = list(G.adj)
     for u, v in G.edges:
-        stripped = G.without_edge(u, v)
-        found = _search_path(stripped, u, v, k - 1, shared)
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        found = _search_path(adj, G.n, u, v, k - 1, shared)
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
         if found is not None:
             return CycleWitness(found.vertices)
     return None

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .graphs import Graph
+from .saturation import is_semisaturated
 
 
 class ConstructionParamError(ValueError):
@@ -193,15 +194,14 @@ def build_h3(
     t: int,
     r: int,
     unchecked: bool = False,
-    verify: bool = True,
 ) -> LabeledGraph:
     """Core plus t disjoint a1-a2 paths of length k-4, plus pendant spikes.
 
     Each path block holds k-5 interior vertices; t(k-5) - r pendant spikes
     are matched onto the interiors, skipping the r highest-indexed interior
     vertices of the last blocks.  ``unchecked`` waives the core suitability
-    gate; ``verify`` controls the post-build semisaturation check that
-    backstops waived cores.
+    gate; the post-build semisaturation check always runs and backstops
+    waived cores.
     """
     if k < 6:
         raise ConstructionParamError(f"family h3 needs k >= 6, got k={k}")
@@ -245,11 +245,8 @@ def build_h3(
     built = LabeledGraph(
         graph, labels, predicted, ConstructionParams("h3", k, graph.n, t, r)
     )
-    if verify:
-        from .saturation import is_semisaturated
-
-        if not is_semisaturated(graph, k, want_certificate=False).holds:
-            raise ConstructionPostconditionError(
-                f"h3 output on {graph.n} vertices is not semisaturated for k={k}"
-            )
+    if not is_semisaturated(graph, k, want_certificate=False).holds:
+        raise ConstructionPostconditionError(
+            f"h3 output on {graph.n} vertices is not semisaturated for k={k}"
+        )
     return built

@@ -93,9 +93,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
@@ -198,7 +195,9 @@ class Graph:
 # cases (isolated vertices, cliques) that plain backtracking chokes on.
 
 
-def _canonical_order(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
+def canonical_order(G: Graph) -> tuple[int, ...]:
+    """Placement order realizing the canonical (minimal) adjacency code."""
+    n, adj = G.n, G.adj
     if n <= 1:
         return tuple(range(n))
 
@@ -260,11 +259,6 @@ def _canonical_order(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
     rec(list(range(n)), [0] * n, tight=False)
     assert best_order is not None
     return tuple(best_order)
-
-
-def canonical_order(G: Graph) -> tuple[int, ...]:
-    """Placement order realizing the canonical (minimal) adjacency code."""
-    return _canonical_order(G.n, G.adj)
 
 
 def _code_from_order(G: Graph, order: tuple[int, ...]) -> bytes:

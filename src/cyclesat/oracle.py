@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass
 from math import comb
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .bounds import eval_bounds
 from .codec import graph6_encode
@@ -27,7 +28,8 @@ from .graphs import Graph, canonical_code, canonical_form_and_code
 from .saturation import is_saturated, is_semisaturated
 
 DEFAULT_CEILING = {"sat": 8, "ssat": 9}
-DEFAULT_BUDGET_SECONDS = 600.0
+
+_T = TypeVar("_T")
 
 _LEVELS: dict[int, list[dict[bytes, Graph]]] = {}
 
@@ -81,13 +83,6 @@ class OracleResult:
     witness: Graph | None
     stats: SearchStats
 
-    def same_answer(self, other: "OracleResult") -> bool:
-        """Equality of the mathematically determined part of the result."""
-        return (
-            (self.n, self.k, self.mode, self.status, self.value, self.witness)
-            == (other.n, other.k, other.mode, other.status, other.value, other.witness)
-        )
-
 
 def _verifier(mode: str, k: int):
     if mode == "sat":
@@ -97,22 +92,41 @@ def _verifier(mode: str, k: int):
     raise ValueError(f"mode must be 'sat' or 'ssat', got {mode!r}")
 
 
-def search_stratum(
-    n: int, k: int, mode: str, m: int, deadline: float | None = None
-) -> tuple[Graph | None, int, bool]:
-    """Scan one edge-count stratum; returns (witness, examined, timed_out).
+def _deadline(t0: float, budget_seconds: float | None) -> float | None:
+    """The monotonic deadline of a time budget; None means no limit."""
+    if budget_seconds is None:
+        return None
+    # NaN compares false with everything, so a NaN deadline would never pass.
+    if not budget_seconds >= 0:
+        raise ValueError(
+            f"budget_seconds must be a non-negative number, got {budget_seconds}"
+        )
+    return t0 + budget_seconds
 
-    Classes come in ascending canonical-code order, so the first connected
-    passer is the least-code one; None when the stratum has no passer.
+
+def search_stratum(
+    n: int, m: int, accept: Callable[[Graph], _T | None], deadline: float | None = None
+) -> tuple[_T | None, int, bool]:
+    """Scan one edge-count stratum; returns (accepted, examined, timed_out).
+
+    Connected classes come in ascending canonical-code order, and the first
+    one for which ``accept`` returns something other than None gives the
+    result.  A deadline hit, while the level is generated or while it is
+    scanned, is reported only through ``timed_out``.
     """
-    passes = _verifier(mode, k)
     examined = 0
-    for _, g in classes_with_edges(n, m, deadline=deadline):
+    try:
+        stratum = classes_with_edges(n, m, deadline=deadline)
+    except GenerationTimeout:
+        return None, examined, True
+    for _, g in stratum:
         if deadline is not None and time.monotonic() > deadline:
             return None, examined, True
         examined += 1
-        if g.is_connected() and passes(g):
-            return g, examined, False
+        if g.is_connected():
+            found = accept(g)
+            if found is not None:
+                return found, examined, False
     return None, examined, False
 
 
@@ -128,8 +142,9 @@ def exact_min(
 
     Scans edge counts upward from the bound-derived floor, so the first
     stratum with a passer gives the minimum; the witness is canonical and
-    re-verified.  A blown time budget yields an explicit partial result
-    (``status="lower-bound-only"``) instead of a wrong answer.
+    re-verified.  ``budget_seconds=None`` sets no time limit; a blown budget
+    yields an explicit partial result (``status="lower-bound-only"``)
+    instead of a wrong answer.
     """
     if mode not in DEFAULT_CEILING:
         raise ValueError(f"mode must be 'sat' or 'ssat', got {mode!r}")
@@ -139,8 +154,8 @@ def exact_min(
     if n > cap:
         raise CeilingExceeded(f"n={n} above ceiling {cap}; raise `ceiling` to allow")
     t0 = time.monotonic()
-    budget = DEFAULT_BUDGET_SECONDS if budget_seconds is None else budget_seconds
-    deadline = t0 + budget
+    deadline = _deadline(t0, budget_seconds)
+    passes = _verifier(mode, k)
     floor = max(n - 1, eval_bounds(n, k).lower_floor(mode))
     examined_total = 0
     classes_total = 0
@@ -150,31 +165,25 @@ def exact_min(
         return OracleResult(n, k, mode, status, m, witness, stats)
 
     for m in range(floor, comb(n, 2) + 1):
-        try:
-            witness, examined, timed_out = search_stratum(n, k, mode, m, deadline=deadline)
-        except GenerationTimeout:
-            return result("lower-bound-only", m, None)
+        witness, examined, timed_out = search_stratum(
+            n, m, lambda g: g if passes(g) else None, deadline
+        )
         examined_total += examined
-        classes_total += len(classes_with_edges(n, m))
         if timed_out:
             return result("lower-bound-only", m, None)
+        classes_total += len(classes_with_edges(n, m))
         if witness is not None:
             if k in (3, 4):
-                _confirm_no_disconnected_passer(n, k, mode, m)
-            assert _verifier(mode, k)(witness)
+                # Connectivity of semisaturated graphs is immediate for
+                # k >= 5; for k in {3, 4} we verify instead of assume.
+                for _, g in classes_with_edges(n, m):
+                    if not g.is_connected() and passes(g):
+                        raise AssertionError(
+                            f"disconnected {g!r} passes {mode} at k={k}; verifier broken"
+                        )
+            assert passes(witness)
             return result("exact", m, witness)
     raise AssertionError("edge-count scan exhausted without a passing graph")
-
-
-def _confirm_no_disconnected_passer(n: int, k: int, mode: str, m: int) -> None:
-    # Connectivity of semisaturated graphs is immediate for k >= 5; for
-    # k in {3, 4} we verify instead of assume.  Cheap at these sizes.
-    passes = _verifier(mode, k)
-    for _, g in classes_with_edges(n, m):
-        if not g.is_connected() and passes(g):
-            raise AssertionError(
-                f"disconnected {g!r} passes {mode} at k={k}; verifier broken"
-            )
 
 
 # -- golden file -------------------------------------------------------------

@@ -119,15 +119,6 @@ class Certificate:
 
 
 @dataclass(frozen=True)
-class FreenessResult:
-    free: bool
-    cycle: CycleWitness | None
-
-    def __bool__(self) -> bool:
-        return self.free
-
-
-@dataclass(frozen=True)
 class SaturationVerdict:
     holds: bool
     certificate: Certificate | None = None
@@ -138,15 +129,13 @@ class SaturationVerdict:
         return self.holds
 
 
-def is_ck_free(G: Graph, k: int, budget: int | None = None) -> FreenessResult:
-    """True iff the graph has no cycle on exactly ``k`` vertices."""
-    found = has_cycle_of_length(G, k, budget=budget)
-    return FreenessResult(found is None, found)
+def is_ck_free(G: Graph, k: int) -> SaturationVerdict:
+    """Holds iff the graph has no cycle on exactly ``k`` vertices."""
+    found = has_cycle_of_length(G, k)
+    return SaturationVerdict(found is None, cycle=found)
 
 
-def is_semisaturated(
-    G: Graph, k: int, want_certificate: bool = True, budget: int | None = None
-) -> SaturationVerdict:
+def is_semisaturated(G: Graph, k: int, want_certificate: bool = True) -> SaturationVerdict:
     """Every non-edge uv admits a u-v path of exactly k-1 edges.
 
     Fails fast on the first (lexicographically) failing non-edge.  With
@@ -158,7 +147,7 @@ def is_semisaturated(
         raise TooFewVertices(f"impossible: {G.n} vertices cannot host a {k}-cycle")
     per: dict[tuple[int, int], CycleWitness] = {}
     for u, v in G.non_edges():
-        path = exists_path_of_length(G, u, v, k - 1, budget=budget)
+        path = exists_path_of_length(G, u, v, k - 1)
         if path is None:
             return SaturationVerdict(False, failing_nonedge=(u, v))
         if want_certificate:
@@ -169,20 +158,18 @@ def is_semisaturated(
     return SaturationVerdict(True, certificate=cert)
 
 
-def is_saturated(
-    G: Graph, k: int, want_certificate: bool = True, budget: int | None = None
-) -> SaturationVerdict:
+def is_saturated(G: Graph, k: int, want_certificate: bool = True) -> SaturationVerdict:
     """C_k-free and C_k-semisaturated.
 
     The semisaturation side runs first because it fails fast on sparse
     graphs; the conjunction is unchanged.
     """
-    semi = is_semisaturated(G, k, want_certificate=want_certificate, budget=budget)
+    semi = is_semisaturated(G, k, want_certificate=want_certificate)
     if not semi.holds:
         return semi
-    freeness = is_ck_free(G, k, budget=budget)
-    if not freeness.free:
-        return SaturationVerdict(False, cycle=freeness.cycle)
+    freeness = is_ck_free(G, k)
+    if not freeness.holds:
+        return freeness
     cert = None
     if want_certificate:
         assert semi.certificate is not None
@@ -278,7 +265,6 @@ class StructureReport:
 
 LEAF_CHECKS = ("i", "ii", "iii")
 SATURATED_CHECKS = ("iv", "v", "vi")
-CYCLE_COVER_CHECK = ("cycle-cover",)
 
 
 def check_structure(
@@ -419,9 +405,7 @@ def all_pairs(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def greedy_saturate(
-    n: int, k: int, edge_order: Iterable[tuple[int, int]], budget: int | None = None
-) -> Graph:
+def greedy_saturate(n: int, k: int, edge_order: Iterable[tuple[int, int]]) -> Graph:
     """Scan vertex pairs in the given order, keeping the graph C_k-free.
 
     A pair is added exactly when no path of k-1 edges currently joins it.
@@ -434,6 +418,6 @@ def greedy_saturate(
         raise ValueError("edge_order must be a permutation of all vertex pairs")
     G = Graph(n, [])
     for u, v in order:
-        if exists_path_of_length(G, u, v, k - 1, budget=budget) is None:
+        if exists_path_of_length(G, u, v, k - 1) is None:
             G = G.with_edge(u, v)
     return G

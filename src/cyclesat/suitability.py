@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from .cycles import PathWitness, exists_path_of_length
 from .families import LabeledGraph
 from .graphs import Graph
+from .oracle import _deadline, search_stratum
 from .saturation import is_semisaturated
 
 
@@ -183,10 +184,8 @@ def mine_suitable(
     Exhausts isomorphism classes of k-vertex graphs in edge-count-ascending
     order (canonical-code order inside a stratum) and tries every special
     pair, so the first hit is the minimum with the lexicographically least
-    canonical witness.
+    canonical witness.  ``budget_seconds=None`` sets no time limit.
     """
-    from .oracle import GenerationTimeout, classes_with_edges
-
     if mode not in ("k-suitable", "kk2-suitable"):
         raise ValueError(f"unknown suitability mode {mode!r}")
     cap = DEFAULT_MINE_CEILING if ceiling is None else ceiling
@@ -198,27 +197,24 @@ def mine_suitable(
         raise ValueError(f"k={k} below the minimum for mode {mode}")
     pairs = split_pairs(k, mode)
     t0 = time.monotonic()
-    deadline = None if budget_seconds is None else t0 + budget_seconds
+    deadline = _deadline(t0, budget_seconds)
     examined = 0
 
     def result(status: str, m: int | None = None, witness: LabeledGraph | None = None):
         return MiningResult(k, mode, status, m, witness, examined, time.monotonic() - t0)
 
+    def accept(G: Graph) -> LabeledGraph | None:
+        for a1 in range(k):
+            for a2 in range(a1 + 1, k):
+                if _report(G, a1, a2, k, mode, pairs, stop_at_failure=True):
+                    return LabeledGraph(G, {"a1": a1, "a2": a2}, G.edge_count, None)
+        return None
+
     for m in range(k - 1, k * (k - 1) // 2 + 1):
-        try:
-            stratum = classes_with_edges(k, m, deadline=deadline)
-        except GenerationTimeout:
+        witness, seen, timed_out = search_stratum(k, m, accept, deadline)
+        examined += seen
+        if timed_out:
             return result("budget-exhausted")
-        for _, G in stratum:
-            if deadline is not None and time.monotonic() > deadline:
-                return result("budget-exhausted")
-            examined += 1
-            if not G.is_connected():
-                continue
-            for a1 in range(k):
-                for a2 in range(a1 + 1, k):
-                    if _report(G, a1, a2, k, mode, pairs, stop_at_failure=True):
-                        labels = {"a1": a1, "a2": a2}
-                        witness = LabeledGraph(G, labels, G.edge_count, None)
-                        return result("exact", m, witness)
+        if witness is not None:
+            return result("exact", m, witness)
     return result("not-found")

@@ -127,7 +127,7 @@ def test_criterion_4_semisaturated_families_and_closed_forms():
         for t in (2, 3):
             for r in (0, 1, 2 * k - 11):
                 core = build_wheel(k, 0)
-                built = build_h3(core, k, t, r, unchecked=True, verify=False)
+                built = build_h3(core, k, t, r, unchecked=True)
                 expected = core.graph.edge_count + t * (2 * k - 9) - r
                 assert built.graph.edge_count == expected, (k, t, r)
                 assert built.graph.n == core.graph.n + t * (2 * k - 10) - r

@@ -214,7 +214,7 @@ def test_env_budget_default(capsys, monkeypatch, tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("value", ["nan", "-1"])
+@pytest.mark.parametrize("value", ["nan", "-1", "abc"])
 @pytest.mark.parametrize("command", [
     ("oracle", "--k", "4", "--n", "8", "--mode", "sat", "--no-golden"),
     ("mine-suitable", "--k", "6"),
@@ -223,7 +223,11 @@ def test_bad_budget_rejected(capsys, monkeypatch, command, value):
     monkeypatch.delenv("CYCLESAT_BUDGET_SECONDS", raising=False)
     code, _, err = run(capsys, *command, "--max-seconds", value)
     assert code == 2
-    assert "--max-seconds must be a non-negative number" in err
+    if value == "abc":
+        # argparse refuses a flag value that is not a float, naming the flag
+        assert "--max-seconds: invalid float value" in err
+    else:
+        assert "--max-seconds must be a non-negative number" in err
     monkeypatch.setenv("CYCLESAT_BUDGET_SECONDS", value)
     code, _, err = run(capsys, *command)
     assert code == 2

@@ -208,7 +208,7 @@ def test_h3_postcondition_catches_broken_core():
     with pytest.raises(UnsuitableCoreError):
         build_h3(path_core, 8, 2, 0)
     with pytest.raises(ConstructionPostconditionError):
-        build_h3(path_core, 8, 2, 0, unchecked=True, verify=True)
+        build_h3(path_core, 8, 2, 0, unchecked=True)
 
 
 def test_builders_deterministic():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from conftest import brute_classes_with_edges
@@ -66,8 +68,17 @@ def test_witness_reverifies_and_is_canonical():
 
 def test_minimality_no_witness_one_below():
     result = exact_min(7, 4, "sat")
-    below, _, _ = search_stratum(7, 4, "sat", result.value - 1)
+    def accept(g):
+        return g if is_saturated(g, 4, want_certificate=False).holds else None
+
+    below, _, _ = search_stratum(7, result.value - 1, accept)
     assert below is None
+
+
+def test_stratum_deadline_is_reported_not_raised():
+    # a passed deadline stops level generation and the scan alike
+    past = time.monotonic() - 1
+    assert search_stratum(9, 12, lambda g: g, deadline=past) == (None, 0, True)
 
 
 @pytest.mark.parametrize("n,k", [(5, 4), (6, 3), (7, 4)])
@@ -105,6 +116,13 @@ def test_parameter_validation():
         exact_min(4, 5, "sat")
     with pytest.raises(ValueError):
         exact_min(5, 4, "weird")
+
+
+@pytest.mark.parametrize("budget", [float("nan"), -1.0])
+def test_bad_budget_raises(budget):
+    # NaN would never pass a deadline, so it is refused like a negative budget
+    with pytest.raises(ValueError, match="budget_seconds"):
+        exact_min(6, 4, "sat", budget_seconds=budget)
 
 
 def test_budget_exhaustion_yields_partial_result():

@@ -34,16 +34,16 @@ from cyclesat.saturation import (
 
 def test_c6_is_not_c6_free():
     res = is_ck_free(cycle_graph(6), 6)
-    assert not res.free
+    assert not res.holds
     assert res.cycle is not None and res.cycle.is_valid_in(cycle_graph(6))
 
 
 def test_star_is_triangle_free():
-    assert is_ck_free(star_graph(6), 3).free
+    assert is_ck_free(star_graph(6), 3).holds
 
 
 def test_h1_is_free():
-    assert is_ck_free(build_h1(7, 9).graph, 7).free
+    assert is_ck_free(build_h1(7, 9).graph, 7).holds
 
 
 # -- semisaturation ----------------------------------------------------------
@@ -104,7 +104,7 @@ def test_star_is_triangle_saturated():
 
 def test_c7_is_not_c7_saturated():
     # the 7-cycle contains a 7-cycle, so it cannot be C7-saturated
-    assert not is_ck_free(cycle_graph(7), 7).free
+    assert not is_ck_free(cycle_graph(7), 7).holds
     assert not is_saturated(cycle_graph(7), 7).holds
 
 
@@ -243,7 +243,7 @@ def test_greedy_is_maximal_and_saturated():
     order = all_pairs(6)
     g = greedy_saturate(6, 3, order)
     assert is_saturated(g, 3, want_certificate=False).holds
-    assert is_ck_free(g, 3).free
+    assert is_ck_free(g, 3).holds
 
 
 def test_greedy_order_producing_k33():

@@ -161,6 +161,12 @@ def test_early_exit_verdict_matches_full_report(mode, full):
     assert checked == 112 * 15
 
 
+@pytest.mark.parametrize("budget", [float("nan"), -1.0])
+def test_mine_bad_budget_raises(budget):
+    with pytest.raises(ValueError, match="budget_seconds"):
+        mine_suitable(5, budget_seconds=budget)
+
+
 def test_mine_budget_exhaustion():
     result = mine_suitable(7, "k-suitable", budget_seconds=0.0)
     assert result.status == "budget-exhausted"
