@@ -32,9 +32,7 @@ from .cycles import (
 )
 from .families import (
     ConstructionParamError,
-    ConstructionParams,
     ConstructionPostconditionError,
-    LabeledGraph,
     UnsuitableCoreError,
     build_h1,
     build_h2,
@@ -46,6 +44,7 @@ from .graphs import (
     DuplicateEdgeError,
     Graph,
     GraphError,
+    LabeledGraph,
     LoopEdgeError,
     VertexRangeError,
     brute_force_isomorphic,

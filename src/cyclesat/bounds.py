@@ -10,6 +10,7 @@ point enters any comparison.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -51,18 +52,16 @@ class BoundTable:
     def lower_floor(self, mode: str) -> int:
         """Smallest integer edge count consistent with applicable lower bounds.
 
-        A saturated graph is also semisaturated, so "sat" inherits the
-        semisaturation lower bounds; structural bounds (min-degree
-        conditioned) are excluded.
+        This is the least exact value of ``mode`` that passes every lower
+        bound ``check_consistency`` applies to it; structural bounds
+        (min-degree conditioned) are excluded.
         """
-        modes = {SAT, SSAT} if mode == SAT else {SSAT}
         floor = 0
         for e in self.entries:
-            if not (e.applicable and e.in_consistency and e.mode in modes):
-                continue
-            if e.kind == KIND_LOWER_STRICT:
+            rel = _relation(e, mode, "exact")
+            if rel == ">":
                 floor = max(floor, math.floor(e.value) + 1)
-            elif e.kind == KIND_LOWER:
+            elif rel == ">=":
                 floor = max(floor, math.ceil(e.value))
         return floor
 
@@ -266,14 +265,33 @@ class ConsistencyReport:
         return [f for f in self.findings if not f.ok]
 
 
-def _lower_modes(obs_mode: str) -> set[str]:
-    # sat >= ssat, so semisaturation lower bounds also bound sat values.
-    return {SAT, SSAT} if obs_mode == SAT else {SSAT}
+_COMPARE = {
+    ">": operator.gt,
+    ">=": operator.ge,
+    "<": operator.lt,
+    "<=": operator.le,
+    "==": operator.eq,
+}
 
 
-def _upper_modes(obs_mode: str) -> set[str]:
-    # ssat <= sat, so saturation upper bounds also cap ssat values.
-    return {SAT, SSAT} if obs_mode == SSAT else {SAT}
+def _relation(e: BoundEntry, obs_mode: str, obs_kind: str) -> str | None:
+    """How an observation must compare with ``e``; None when ``e`` does not apply.
+
+    sat >= ssat, so semisaturation lower bounds also bound sat values and
+    saturation upper bounds also cap ssat values.  Construction witnesses
+    face only lower bounds, and an exact formula is one for them.
+    """
+    if not (e.applicable and e.in_consistency):
+        return None
+    if e.kind in (KIND_LOWER_STRICT, KIND_LOWER):
+        if e.mode in (obs_mode, SSAT):
+            return ">" if e.kind == KIND_LOWER_STRICT else ">="
+    elif e.kind in (KIND_UPPER_STRICT, KIND_UPPER):
+        if obs_kind == "exact" and e.mode in (obs_mode, SAT):
+            return "<" if e.kind == KIND_UPPER_STRICT else "<="
+    elif e.kind == KIND_EXACT and e.mode == obs_mode:
+        return "==" if obs_kind == "exact" else ">="
+    return None
 
 
 def check_consistency(
@@ -292,37 +310,9 @@ def check_consistency(
     for obs in observations:
         v = obs.value
         for e in table.entries:
-            if not (e.applicable and e.in_consistency):
-                continue
-            if e.kind in (KIND_LOWER_STRICT, KIND_LOWER):
-                if e.mode not in _lower_modes(obs.mode):
-                    continue
-                if e.kind == KIND_LOWER_STRICT:
-                    findings.append(
-                        Finding(obs, e, f"{v} > {e.value}", v > e.value)
-                    )
-                else:
-                    findings.append(
-                        Finding(obs, e, f"{v} >= {e.value}", v >= e.value)
-                    )
-            elif obs.kind == "exact" and e.kind in (KIND_UPPER_STRICT, KIND_UPPER):
-                if e.mode not in _upper_modes(obs.mode):
-                    continue
-                if e.kind == KIND_UPPER_STRICT:
-                    findings.append(
-                        Finding(obs, e, f"{v} < {e.value}", v < e.value)
-                    )
-                else:
-                    findings.append(
-                        Finding(obs, e, f"{v} <= {e.value}", v <= e.value)
-                    )
-            elif e.kind == KIND_EXACT and e.mode == obs.mode:
-                if obs.kind == "exact":
-                    findings.append(
-                        Finding(obs, e, f"{v} == {e.value}", v == e.value)
-                    )
-                else:
-                    findings.append(
-                        Finding(obs, e, f"{v} >= {e.value}", v >= e.value)
-                    )
+            rel = _relation(e, obs.mode, obs.kind)
+            if rel is not None:
+                findings.append(
+                    Finding(obs, e, f"{v} {rel} {e.value}", _COMPARE[rel](v, e.value))
+                )
     return ConsistencyReport(n, k, tuple(findings))

@@ -26,17 +26,14 @@ from .codec import (
 )
 from .cycles import SearchBudgetExceeded
 from .families import (
-    ConstructionParamError,
     ConstructionPostconditionError,
-    LabeledGraph,
-    UnsuitableCoreError,
     build_h1,
     build_h2,
     build_h3,
     build_wheel,
 )
-from .graphs import Graph, GraphError
-from .saturation import TooFewVertices, is_ck_free, is_saturated, is_semisaturated
+from .graphs import Graph, GraphError, LabeledGraph
+from .saturation import is_ck_free, is_saturated, is_semisaturated
 from .suitability import mine_suitable
 
 EXIT_OK = 0
@@ -47,7 +44,7 @@ EXIT_BUDGET = 3
 BUDGET_ENV = "CYCLESAT_BUDGET_SECONDS"
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -166,7 +163,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             if not p.exists():
                 raise _UsageError(f"input file not found: {args.core_labels}")
             labels = labels_decode(p.read_text())
-            core = LabeledGraph(graph, labels, graph.edge_count)
+            core = LabeledGraph(graph, labels)
         else:
             core = build_wheel(args.k, args.core_r)
         if args.family == "h2":
@@ -318,17 +315,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "mine-suitable":
             return _cmd_mine(args)
         raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (
-        ConstructionParamError,
-        UnsuitableCoreError,
-        GraphError,
-        TooFewVertices,
-        oracle_mod.CeilingExceeded,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
+        # Usage errors and every typed input error are ValueError subclasses.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConstructionPostconditionError as exc:

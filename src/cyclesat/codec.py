@@ -141,7 +141,10 @@ def labels_decode(text: str) -> dict[str, int | tuple[int, ...]]:
         if not sep:
             raise EdgeListError(f"bad label line {ln!r}")
         role = role.strip()
-        values = tuple(int(p) for p in rest.split())
+        try:
+            values = tuple(int(p) for p in rest.split())
+        except ValueError as exc:
+            raise EdgeListError(f"bad label line {ln!r}") from exc
         if role in _SCALAR_ROLES:
             if len(values) != 1:
                 raise EdgeListError(f"role {role!r} takes exactly one vertex")

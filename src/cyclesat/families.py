@@ -14,17 +14,16 @@ Four families are exposed, named as in the CLI:
 Vertex numbering is fixed in block order (core/cluster first, then path
 blocks, then pendants, indices ascending within blocks), so rebuilding
 with equal parameters yields an identical graph, not merely an isomorphic
-one.  Each builder also returns its closed-form edge count so callers can
-compare prediction against the built graph.
+one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
-from .graphs import Graph
+from .graphs import Graph, LabeledGraph
 from .saturation import is_semisaturated
+from .suitability import SuitabilityReport, is_k_suitable, is_kk2_suitable
 
 
 class ConstructionParamError(ValueError):
@@ -39,29 +38,37 @@ class ConstructionPostconditionError(RuntimeError):
     """A built graph failed its own verification."""
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
-    family: str
-    k: int
-    n: int
-    t: int
-    r: int
+Labels = dict[str, int | tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
-    """A graph together with named special vertices / vertex blocks."""
+def _path_blocks(
+    edges: list[tuple[int, int]],
+    labels: Labels,
+    a1: int,
+    a2: int,
+    first: int,
+    t: int,
+    size: int,
+) -> list[int]:
+    """Add t internally disjoint a1-a2 paths through ``size`` new vertices each.
 
-    graph: Graph
-    labels: dict[str, int | tuple[int, ...]]
-    predicted_edges: int
-    params: ConstructionParams | None = None
+    Block alpha is ``first + alpha*size, ...``, labelled ``R<alpha+1>`` and
+    joined as a1, block..., a2.  Returns the interior vertices in order.
+    """
+    for alpha in range(t):
+        block = tuple(range(first + alpha * size, first + (alpha + 1) * size))
+        labels[f"R{alpha + 1}"] = block
+        edges.append((a1, block[0]))
+        edges += list(zip(block, block[1:]))
+        edges.append((block[-1], a2))
+    return list(range(first, first + t * size))
 
-    def special_pair(self) -> tuple[int, int]:
-        try:
-            return int(self.labels["a1"]), int(self.labels["a2"])
-        except KeyError as exc:
-            raise ValueError("graph has no (a1, a2) labels") from exc
+
+def _require_suitable(report: SuitabilityReport) -> None:
+    if not report.suitable:
+        raise UnsuitableCoreError(
+            f"core is not {report.mode} for k={report.k}: {report.summary()}"
+        )
 
 
 def h1_decompose(k: int, n: int) -> tuple[int, int]:
@@ -96,7 +103,7 @@ def build_h1(k: int, n: int) -> LabeledGraph:
                 edges.append((u, v))
     edges += [(a1, a2), (a1, b1), (a1, b2), (a2, b1), (a2, b2)]
     edges += [(c[i], d[i]) for i in range(r)]
-    labels: dict[str, int | tuple[int, ...]] = {
+    labels: Labels = {
         "a1": a1,
         "a2": a2,
         "A": (a1, a2),
@@ -105,19 +112,10 @@ def build_h1(k: int, n: int) -> LabeledGraph:
         "D": d,
         "Q": (a1, a2, b1, b2) + c + d,
     }
-    base = (k - 1) + r
-    for alpha in range(t):
-        block = tuple(range(base + alpha * (k - 4), base + (alpha + 1) * (k - 4)))
-        labels[f"R{alpha + 1}"] = block
-        edges.append((a1, block[0]))
-        edges += list(zip(block, block[1:]))
-        edges.append((block[-1], a2))
-    predicted = comb(k - 3, 2) + 4 + r + t * (k - 3)
+    _path_blocks(edges, labels, a1, a2, (k - 1) + r, t, k - 4)
     graph = Graph(n, edges)
-    assert graph.edge_count == predicted
-    return LabeledGraph(
-        graph, labels, predicted, ConstructionParams("h1", k, n, t, r)
-    )
+    assert graph.edge_count == comb(k - 3, 2) + 4 + r + t * (k - 3)
+    return LabeledGraph(graph, labels)
 
 
 def build_wheel(k: int, r: int) -> LabeledGraph:
@@ -134,18 +132,10 @@ def build_wheel(k: int, r: int) -> LabeledGraph:
     edges += [(i, i + 1) for i in range(1, k - 1)]
     edges.append((1, k - 1))
     edges += [(i, k + i) for i in range(r)]
-    labels: dict[str, int | tuple[int, ...]] = {
-        "a1": 0,
-        "a2": 1,
-        "hub": 0,
-        "D": tuple(range(k, k + r)),
-    }
-    predicted = 2 * k - 2 + r
+    labels: Labels = {"a1": 0, "a2": 1, "hub": 0, "D": tuple(range(k, k + r))}
     graph = Graph(k + r, edges)
-    assert graph.edge_count == predicted
-    return LabeledGraph(
-        graph, labels, predicted, ConstructionParams("wheel", k, k + r, 0, r)
-    )
+    assert graph.edge_count == 2 * k - 2 + r
+    return LabeledGraph(graph, labels)
 
 
 def build_h2(core: LabeledGraph, k: int, t: int, unchecked: bool = False) -> LabeledGraph:
@@ -160,32 +150,14 @@ def build_h2(core: LabeledGraph, k: int, t: int, unchecked: bool = False) -> Lab
         raise ConstructionParamError(f"family h2 needs t >= 0, got t={t}")
     a1, a2 = core.special_pair()
     if not unchecked:
-        from .suitability import is_k_suitable
-
-        report = is_k_suitable(core, k)
-        if not report.suitable:
-            raise UnsuitableCoreError(
-                f"core is not suitable for k={k}: {report.summary()}"
-            )
+        _require_suitable(is_k_suitable(core, k))
     q = core.graph.n
     edges = list(core.graph.edges)
-    labels: dict[str, int | tuple[int, ...]] = {
-        "a1": a1,
-        "a2": a2,
-        "Q": tuple(range(q)),
-    }
-    for alpha in range(t):
-        block = tuple(range(q + alpha * (k - 3), q + (alpha + 1) * (k - 3)))
-        labels[f"R{alpha + 1}"] = block
-        edges.append((a1, block[0]))
-        edges += list(zip(block, block[1:]))
-        edges.append((block[-1], a2))
-    predicted = core.graph.edge_count + t * (k - 2)
+    labels: Labels = {"a1": a1, "a2": a2, "Q": tuple(range(q))}
+    _path_blocks(edges, labels, a1, a2, q, t, k - 3)
     graph = Graph(q + t * (k - 3), edges)
-    assert graph.edge_count == predicted
-    return LabeledGraph(
-        graph, labels, predicted, ConstructionParams("h2", k, graph.n, t, 0)
-    )
+    assert graph.edge_count == core.graph.edge_count + t * (k - 2)
+    return LabeledGraph(graph, labels)
 
 
 def build_h3(
@@ -213,40 +185,19 @@ def build_h3(
         )
     a1, a2 = core.special_pair()
     if not unchecked:
-        from .suitability import is_kk2_suitable
-
-        report = is_kk2_suitable(core, k)
-        if not report.suitable:
-            raise UnsuitableCoreError(
-                f"core is not extended-suitable for k={k}: {report.summary()}"
-            )
+        _require_suitable(is_kk2_suitable(core, k))
     q = core.graph.n
     edges = list(core.graph.edges)
-    labels: dict[str, int | tuple[int, ...]] = {
-        "a1": a1,
-        "a2": a2,
-        "Q": tuple(range(q)),
-    }
-    interior: list[int] = []
-    for alpha in range(t):
-        block = tuple(range(q + alpha * (k - 5), q + (alpha + 1) * (k - 5)))
-        labels[f"R{alpha + 1}"] = block
-        interior.extend(block)
-        edges.append((a1, block[0]))
-        edges += list(zip(block, block[1:]))
-        edges.append((block[-1], a2))
+    labels: Labels = {"a1": a1, "a2": a2, "Q": tuple(range(q))}
+    interior = _path_blocks(edges, labels, a1, a2, q, t, k - 5)
     spikes = t * (k - 5) - r
     d_base = q + t * (k - 5)
     labels["D"] = tuple(range(d_base, d_base + spikes))
     edges += [(interior[j], d_base + j) for j in range(spikes)]
-    predicted = core.graph.edge_count + t * (2 * k - 9) - r
     graph = Graph(d_base + spikes, edges)
-    assert graph.edge_count == predicted
-    built = LabeledGraph(
-        graph, labels, predicted, ConstructionParams("h3", k, graph.n, t, r)
-    )
+    assert graph.edge_count == core.graph.edge_count + t * (2 * k - 9) - r
     if not is_semisaturated(graph, k, want_certificate=False).holds:
         raise ConstructionPostconditionError(
             f"h3 output on {graph.n} vertices is not semisaturated for k={k}"
         )
-    return built
+    return LabeledGraph(graph, labels)

@@ -1,4 +1,4 @@
-"""Immutable simple undirected graphs with bitset adjacency and canonical forms.
+"""Immutable simple undirected graphs with bitset adjacency, labels and canonical forms.
 
 Vertices are 0..n-1.  Every graph is a hashable value: mutation-style
 operations (``with_edge``, ``without_vertex``, ...) return new graphs, so
@@ -7,6 +7,7 @@ verifiers and searches can snapshot and share them freely.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -56,12 +57,12 @@ def _bfs_layers(adj: tuple[int, ...], start: int, avail: int) -> Iterator[int]:
 class Graph:
     """Simple undirected graph on ``n`` vertices, stored immutably.
 
-    Adjacency is kept both as sorted neighbor tuples (ordered iteration,
-    deterministic tie-breaking) and as one integer bitmask per vertex
-    (O(1) membership tests and fast set algebra in the search kernel).
+    Adjacency is one integer bitmask per vertex (O(1) membership tests and
+    fast set algebra in the search kernel); ``neighbors`` lists a mask's
+    bits in ascending order.
     """
 
-    __slots__ = ("n", "edges", "adj", "_nbrs", "_hash")
+    __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -84,8 +85,6 @@ class Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.adj = tuple(adj)
-        self._nbrs = tuple(tuple(_iter_bits(m)) for m in self.adj)
-        self._hash = hash((n, self.edges))
 
     # -- basic queries -------------------------------------------------
 
@@ -100,7 +99,7 @@ class Graph:
         return tuple(m.bit_count() for m in self.adj)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._nbrs[v]
+        return tuple(_iter_bits(self.adj[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1) if u != v else False
@@ -178,10 +177,31 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={len(self.edges)})"
+
+
+@dataclass(frozen=True)
+class LabeledGraph:
+    """A graph together with named special vertices / vertex blocks."""
+
+    graph: Graph
+    labels: dict[str, int | tuple[int, ...]]
+
+    def special_pair(self) -> tuple[int, int]:
+        """The labelled (a1, a2), which must be two distinct vertices."""
+        try:
+            a1, a2 = int(self.labels["a1"]), int(self.labels["a2"])
+        except KeyError as exc:
+            raise GraphError("graph has no (a1, a2) labels") from exc
+        n = self.graph.n
+        if a1 == a2 or not (0 <= a1 < n and 0 <= a2 < n):
+            raise VertexRangeError(
+                f"special pair ({a1}, {a2}) is not two distinct vertices of 0..{n - 1}"
+            )
+        return a1, a2
 
 
 # -- canonical forms -----------------------------------------------------

@@ -22,8 +22,7 @@ import time
 from dataclasses import dataclass
 
 from .cycles import PathWitness, exists_path_of_length
-from .families import LabeledGraph
-from .graphs import Graph
+from .graphs import Graph, LabeledGraph
 from .oracle import _deadline, search_stratum
 from .saturation import is_semisaturated
 
@@ -56,19 +55,25 @@ class SuitabilityReport:
         return "; ".join(parts) if parts else "suitable"
 
 
+# Each suitability mode and the smallest k it is defined for.
+_MIN_K = {"k-suitable": 4, "kk2-suitable": 6}
+
+
 def split_pairs(k: int, mode: str) -> list[tuple[int, int]]:
-    """The (m1, m2) splits a core must serve, per suitability mode."""
+    """The (m1, m2) splits a core must serve, per suitability mode.
+
+    Raises ValueError for an unknown mode or a k below the mode's minimum.
+    """
+    if mode not in _MIN_K:
+        raise ValueError(f"unknown suitability mode {mode!r}")
+    if k < _MIN_K[mode]:
+        raise ValueError(f"mode {mode} needs k >= {_MIN_K[mode]}, got k={k}")
     if mode == "k-suitable":
         return [(m1, k - m1) for m1 in range(2, k - 1)]
-    if mode == "kk2-suitable":
-        pairs = [(m1, k - m1) for m1 in range(3, k - 2)]
-        pairs += [
-            (m1, k + 2 - m1)
-            for m1 in range(4, k - 3)
-            if 4 <= k + 2 - m1 <= k - 4
-        ]
-        return pairs
-    raise ValueError(f"unknown suitability mode {mode!r}")
+    # m1 + m2 = k with 3 <= m_i <= k-3, then m1 + m2 = k + 2 with 4 <= m_i <= k-4
+    return [(m1, k - m1) for m1 in range(3, k - 2)] + [
+        (m1, k + 2 - m1) for m1 in range(6, k - 3)
+    ]
 
 
 def _report(
@@ -145,18 +150,14 @@ def _report(
 
 def is_k_suitable(core: LabeledGraph, k: int) -> SuitabilityReport:
     """Full report for the plain suitability conditions S1-S3."""
-    if k < 4:
-        raise ValueError(f"suitability needs k >= 4, got k={k}")
-    mode = "k-suitable"
-    return _report(core.graph, *core.special_pair(), k, mode, split_pairs(k, mode))
+    pairs = split_pairs(k, "k-suitable")
+    return _report(core.graph, *core.special_pair(), k, "k-suitable", pairs)
 
 
 def is_kk2_suitable(core: LabeledGraph, k: int) -> SuitabilityReport:
     """Full report for the extended conditions S1, S2, and the two-split S3."""
-    if k < 6:
-        raise ValueError(f"extended suitability needs k >= 6, got k={k}")
-    mode = "kk2-suitable"
-    return _report(core.graph, *core.special_pair(), k, mode, split_pairs(k, mode))
+    pairs = split_pairs(k, "kk2-suitable")
+    return _report(core.graph, *core.special_pair(), k, "kk2-suitable", pairs)
 
 
 @dataclass(frozen=True)
@@ -186,16 +187,12 @@ def mine_suitable(
     pair, so the first hit is the minimum with the lexicographically least
     canonical witness.  ``budget_seconds=None`` sets no time limit.
     """
-    if mode not in ("k-suitable", "kk2-suitable"):
-        raise ValueError(f"unknown suitability mode {mode!r}")
+    pairs = split_pairs(k, mode)
     cap = DEFAULT_MINE_CEILING if ceiling is None else ceiling
     if k > cap:
         raise ValueError(
             f"k={k} above the mining ceiling {cap}; raise `ceiling` explicitly"
         )
-    if k < 4 or (mode == "kk2-suitable" and k < 6):
-        raise ValueError(f"k={k} below the minimum for mode {mode}")
-    pairs = split_pairs(k, mode)
     t0 = time.monotonic()
     deadline = _deadline(t0, budget_seconds)
     examined = 0
@@ -207,7 +204,7 @@ def mine_suitable(
         for a1 in range(k):
             for a2 in range(a1 + 1, k):
                 if _report(G, a1, a2, k, mode, pairs, stop_at_failure=True):
-                    return LabeledGraph(G, {"a1": a1, "a2": a2}, G.edge_count, None)
+                    return LabeledGraph(G, {"a1": a1, "a2": a2})
         return None
 
     for m in range(k - 1, k * (k - 1) // 2 + 1):

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from cyclesat.bounds import (
+    KIND_LOWER,
+    KIND_LOWER_STRICT,
     Observation,
     check_consistency,
     eval_bounds,
@@ -107,6 +109,24 @@ def test_lower_floor():
     assert eval_bounds(9, 7).lower_floor("ssat") <= eval_bounds(9, 7).lower_floor(
         "sat"
     )
+
+
+def test_lower_floor_is_least_value_passing_lower_bounds():
+    def passes(n, k, mode, v):
+        report = check_consistency(n, k, [Observation("probe", mode, "exact", v)])
+        return all(
+            f.ok
+            for f in report.findings
+            if f.entry.kind in (KIND_LOWER_STRICT, KIND_LOWER)
+        )
+
+    for n in range(1, 40):
+        for k in range(3, 15):
+            table = eval_bounds(n, k)
+            for mode in ("sat", "ssat"):
+                floor = table.lower_floor(mode)
+                assert passes(n, k, mode, floor), (n, k, mode)
+                assert floor == 0 or not passes(n, k, mode, floor - 1), (n, k, mode)
 
 
 # -- consistency --------------------------------------------------------------

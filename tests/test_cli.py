@@ -232,3 +232,27 @@ def test_bad_budget_rejected(capsys, monkeypatch, command, value):
     code, _, err = run(capsys, *command)
     assert code == 2
     assert "CYCLESAT_BUDGET_SECONDS must be a non-negative number" in err
+
+
+@pytest.mark.parametrize("unchecked", [False, True])
+@pytest.mark.parametrize(
+    "labels,message",
+    [
+        ("a1=99\na2=1\n", "special pair (99, 1)"),
+        ("a1=1\na2=1\n", "special pair (1, 1)"),
+        ("a1=x\na2=1\n", "bad label line 'a1=x'"),
+    ],
+)
+def test_construct_bad_special_pair_exit_2(capsys, tmp_path, labels, message, unchecked):
+    core = tmp_path / "w6.g6"
+    core.write_text(graph6_encode(build_wheel(6, 0).graph) + "\n")
+    sidecar = tmp_path / "core.lab"
+    sidecar.write_text(labels)
+    argv = [
+        "construct", "--family", "h2", "--k", "6", "--t", "1",
+        "--core", str(core), "--core-labels", str(sidecar),
+    ]
+    code, out, err = run(capsys, *argv, *(["--unchecked"] if unchecked else []))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err

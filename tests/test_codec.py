@@ -106,3 +106,9 @@ def test_autodetect():
 def test_labels_round_trip():
     labels = {"a1": 0, "a2": 1, "A": (0, 1), "C": (4, 5, 6), "D": ()}
     assert labels_decode(labels_encode(labels)) == labels
+
+
+@pytest.mark.parametrize("text", ["a1=x\na2=1\n", "C=4 five\n", "a1\n", "a1=1 2\n"])
+def test_labels_decode_rejects_bad_lines(text):
+    with pytest.raises(EdgeListError):
+        labels_decode(text)

@@ -13,7 +13,7 @@ from cyclesat.families import (
     build_wheel,
     h1_decompose,
 )
-from cyclesat.graphs import Graph
+from cyclesat.graphs import Graph, LabeledGraph
 from cyclesat.saturation import is_saturated, is_semisaturated
 
 
@@ -22,8 +22,9 @@ from cyclesat.saturation import is_saturated, is_semisaturated
 
 def test_h1_7_9_shape():
     h = build_h1(7, 9)
-    assert (h.params.t, h.params.r) == (1, 0)
-    assert h.graph.edge_count == h.predicted_edges == 14  # C(4,2) + 4 + 0 + 4
+    assert h1_decompose(7, 9) == (1, 0)
+    assert "R1" in h.labels and "R2" not in h.labels and h.labels["D"] == ()
+    assert h.graph.edge_count == 14  # C(4,2) + 4 + 0 + 4
 
 
 def test_h1_7_9_is_saturated():
@@ -33,7 +34,8 @@ def test_h1_7_9_is_saturated():
 def test_h1_8_20_shape_and_saturation():
     h = build_h1(8, 20)
     # 20 = 7 + 1 + 3*4, so three path blocks and one pendant
-    assert (h.params.t, h.params.r) == (3, 1)
+    assert h1_decompose(8, 20) == (3, 1)
+    assert "R3" in h.labels and "R4" not in h.labels and len(h.labels["D"]) == 1
     assert h.graph.edge_count == comb(5, 2) + 4 + 1 + 3 * 5 == 30
     assert is_saturated(h.graph, 8, want_certificate=False).holds
 
@@ -80,7 +82,7 @@ def test_h1_decompose_covers_every_n():
 def test_h1_blocks_are_disjoint_and_cover():
     h = build_h1(9, 24)
     blocks = [h.labels["A"], h.labels["B"], h.labels["C"], h.labels["D"]]
-    blocks += [h.labels[f"R{i + 1}"] for i in range(h.params.t)]
+    blocks += [h.labels[f"R{i + 1}"] for i in range(h1_decompose(9, 24)[0])]
     flat = [v for b in blocks for v in b]
     assert sorted(flat) == list(range(h.graph.n))
     assert set(h.labels["Q"]) == set(h.labels["A"]) | set(h.labels["B"]) | set(
@@ -151,10 +153,8 @@ def test_h2_w7_three_blocks():
 def test_h2_rejects_unsuitable_core():
     bad_core = build_wheel(6, 0)
     # declaring a2 to be the hub's antipode breaks S2 (no a1-a2 edge)
-    from cyclesat.families import LabeledGraph
-
-    core = LabeledGraph(bad_core.graph, {"a1": 1, "a2": 4}, bad_core.predicted_edges)
-    with pytest.raises(UnsuitableCoreError):
+    core = LabeledGraph(bad_core.graph, {"a1": 1, "a2": 4})
+    with pytest.raises(UnsuitableCoreError, match="core is not k-suitable"):
         build_h2(core, 6, 1)
     # the waiver skips the gate
     build_h2(core, 6, 1, unchecked=True)
@@ -198,14 +198,10 @@ def test_h3_rejects_bad_params():
 
 
 def test_h3_postcondition_catches_broken_core():
-    from cyclesat.families import LabeledGraph
-
     # a path is not remotely suitable; with the gate waived, the output
     # verification must still reject the assembled graph
-    path_core = LabeledGraph(
-        Graph(8, [(i, i + 1) for i in range(7)]), {"a1": 0, "a2": 7}, 7
-    )
-    with pytest.raises(UnsuitableCoreError):
+    path_core = LabeledGraph(Graph(8, [(i, i + 1) for i in range(7)]), {"a1": 0, "a2": 7})
+    with pytest.raises(UnsuitableCoreError, match="core is not kk2-suitable"):
         build_h3(path_core, 8, 2, 0)
     with pytest.raises(ConstructionPostconditionError):
         build_h3(path_core, 8, 2, 0, unchecked=True)

@@ -9,6 +9,8 @@ from conftest import complete_graph, cycle_graph, graphs, path_graph
 from cyclesat.graphs import (
     DuplicateEdgeError,
     Graph,
+    GraphError,
+    LabeledGraph,
     LoopEdgeError,
     VertexRangeError,
     brute_force_isomorphic,
@@ -154,3 +156,13 @@ def test_eight_vertex_corpus_vs_brute_force():
         assert (canonical_code(g) == canonical_code(h)) == brute_force_isomorphic(
             g, h
         )
+
+
+def test_special_pair():
+    g = Graph(3, [(0, 1), (1, 2)])
+    assert LabeledGraph(g, {"a1": 2, "a2": 0}).special_pair() == (2, 0)
+    with pytest.raises(GraphError, match="no \\(a1, a2\\) labels"):
+        LabeledGraph(g, {"a1": 0}).special_pair()
+    for a1, a2 in [(0, 3), (-1, 1), (1, 1)]:
+        with pytest.raises(VertexRangeError):
+            LabeledGraph(g, {"a1": a1, "a2": a2}).special_pair()

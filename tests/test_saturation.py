@@ -173,14 +173,14 @@ def test_partition_c6():
 
 def test_partition_h1_without_pendants():
     h = build_h1(7, 12)  # t=2, r=0: no degree-one vertices
-    assert h.params.r == 0
+    assert h.labels["D"] == ()
     part = degree_partition(h.graph)
     assert part.x == frozenset()
 
 
 def test_partition_identity_with_leaves():
     h = build_h1(8, 21)  # r = 2 pendant vertices
-    assert h.params.r == 2
+    assert len(h.labels["D"]) == 2
     part = degree_partition(h.graph)
     assert len(part.x) == 2 and len(part.y) == 2
     assert part.five_parts

@@ -1,8 +1,8 @@
 import pytest
 
 from conftest import path_graph
-from cyclesat.families import LabeledGraph, build_wheel
-from cyclesat.graphs import Graph
+from cyclesat.families import build_wheel
+from cyclesat.graphs import Graph, LabeledGraph
 from cyclesat.oracle import classes_with_edges
 from cyclesat.suitability import (
     _report,
@@ -14,7 +14,7 @@ from cyclesat.suitability import (
 
 
 def as_core(g: Graph, a1: int, a2: int) -> LabeledGraph:
-    return LabeledGraph(g, {"a1": a1, "a2": a2}, g.edge_count)
+    return LabeledGraph(g, {"a1": a1, "a2": a2})
 
 
 def test_split_pairs_plain():
@@ -74,7 +74,7 @@ def test_report_witnesses_revalidate():
 
 
 def test_missing_labels_rejected():
-    bare = LabeledGraph(build_wheel(6, 0).graph, {}, 10)
+    bare = LabeledGraph(build_wheel(6, 0).graph, {})
     with pytest.raises(ValueError):
         is_k_suitable(bare, 6)
 
@@ -84,6 +84,23 @@ def test_mode_minimums():
         is_k_suitable(build_wheel(4, 0), 3)
     with pytest.raises(ValueError):
         is_kk2_suitable(build_wheel(6, 0), 5)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: split_pairs(3, "k-suitable"), "needs k >= 4"),
+        (lambda: split_pairs(5, "kk2-suitable"), "needs k >= 6"),
+        (lambda: split_pairs(6, "k-plus"), "unknown suitability mode"),
+        (lambda: is_kk2_suitable(build_wheel(6, 0), 5), "needs k >= 6"),
+        (lambda: mine_suitable(3, "k-suitable"), "needs k >= 4"),
+        (lambda: mine_suitable(5, "kk2-suitable"), "needs k >= 6"),
+        (lambda: mine_suitable(6, "k-plus"), "unknown suitability mode"),
+    ],
+)
+def test_mode_checks_come_from_split_pairs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # -- mining -------------------------------------------------------------------
