@@ -1,10 +1,26 @@
 """Exact minimum edge counts of (semi)saturated graphs at desk scale.
 
-Isomorphism classes of n-vertex graphs are generated level by level: every
-class with m edges arises from some class with m-1 edges by adding one
-edge, so extending one canonical representative per class by every
-possible edge and deduplicating on canonical codes enumerates each class
-exactly once.  Levels are cached per vertex count for the session.
+Isomorphism classes of n-vertex graphs are generated level by level: level
+m+1 extends the canonical representative of every class of level m by every
+non-edge and deduplicates the children on canonical codes.  Levels are
+cached per vertex count for the session, sorted by code.
+
+Isomorphs are rejected before labeling by the canonical-deletion test of
+McKay's canonical augmentation (J. Algorithms 1998), done by invariant: a
+child g + uv is labeled only when uv is a *top edge* of the child, one whose
+isomorphism-invariant key (endpoint colours under one round of degree
+refinement, then triangle count) is the largest of any of its edges.  No
+class is lost:
+
+- every graph h with at least one edge has a top edge f;
+- h - f is isomorphic to a representative P of the level below, which is
+  complete by induction;
+- the isomorphism takes f to a non-edge e of P, and P + e is isomorphic to h;
+- e is a top edge of P + e because the key is invariant, so h is generated.
+
+Children that pass the test and are still isomorphic share a canonical code
+and are merged; the stored representative is the canonical form, so the
+levels do not depend on which child came first.
 
 The search scans edge counts upward from the best applicable lower bound,
 verifying connected classes only (adding any non-edge between components
@@ -31,7 +47,7 @@ DEFAULT_CEILING = {"sat": 8, "ssat": 9}
 
 _T = TypeVar("_T")
 
-_LEVELS: dict[int, list[dict[bytes, Graph]]] = {}
+_LEVELS: dict[int, list[list[tuple[bytes, Graph]]]] = {}
 
 
 class CeilingExceeded(ValueError):
@@ -40,6 +56,33 @@ class CeilingExceeded(ValueError):
 
 class GenerationTimeout(Exception):
     """Deadline hit while building enumeration levels."""
+
+
+def _is_top_edge(adj: list[int], u: int, v: int) -> bool:
+    """Whether edge uv has the largest invariant key of any edge.
+
+    An edge's key is its two endpoint colours, sorted, then its triangle
+    count; a vertex's colour is its degree and the sorted degrees of its
+    neighbours.  Every part is preserved by isomorphisms, so an isomorphism
+    maps top edges onto top edges.
+    """
+    deg = [a.bit_count() for a in adj]
+    colour = [
+        (deg[w], sorted(deg[x] for x in range(len(adj)) if a >> x & 1))
+        for w, a in enumerate(adj)
+    ]
+
+    def key(a: int, b: int) -> tuple:
+        ca, cb = colour[a], colour[b]
+        return (max(ca, cb), min(ca, cb), (adj[a] & adj[b]).bit_count())
+
+    top = key(u, v)
+    return all(
+        key(a, b) <= top
+        for a, row in enumerate(adj)
+        for b in range(a + 1, len(adj))
+        if row >> b & 1
+    )
 
 
 def classes_with_edges(
@@ -53,17 +96,24 @@ def classes_with_edges(
     """
     if not 0 <= m <= comb(n, 2):
         return []
-    levels = _LEVELS.setdefault(n, [{canonical_code(Graph(n, [])): Graph(n, [])}])
+    if n not in _LEVELS:
+        empty = Graph(n, [])
+        _LEVELS[n] = [[(canonical_code(empty), empty)]]
+    levels = _LEVELS[n]
     while len(levels) <= m:
         nxt: dict[bytes, Graph] = {}
-        for _, g in sorted(levels[-1].items()):
+        for _, g in levels[-1]:
             if deadline is not None and time.monotonic() > deadline:
                 raise GenerationTimeout(len(levels))
             for u, v in g.non_edges():
-                h, code = canonical_form_and_code(g.with_edge(u, v))
-                nxt.setdefault(code, h)
-        levels.append(nxt)
-    return sorted(levels[m].items())
+                adj = list(g.adj)
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                if _is_top_edge(adj, u, v):
+                    h, code = canonical_form_and_code(g.with_edge(u, v))
+                    nxt.setdefault(code, h)
+        levels.append(sorted(nxt.items()))
+    return list(levels[m])
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,24 @@ def brute_classes_with_edges(n: int, m: int) -> list[tuple[bytes, Graph]]:
     return sorted(found.items())
 
 
+def naive_levels(n: int) -> list[list[tuple[bytes, Graph]]]:
+    """Every class of n-vertex graphs, level m holding those with m edges.
+
+    Level m+1 extends every class of level m by every non-edge and keeps
+    one canonical form per code: no child is skipped before labeling.
+    """
+    empty, code = canonical_form_and_code(Graph(n, []))
+    levels = [[(code, empty)]]
+    for _ in range(n * (n - 1) // 2):
+        nxt: dict[bytes, Graph] = {}
+        for _, g in levels[-1]:
+            for u, v in g.non_edges():
+                h, code = canonical_form_and_code(g.with_edge(u, v))
+                nxt.setdefault(code, h)
+        levels.append(sorted(nxt.items()))
+    return levels
+
+
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 

@@ -1,12 +1,15 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_classes_with_edges
+from conftest import brute_classes_with_edges, graphs, naive_levels
 from cyclesat.bounds import Observation, check_consistency
 from cyclesat.graphs import canonical_code, canonical_form_and_code
 from cyclesat.oracle import (
     CeilingExceeded,
+    _is_top_edge,
     append_golden,
     classes_with_edges,
     exact_min,
@@ -18,6 +21,11 @@ from cyclesat.saturation import is_saturated, is_semisaturated
 # generator (row n=5 and n=6 of the standard triangle)
 COUNTS_5 = [1, 1, 2, 4, 6, 6, 6, 4, 2, 1, 1]
 COUNTS_6 = [1, 1, 2, 5, 9, 15, 21, 24, 24, 21, 15, 9, 5, 2, 1, 1]
+
+# graphs on n = 0..7 vertices up to isomorphism: all (OEIS A000088) and
+# connected ones (OEIS A001349)
+A000088 = [1, 1, 2, 4, 11, 34, 156, 1044]
+A001349 = [1, 1, 1, 2, 6, 21, 112, 853]
 
 
 def test_level_generation_matches_known_counts():
@@ -33,6 +41,40 @@ def test_level_generation_matches_brute_force():
             gen = classes_with_edges(n, m)
             brute = brute_classes_with_edges(n, m)
             assert [c for c, _ in gen] == [c for c, _ in brute]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_level_generation_matches_naive_levels(n):
+    # the top-edge filter skips children before labeling; the naive
+    # generator labels every child, so both must give the same levels
+    levels = naive_levels(n)
+    for m, level in enumerate(levels):
+        assert classes_with_edges(n, m) == level
+    assert classes_with_edges(n, len(levels)) == []
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_class_totals_match_oeis(n):
+    classes = [
+        g for m in range(n * (n - 1) // 2 + 1) for _, g in classes_with_edges(n, m)
+    ]
+    assert len(classes) == A000088[n]
+    assert sum(g.is_connected() for g in classes) == A001349[n]
+
+
+def _top_edges(G):
+    return {(u, v) for u, v in G.edges if _is_top_edge(list(G.adj), u, v)}
+
+
+@given(graphs(max_n=8), st.data())
+@settings(max_examples=200, deadline=None)
+def test_top_edges_map_onto_top_edges(G, data):
+    # the lemma the level filter rests on: the top-edge set is invariant
+    # under relabeling, and every graph with an edge has a top edge
+    perm = data.draw(st.permutations(range(G.n)))
+    image = {tuple(sorted((perm[u], perm[v]))) for u, v in _top_edges(G)}
+    assert _top_edges(G.relabel(perm)) == image
+    assert bool(image) == bool(G.edges)
 
 
 def test_representatives_are_canonical():
