@@ -1,13 +1,26 @@
 """Exact-length simple path and cycle search.
 
 This is the single search kernel behind every verifier in the package:
-depth-first backtracking over simple paths with two prunings computed from
-per-vertex bitmasks at every expansion,
+depth-first backtracking over simple paths, taking candidates in ascending
+vertex order, with four prunings on per-vertex bitmasks:
 
 * distance: a branch dies when the target is farther (through unvisited
-  vertices) than the remaining edge budget, and
+  vertices) than the remaining edge budget;
 * supply: a branch dies when the vertices that could still appear on the
-  path (reachable from both ends within the budget) cannot fill it.
+  path (reachable from both ends within the budget) cannot fill it;
+* twin skipping: once candidate w fails, a later candidate x at the same
+  node with N(x) - {w} = N(w) - {x} is dropped.  Swapping w and x is an
+  automorphism of the graph that fixes the current vertex, the target and
+  the visited set, so it maps any completion through x onto one through w;
+* edge retirement: when ``has_cycle_of_length`` finds no path closing the
+  edge uv, no k-cycle passes through uv in this graph or any subgraph of
+  it, so uv stays out of the graph for the later edges.
+
+Each pruning removes only branches without a valid completion, and a DFS
+that takes candidates in ascending order and prunes only such branches
+returns the lexicographically first valid path.  Likewise the first edge
+in ``G.edges`` order that closes a k-cycle is the same with or without
+retirement.  So the witnesses do not depend on which prunings run.
 
 Exact-length path search is NP-hard in general, so a configurable node
 expansion budget turns pathological inputs into an explicit error instead
@@ -19,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, _bfs_layers, _iter_bits
+from .graphs import Graph, _bfs_layers
 
 DEFAULT_EXPANSION_BUDGET = 10**8
 
@@ -186,11 +199,23 @@ def _search_path(
             candidates = adj[cur] & usable & ~tbit
         else:
             candidates = adj[cur] & avail & ~tbit
-        for w in _iter_bits(candidates):
+        m = candidates
+        while m:
+            low = m & -m
+            m ^= low
+            w = low.bit_length() - 1
             path.append(w)
-            if rec(w, visited | (1 << w), remaining - 1):
+            if rec(w, visited | low, remaining - 1):
                 return True
             path.pop()
+            # w failed, so every later twin of w fails too: drop them.
+            aw = adj[w]
+            rest = m
+            while rest:
+                xbit = rest & -rest
+                rest ^= xbit
+                if not (adj[xbit.bit_length() - 1] ^ aw) & ~(low | xbit):
+                    m ^= xbit
         return False
 
     if rec(u, 1 << u, length):
@@ -204,7 +229,8 @@ def exists_path_of_length(
     """A simple path with exactly ``length`` edges from ``u`` to ``v``.
 
     Neighbors are explored in ascending vertex order, so the returned
-    witness is reproducible.  Returns None when no such path exists.
+    witness is the lexicographically first such path.  Returns None when
+    no such path exists.
     """
     if u == v:
         raise ValueError("path endpoints must be distinct")
@@ -221,8 +247,10 @@ def has_cycle_of_length(G: Graph, k: int, budget: int | None = None) -> CycleWit
     """A simple cycle on exactly ``k`` vertices, if any exists.
 
     Scans edges in sorted order; for each edge uv, looks for a u-v path of
-    length k-1 in the graph with uv removed (cleared in one adjacency list
-    and put back, not rebuilt).  The first hit, closed by uv, is the witness.
+    length k-1 in the graph with uv removed (cleared in the working
+    adjacency lists, not rebuilt).  The first hit, closed by uv, is the
+    witness.  A miss proves uv lies on no k-cycle, so uv stays cleared and
+    the later searches run on a sparser graph.
     """
     if k < 3:
         raise ValueError(f"cycle length must be at least 3, got {k}")
@@ -234,8 +262,6 @@ def has_cycle_of_length(G: Graph, k: int, budget: int | None = None) -> CycleWit
         adj[u] ^= 1 << v
         adj[v] ^= 1 << u
         found = _search_path(adj, G.n, u, v, k - 1, shared)
-        adj[u] ^= 1 << v
-        adj[v] ^= 1 << u
         if found is not None:
             return CycleWitness(found.vertices)
     return None

@@ -414,7 +414,7 @@ def greedy_saturate(n: int, k: int, edge_order: Iterable[tuple[int, int]]) -> Gr
     if n < k:
         raise TooFewVertices(f"need at least {k} vertices, got {n}")
     order = list(edge_order)
-    if sorted(set(order)) != all_pairs(n):
+    if sorted(order) != all_pairs(n):
         raise ValueError("edge_order must be a permutation of all vertex pairs")
     G = Graph(n, [])
     for u, v in order:

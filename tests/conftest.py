@@ -22,16 +22,62 @@ def graphs(draw, min_n: int = 0, max_n: int = 8) -> Graph:
     return Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
-def naive_path_exists(G: Graph, u: int, v: int, length: int) -> bool:
-    """Exhaustive scan over all vertex sequences of the right shape."""
+@st.composite
+def twin_rich_graphs(draw, max_n: int = 8) -> Graph:
+    """Graphs rich in twin classes and pendant vertices.
+
+    A random base graph on at most 4 vertices has each vertex blown up into
+    an independent set or a clique of 1-3 vertices (neighbouring blobs are
+    joined completely), then pendants hang off random vertices, and the
+    result is relabeled at random so twins do not sit next to each other.
+    This covers cliques with spikes, wheels and complete bipartite graphs.
+    """
+    b = draw(st.integers(1, 4))
+    base_pairs = list(itertools.combinations(range(b), 2))
+    base = [p for p in base_pairs if draw(st.booleans())]
+    blobs: list[list[int]] = []
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for _ in range(b):
+        size = draw(st.integers(1, min(3, max_n - n - (b - 1 - len(blobs)))))
+        blob = list(range(n, n + size))
+        if draw(st.booleans()):
+            edges.extend(itertools.combinations(blob, 2))
+        blobs.append(blob)
+        n += size
+    for i, j in base:
+        edges.extend((x, y) for x in blobs[i] for y in blobs[j])
+    for _ in range(draw(st.integers(0, max_n - n))):
+        edges.append((draw(st.integers(0, n - 1)), n))
+        n += 1
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[x], perm[y]) for x, y in edges])
+
+
+def naive_first_path(G: Graph, u: int, v: int, length: int) -> tuple[int, ...] | None:
+    """The lexicographically least u-v path with ``length`` edges, by exhaustive scan."""
     others = [w for w in range(G.n) if w != u and w != v]
     if length - 1 > len(others):
-        return False
+        return None
+    # permutations of a sorted list come out in lexicographic order
     for mids in itertools.permutations(others, length - 1):
         seq = (u, *mids, v)
         if all(G.has_edge(a, b) for a, b in zip(seq, seq[1:])):
-            return True
-    return False
+            return seq
+    return None
+
+
+def naive_first_cycle(G: Graph, k: int) -> tuple[int, ...] | None:
+    """The first edge uv of ``G.edges`` on a k-cycle, closing the least u-v path of G - uv."""
+    for u, v in G.edges:
+        seq = naive_first_path(G.without_edge(u, v), u, v, k - 1)
+        if seq is not None:
+            return seq
+    return None
+
+
+def naive_path_exists(G: Graph, u: int, v: int, length: int) -> bool:
+    return naive_first_path(G, u, v, length) is not None
 
 
 def naive_cycle_exists(G: Graph, k: int) -> bool:

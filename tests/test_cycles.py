@@ -9,8 +9,11 @@ from conftest import (
     cycle_graph,
     graphs,
     naive_cycle_exists,
+    naive_first_cycle,
+    naive_first_path,
     naive_path_exists,
     path_graph,
+    twin_rich_graphs,
 )
 from cyclesat.cycles import (
     SearchBudgetExceeded,
@@ -150,12 +153,63 @@ def test_shortest_cycle_through_agrees_with_exhaustive_scan(g):
         assert shortest_cycle_through(g, w) == expect
 
 
+def heawood_graph() -> Graph:
+    # LCF notation [5, -5]^7: a 14-cycle plus a chord from each even i to
+    # i + 5 (which is the chord from the odd i + 5 back by 5)
+    chords = [(i, (i + 5) % 14) for i in range(0, 14, 2)]
+    return Graph(14, [(i, (i + 1) % 14) for i in range(14)] + chords)
+
+
 def test_budget_exceeded_is_reported():
-    # complete bipartite: no odd-length path joins two same-side vertices,
-    # and proving that absence takes far more than 50 expansions
-    g = Graph(12, [(u, v) for u in range(6) for v in range(6, 12)])
+    # the Heawood graph is bipartite and twin-free: no odd-length path joins
+    # the same-side vertices 0 and 2, and proving that absence takes far
+    # more than 50 expansions
+    g = heawood_graph()
     with pytest.raises(SearchBudgetExceeded):
-        exists_path_of_length(g, 0, 1, 11, budget=50)
+        exists_path_of_length(g, 0, 2, 13, budget=50)
+
+
+def test_twin_skipping_proves_bipartite_absence_cheaply():
+    # in K6,6 the vertices on each side are twins, so once one branch fails
+    # its twins are skipped and absence is proven well inside the budget
+    g = Graph(12, [(u, v) for u in range(6) for v in range(6, 12)])
+    assert exists_path_of_length(g, 0, 1, 11, budget=50) is None
+
+
+def _assert_naive_witnesses(g):
+    for u, v in itertools.permutations(range(g.n), 2):
+        for length in range(1, g.n):
+            found = exists_path_of_length(g, u, v, length)
+            want = naive_first_path(g, u, v, length)
+            assert (found and found.vertices) == want
+    for k in range(3, g.n + 1):
+        found = has_cycle_of_length(g, k)
+        assert (found and found.vertices) == naive_first_cycle(g, k)
+
+
+@given(twin_rich_graphs())
+@settings(max_examples=150, deadline=None)
+def test_twin_rich_witnesses_are_lexicographically_first(g):
+    # every pruning drops only failing branches, so the witness is the
+    # lexicographically least one, as found by exhaustive scan
+    _assert_naive_witnesses(g)
+
+
+@given(graphs(min_n=2, max_n=7))
+@settings(max_examples=100, deadline=None)
+def test_witnesses_are_lexicographically_first(g):
+    _assert_naive_witnesses(g)
+
+
+@given(twin_rich_graphs(max_n=9))
+@settings(max_examples=60, deadline=None)
+def test_cycle_detection_agrees_with_networkx(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph(g.edges)
+    h.add_nodes_from(range(g.n))
+    lengths = {len(c) for c in nx.simple_cycles(h, length_bound=g.n)}
+    for k in range(3, g.n + 1):
+        assert (has_cycle_of_length(g, k) is not None) == (k in lengths)
 
 
 def test_zero_budget_is_not_the_default():

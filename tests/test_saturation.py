@@ -268,6 +268,14 @@ def test_greedy_rejects_partial_order():
         greedy_saturate(5, 3, [(0, 1)])
 
 
+@pytest.mark.parametrize("repeat", [(0, 1), (1, 2)])
+def test_greedy_rejects_repeated_pair(repeat):
+    # (0, 1) is added first, so a repeat would re-add it; (1, 2) closes a
+    # triangle and is skipped, so a repeat would pass unnoticed
+    with pytest.raises(ValueError, match="permutation of all vertex pairs"):
+        greedy_saturate(5, 3, all_pairs(5) + [repeat])
+
+
 def test_leaf_removal_keeps_semisaturation():
     # removing any degree-one vertex of a semisaturated graph (k >= 5)
     # preserves semisaturation
