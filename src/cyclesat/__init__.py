@@ -47,7 +47,6 @@ from .graphs import (
     LabeledGraph,
     LoopEdgeError,
     VertexRangeError,
-    brute_force_isomorphic,
     canonical_code,
     canonical_form_and_code,
 )

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: construct, verify, certify, bounds, oracle, mine-suitable.
+Subcommands: construct, verify, certify, check-certificate, bounds, oracle,
+mine-suitable.
 Exit codes: 0 success / verdict true, 1 verdict false, 2 usage or input
 error, 3 budget exhausted.  Graph input is auto-detected (graph6 when the
 first byte is at or above '?', plain edge list otherwise).
@@ -33,7 +34,7 @@ from .families import (
     build_wheel,
 )
 from .graphs import Graph, GraphError, LabeledGraph
-from .saturation import is_ck_free, is_saturated, is_semisaturated
+from .saturation import Certificate, is_ck_free, is_saturated, is_semisaturated
 from .suitability import mine_suitable
 
 EXIT_OK = 0
@@ -83,6 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--in", dest="infile", help="graph file (default: stdin)")
     cert.add_argument("--out", required=True, help="certificate output path")
 
+    chk = sub.add_parser("check-certificate", help="validate a certificate against a graph")
+    chk.add_argument("--in", dest="infile", required=True, help="graph file")
+    chk.add_argument("--cert", required=True, help="certificate file")
+
     b = sub.add_parser("bounds", help="evaluate all closed-form bounds")
     b.add_argument("--k", type=int, required=True)
     b.add_argument("--n", type=int)
@@ -106,14 +111,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_file(path: str) -> str:
+    p = Path(path)
+    if not p.exists():
+        raise _UsageError(f"input file not found: {path}")
+    return p.read_text()
+
+
 def _read_graph(path: str | None) -> Graph:
-    if path is None:
-        text = sys.stdin.read()
-    else:
-        p = Path(path)
-        if not p.exists():
-            raise _UsageError(f"input file not found: {path}")
-        text = p.read_text()
+    text = sys.stdin.read() if path is None else _read_file(path)
     try:
         return detect_and_decode(text)
     except (Graph6Error, EdgeListError, GraphError) as exc:
@@ -159,10 +165,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             graph = _read_graph(args.core)
             if not args.core_labels:
                 raise _UsageError("--core requires --core-labels for (a1, a2)")
-            p = Path(args.core_labels)
-            if not p.exists():
-                raise _UsageError(f"input file not found: {args.core_labels}")
-            labels = labels_decode(p.read_text())
+            labels = labels_decode(_read_file(args.core_labels))
             core = LabeledGraph(graph, labels)
         else:
             core = build_wheel(args.k, args.core_r)
@@ -206,6 +209,18 @@ def _cmd_verify(args: argparse.Namespace, always_certificate: bool = False) -> i
     if verdict.cycle is not None:
         vs = " ".join(str(x) for x in verdict.cycle.vertices)
         print(f"graph already contains a {args.k}-cycle: {vs}", file=sys.stderr)
+    return EXIT_FALSE
+
+
+def _cmd_check_certificate(args: argparse.Namespace) -> int:
+    G = _read_graph(args.infile)
+    problems = Certificate.from_text(_read_file(args.cert)).validate(G)
+    if not problems:
+        print("VALID")
+        return EXIT_OK
+    print("INVALID")
+    for problem in problems:
+        print(problem, file=sys.stderr)
     return EXIT_FALSE
 
 
@@ -308,6 +323,8 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_verify(args)
         if args.command == "certify":
             return _cmd_verify(args, always_certificate=True)
+        if args.command == "check-certificate":
+            return _cmd_check_certificate(args)
         if args.command == "bounds":
             return _cmd_bounds(args)
         if args.command == "oracle":

@@ -213,18 +213,31 @@ class LabeledGraph:
 # row-minimal candidates at each step and branches once per class of
 # interchangeable (twin) candidates, which collapses the large symmetric
 # cases (isolated vertices, cliques) that plain backtracking chokes on.
+#
+# The search meets automorphisms on the way: two complete placement orders
+# with equal rows give equal codes, so mapping one onto the other preserves
+# adjacency.  Those, with the transpositions of twin vertices that the
+# branching skips, are returned as generators of the automorphism group.
+
+Permutation = tuple[int, ...]
 
 
-def canonical_order(G: Graph) -> tuple[int, ...]:
-    """Placement order realizing the canonical (minimal) adjacency code."""
+def _canonical_search(G: Graph) -> tuple[tuple[int, ...], list[Permutation]]:
+    """Canonical placement order, and the automorphisms met on the way.
+
+    The order realizes the canonical (minimal) adjacency code.  Each
+    automorphism ``p`` maps vertex v of G to ``p[v]``; it comes from a
+    leaf whose rows equal those of the best leaf found so far.
+    """
     n, adj = G.n, G.adj
     if n <= 1:
-        return tuple(range(n))
+        return tuple(range(n)), []
 
     best_rows: list[int] | None = None
     best_order: list[int] | None = None
     placed: list[int] = []
     rows: list[int] = []
+    automorphisms: list[Permutation] = []
 
     def twins(u: int, v: int, rem_mask: int) -> bool:
         # Swapping u and v fixes the unexplored structure when their
@@ -240,6 +253,12 @@ def canonical_order(G: Graph) -> tuple[int, ...]:
             if best_rows is None or not tight:
                 best_rows = rows.copy()
                 best_order = placed.copy()
+            else:
+                # Equal rows: best_order[i] -> placed[i] preserves adjacency.
+                image = [0] * n
+                for b, p in zip(best_order, placed):
+                    image[b] = p
+                automorphisms.append(tuple(image))
             return
         depth = len(placed)
         min_row = min(rowint[v] for v in rem)
@@ -278,7 +297,7 @@ def canonical_order(G: Graph) -> tuple[int, ...]:
 
     rec(list(range(n)), [0] * n, tight=False)
     assert best_order is not None
-    return tuple(best_order)
+    return tuple(best_order), automorphisms
 
 
 def _code_from_order(G: Graph, order: tuple[int, ...]) -> bytes:
@@ -295,56 +314,31 @@ def _code_from_order(G: Graph, order: tuple[int, ...]) -> bytes:
 
 def canonical_code(G: Graph) -> bytes:
     """Relabeling-invariant byte code identifying the isomorphism class."""
-    return _code_from_order(G, canonical_order(G))
+    return _code_from_order(G, _canonical_search(G)[0])
 
 
-def canonical_form_and_code(G: Graph) -> tuple[Graph, bytes]:
-    """Canonical relabeling and its code from a single labeling search.
+def canonical_form_and_code(G: Graph) -> tuple[Graph, bytes, list[Permutation]]:
+    """Canonical relabeling, its code and automorphisms of the relabeling.
 
     Two graphs are isomorphic iff their canonical relabelings are equal.
+    The automorphisms, each mapping vertex i of the form to ``p[i]``, are
+    the ones the labeling search met, plus one transposition ``(u, v)`` for
+    each twin v of a smaller vertex u (``N(u) - v == N(v) - u``).  They
+    usually generate the whole automorphism group, but nothing relies on it.
     """
-    order = canonical_order(G)
-    position = [0] * G.n
+    order, found = _canonical_search(G)
+    n = G.n
+    position = [0] * n
     for pos, v in enumerate(order):
         position[v] = pos
-    return G.relabel(position), _code_from_order(G, order)
-
-
-def brute_force_isomorphic(G: Graph, H: Graph) -> bool:
-    """Isomorphism test by exhaustive backtracking over vertex assignments.
-
-    Independent of canonical codes; intended as the ground-truth oracle for
-    small graphs (n <= 8 or so).
-    """
-    if G.n != H.n or len(G.edges) != len(H.edges):
-        return False
-    if sorted(G.degree_sequence()) != sorted(H.degree_sequence()):
-        return False
-    n = G.n
-    if n == 0:
-        return True
-    mapping = [-1] * n
-    used = 0
-
-    def extend(i: int) -> bool:
-        nonlocal used
-        gdeg = G.degree(i)
-        for h in range(n):
-            bit = 1 << h
-            if used & bit or H.degree(h) != gdeg:
-                continue
-            ok = True
-            for j in range(i):
-                if (G.adj[i] >> j & 1) != (H.adj[h] >> mapping[j] & 1):
-                    ok = False
-                    break
-            if ok:
-                mapping[i] = h
-                used |= bit
-                if i + 1 == n or extend(i + 1):
-                    return True
-                used ^= bit
-                mapping[i] = -1
-        return False
-
-    return extend(0)
+    form = G.relabel(position)
+    generators = [tuple(position[p[v]] for v in order) for p in found]
+    adj = form.adj
+    for v in range(n):
+        for u in range(v):
+            if not (adj[u] ^ adj[v]) & ~((1 << u) | (1 << v)):
+                swap = list(range(n))
+                swap[u], swap[v] = v, u
+                generators.append(tuple(swap))
+                break
+    return form, _code_from_order(G, order), generators

@@ -1,8 +1,8 @@
 """Exact minimum edge counts of (semi)saturated graphs at desk scale.
 
 Isomorphism classes of n-vertex graphs are generated level by level: level
-m+1 extends the canonical representative of every class of level m by every
-non-edge and deduplicates the children on canonical codes.  Levels are
+m+1 extends the canonical representative of every class of level m by its
+non-edges and deduplicates the children on canonical codes.  Levels are
 cached per vertex count for the session, sorted by code.
 
 Isomorphs are rejected before labeling by the canonical-deletion test of
@@ -22,6 +22,23 @@ Children that pass the test and are still isomorphic share a canonical code
 and are merged; the stored representative is the canonical form, so the
 levels do not depend on which child came first.
 
+The other half of canonical augmentation prunes before the test: a parent P
+is extended by one non-edge per orbit of a group of automorphisms of P, the
+one generated by the automorphisms that P's own labeling search met (see
+``canonical_form_and_code``).  Nothing is lost or changed:
+
+- each generator is an automorphism, so the children P + e for the non-edges
+  e of one orbit are isomorphic;
+- the top-edge key is invariant, so the orbit's representative passes the
+  top-edge test exactly when every member of its orbit does;
+- the stored representatives are canonical forms, so the levels, their
+  order and every witness are the same whichever member is extended.
+
+Completeness of the group only matters for speed: a smaller group leaves
+more orbits, and their children are merged on codes as before.  The
+generators are kept only for the top cached level of each n, the parents of
+the next level.
+
 The search scans edge counts upward from the best applicable lower bound,
 verifying connected classes only (adding any non-edge between components
 creates no cycle, so a disconnected graph cannot be semisaturated); for
@@ -40,14 +57,18 @@ from typing import Callable, TypeVar
 
 from .bounds import eval_bounds
 from .codec import graph6_encode
-from .graphs import Graph, canonical_code, canonical_form_and_code
+from .graphs import Graph, Permutation, canonical_form_and_code
 from .saturation import is_saturated, is_semisaturated
 
 DEFAULT_CEILING = {"sat": 8, "ssat": 9}
 
 _T = TypeVar("_T")
 
-_LEVELS: dict[int, list[list[tuple[bytes, Graph]]]] = {}
+Level = list[tuple[bytes, Graph]]
+
+# n -> (the levels built so far, the automorphism generators of each class
+# of the top level in level order: the parents' orbit data for the next).
+_LEVELS: dict[int, tuple[list[Level], list[list[Permutation]]]] = {}
 
 
 class CeilingExceeded(ValueError):
@@ -85,34 +106,64 @@ def _is_top_edge(adj: list[int], u: int, v: int) -> bool:
     )
 
 
-def classes_with_edges(
-    n: int, m: int, deadline: float | None = None
-) -> list[tuple[bytes, Graph]]:
+def _orbit_representatives(
+    g: Graph, generators: list[Permutation]
+) -> list[tuple[int, int]]:
+    """The least non-edge of each orbit of the group that ``generators`` spans.
+
+    Automorphisms map non-edges to non-edges, so each orbit is closed by
+    applying the generators until nothing new appears.
+    """
+    seen: set[tuple[int, int]] = set()
+    reps = []
+    for e in g.non_edges():
+        if e in seen:
+            continue
+        reps.append(e)
+        seen.add(e)
+        todo = [e]
+        while todo:
+            u, v = todo.pop()
+            for p in generators:
+                a, b = p[u], p[v]
+                f = (a, b) if a < b else (b, a)
+                if f not in seen:
+                    seen.add(f)
+                    todo.append(f)
+    return reps
+
+
+def classes_with_edges(n: int, m: int, deadline: float | None = None) -> Level:
     """Canonical representatives of all n-vertex graphs with m edges.
 
     Sorted by canonical code.  Levels are built on demand and cached; a
     level interrupted by the deadline is discarded whole, so the cache only
-    ever holds complete levels.
+    ever holds complete levels and the generators of the top one.
     """
     if not 0 <= m <= comb(n, 2):
         return []
     if n not in _LEVELS:
-        empty = Graph(n, [])
-        _LEVELS[n] = [[(canonical_code(empty), empty)]]
-    levels = _LEVELS[n]
+        empty, code, generators = canonical_form_and_code(Graph(n, []))
+        _LEVELS[n] = ([[(code, empty)]], [generators])
+    levels, top_generators = _LEVELS[n]
     while len(levels) <= m:
-        nxt: dict[bytes, Graph] = {}
-        for _, g in levels[-1]:
+        nxt: dict[bytes, tuple[Graph, list[Permutation]]] = {}
+        for (_, g), generators in zip(levels[-1], top_generators):
             if deadline is not None and time.monotonic() > deadline:
                 raise GenerationTimeout(len(levels))
-            for u, v in g.non_edges():
+            for u, v in _orbit_representatives(g, generators):
                 adj = list(g.adj)
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
                 if _is_top_edge(adj, u, v):
-                    h, code = canonical_form_and_code(g.with_edge(u, v))
-                    nxt.setdefault(code, h)
-        levels.append(sorted(nxt.items()))
+                    h, code, child_generators = canonical_form_and_code(
+                        g.with_edge(u, v)
+                    )
+                    nxt.setdefault(code, (h, child_generators))
+        ordered = sorted(nxt.items())
+        levels = levels + [[(code, h) for code, (h, _) in ordered]]
+        top_generators = [generators for _, (_, generators) in ordered]
+        _LEVELS[n] = (levels, top_generators)
     return list(levels[m])
 
 

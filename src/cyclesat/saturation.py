@@ -61,6 +61,9 @@ class Certificate:
         if sorted(self.per_nonedge) != non_edges:
             problems.append("non-edge set of certificate differs from graph")
         for (u, v), cyc in self.per_nonedge.items():
+            if not all(0 <= x < G.n for x in (u, v, *cyc.vertices)):
+                problems.append(f"line for ({u}, {v}) names a vertex outside 0..{G.n - 1}")
+                continue
             if G.has_edge(u, v):
                 problems.append(f"({u}, {v}) is an edge, not a non-edge")
                 continue
@@ -111,6 +114,8 @@ class Certificate:
         for key in ("n", "k", "mode"):
             if key not in header:
                 raise CertificateError(f"missing header {key!r}")
+        if header["mode"] not in ("saturated", "semisaturated"):
+            raise CertificateError(f"unknown mode {header['mode']!r}")
         freeness = header["freeness"] == "confirmed" if "freeness" in header else None
         return cls(header["n"], header["k"], header["mode"], freeness, per)
 

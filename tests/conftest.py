@@ -131,7 +131,7 @@ def brute_classes_with_edges(n: int, m: int) -> list[tuple[bytes, Graph]]:
         if mask.bit_count() != m:
             continue
         g = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-        h, code = canonical_form_and_code(g)
+        h, code, _ = canonical_form_and_code(g)
         found.setdefault(code, h)
     return sorted(found.items())
 
@@ -142,16 +142,74 @@ def naive_levels(n: int) -> list[list[tuple[bytes, Graph]]]:
     Level m+1 extends every class of level m by every non-edge and keeps
     one canonical form per code: no child is skipped before labeling.
     """
-    empty, code = canonical_form_and_code(Graph(n, []))
+    empty, code, _ = canonical_form_and_code(Graph(n, []))
     levels = [[(code, empty)]]
     for _ in range(n * (n - 1) // 2):
         nxt: dict[bytes, Graph] = {}
         for _, g in levels[-1]:
             for u, v in g.non_edges():
-                h, code = canonical_form_and_code(g.with_edge(u, v))
+                h, code, _ = canonical_form_and_code(g.with_edge(u, v))
                 nxt.setdefault(code, h)
         levels.append(sorted(nxt.items()))
     return levels
+
+
+def brute_force_isomorphic(G: Graph, H: Graph) -> bool:
+    """Isomorphism test by exhaustive backtracking over vertex assignments.
+
+    Independent of canonical codes; the ground truth for small graphs
+    (n <= 8 or so).
+    """
+    if G.n != H.n or len(G.edges) != len(H.edges):
+        return False
+    if sorted(G.degree_sequence()) != sorted(H.degree_sequence()):
+        return False
+    n = G.n
+    if n == 0:
+        return True
+    mapping = [-1] * n
+    used = 0
+
+    def extend(i: int) -> bool:
+        nonlocal used
+        gdeg = G.degree(i)
+        for h in range(n):
+            bit = 1 << h
+            if used & bit or H.degree(h) != gdeg:
+                continue
+            ok = True
+            for j in range(i):
+                if (G.adj[i] >> j & 1) != (H.adj[h] >> mapping[j] & 1):
+                    ok = False
+                    break
+            if ok:
+                mapping[i] = h
+                used |= bit
+                if i + 1 == n or extend(i + 1):
+                    return True
+                used ^= bit
+                mapping[i] = -1
+        return False
+
+    return extend(0)
+
+
+def brute_nonedge_orbits(G: Graph) -> list[set[tuple[int, int]]]:
+    """Orbits of the non-edges under the full automorphism group (n <= 7).
+
+    The group is found by scanning all n! vertex permutations.
+    """
+    edges = set(G.edges)
+    group = [
+        p
+        for p in itertools.permutations(range(G.n))
+        if {tuple(sorted((p[u], p[v]))) for u, v in edges} == edges
+    ]
+    orbits: list[set[tuple[int, int]]] = []
+    for u, v in G.non_edges():
+        if not any((u, v) in orbit for orbit in orbits):
+            orbits.append({tuple(sorted((p[u], p[v]))) for p in group})
+    return orbits
 
 
 def path_graph(n: int) -> Graph:

@@ -12,11 +12,12 @@ from math import comb
 
 import pytest
 
+from conftest import brute_force_isomorphic
 from cyclesat.bounds import Observation, check_consistency, eval_bounds
 from cyclesat.codec import graph6_decode, graph6_encode
 from cyclesat.cycles import exists_path_of_length
 from cyclesat.families import build_h1, build_h2, build_h3, build_wheel
-from cyclesat.graphs import Graph, brute_force_isomorphic, canonical_code
+from cyclesat.graphs import Graph, canonical_code
 from cyclesat.oracle import append_golden, exact_min
 from cyclesat.saturation import (
     all_pairs,

@@ -6,7 +6,7 @@ from cyclesat.cli import main
 from cyclesat.codec import graph6_decode, graph6_encode, labels_decode
 from cyclesat.families import build_h1, build_wheel
 from cyclesat.graphs import Graph
-from cyclesat.saturation import Certificate
+from cyclesat.saturation import Certificate, is_saturated
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -126,6 +126,66 @@ def test_certify_writes_validating_certificate(capsys, monkeypatch, tmp_path):
     cert = Certificate.from_text(cert_path.read_text())
     assert cert.validate(h.graph) == []
     assert cert.mode == "saturated" and cert.k == 7
+
+
+@pytest.fixture
+def h1_files(tmp_path):
+    h = build_h1(7, 9)
+    graph_path = tmp_path / "h1.g6"
+    graph_path.write_text(graph6_encode(h.graph) + "\n")
+    cert = is_saturated(h.graph, 7).certificate
+    return graph_path, cert, tmp_path / "h1.cert"
+
+
+def test_check_certificate_valid_exit_0(capsys, h1_files):
+    graph_path, cert, cert_path = h1_files
+    cert_path.write_text(cert.to_text())
+    code, out, err = run(
+        capsys, "check-certificate", "--in", str(graph_path), "--cert", str(cert_path)
+    )
+    assert (code, out.strip(), err) == (0, "VALID", "")
+
+
+def test_check_certificate_problems_exit_1(capsys, h1_files):
+    graph_path, cert, cert_path = h1_files
+    (ne, wit), *_ = sorted(cert.per_nonedge.items())
+    bad = dict(cert.per_nonedge)
+    bad[ne] = type(wit)(wit.vertices[:-1] + (wit.vertices[0],))
+    cert_path.write_text(Certificate(cert.n, cert.k, cert.mode, cert.freeness, bad).to_text())
+    code, out, err = run(
+        capsys, "check-certificate", "--in", str(graph_path), "--cert", str(cert_path)
+    )
+    assert code == 1 and out.strip() == "INVALID"
+    assert f"witness for {ne}" in err
+
+
+@pytest.mark.parametrize(
+    "graph_text,cert_text,message",
+    [
+        (None, "n 9\nmode saturated\n", "missing header 'k'"),
+        (None, "n 9\nk 7\nmode saturated\n0 x : 1 2\n", "line 4"),
+        ("B\x01\n", None, "malformed graph input"),
+    ],
+)
+def test_check_certificate_bad_input_exit_2(capsys, h1_files, graph_text, cert_text, message):
+    graph_path, cert, cert_path = h1_files
+    if graph_text is not None:
+        graph_path.write_text(graph_text)
+    cert_path.write_text(cert.to_text() if cert_text is None else cert_text)
+    code, out, err = run(
+        capsys, "check-certificate", "--in", str(graph_path), "--cert", str(cert_path)
+    )
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_check_certificate_missing_file_exit_2(capsys, h1_files):
+    graph_path, _, cert_path = h1_files
+    code, _, err = run(
+        capsys, "check-certificate", "--in", str(graph_path), "--cert", str(cert_path)
+    )
+    assert code == 2
+    assert "not found" in err
 
 
 def test_bounds_table(capsys):

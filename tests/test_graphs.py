@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_graph, cycle_graph, graphs, path_graph
+from conftest import (
+    brute_force_isomorphic,
+    complete_graph,
+    cycle_graph,
+    graphs,
+    path_graph,
+    twin_rich_graphs,
+)
 from cyclesat.graphs import (
     DuplicateEdgeError,
     Graph,
@@ -13,7 +20,6 @@ from cyclesat.graphs import (
     LabeledGraph,
     LoopEdgeError,
     VertexRangeError,
-    brute_force_isomorphic,
     canonical_code,
     canonical_form_and_code,
 )
@@ -69,9 +75,18 @@ def test_canonical_code_invariant_under_relabeling(g, rng):
 
 @given(graphs(max_n=7))
 def test_canonical_form_is_idempotent(g):
-    form, code = canonical_form_and_code(g)
+    form, code, _ = canonical_form_and_code(g)
     assert canonical_code(form) == code
     assert canonical_form_and_code(form)[0] == form
+
+
+@given(st.one_of(graphs(max_n=8), twin_rich_graphs()))
+@settings(max_examples=300, deadline=None)
+def test_returned_permutations_are_automorphisms_of_the_form(g):
+    form, _, generators = canonical_form_and_code(g)
+    for p in generators:
+        assert sorted(p) == list(range(g.n))
+        assert form.relabel(p) == form
 
 
 def test_canonical_distinguishes_triangle_from_path():

@@ -4,12 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_classes_with_edges, graphs, naive_levels
+from conftest import (
+    brute_classes_with_edges,
+    brute_nonedge_orbits,
+    graphs,
+    naive_levels,
+)
+from cyclesat import oracle
 from cyclesat.bounds import Observation, check_consistency
 from cyclesat.graphs import canonical_code, canonical_form_and_code
 from cyclesat.oracle import (
     CeilingExceeded,
+    GenerationTimeout,
     _is_top_edge,
+    _orbit_representatives,
     append_golden,
     classes_with_edges,
     exact_min,
@@ -60,6 +68,49 @@ def test_class_totals_match_oeis(n):
     ]
     assert len(classes) == A000088[n]
     assert sum(g.is_connected() for g in classes) == A001349[n]
+
+
+@pytest.fixture(scope="module")
+def levels7():
+    return naive_levels(7)
+
+
+@pytest.mark.parametrize("parents", [0, 1, 7, 60, 400])
+def test_deadline_mid_level_leaves_cache_consistent(monkeypatch, levels7, parents):
+    # the deadline passes after ``parents`` parents have been extended, in
+    # whatever level that falls; the partial level and its generators are
+    # dropped, and generation resumes from the cache to the naive levels
+    cache: dict = {}
+    monkeypatch.setattr(oracle, "_LEVELS", cache)
+    checks = iter([0.0] * parents)
+    with monkeypatch.context() as clock:
+        clock.setattr(oracle.time, "monotonic", lambda: next(checks, 2.0))
+        with pytest.raises(GenerationTimeout):
+            classes_with_edges(7, 21, deadline=1.0)
+    # every parent below the top level was extended; the deadline hit
+    # while the top level's classes were being extended
+    levels, top_generators = cache[7]
+    extended = sum(len(level) for level in levels[:-1])
+    assert extended <= parents < extended + len(levels[-1])
+    assert len(top_generators) == len(levels[-1])
+    for m, level in enumerate(levels7):
+        assert classes_with_edges(7, m) == level
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_orbit_representatives_match_brute_force_orbits(n):
+    # one representative per orbit of the whole automorphism group, so the
+    # generators met by the labeling search span the group on these classes;
+    # labeling a relabeled copy makes the search improve on its first leaf
+    reverse = list(range(n))[::-1]
+    for m in range(n * (n - 1) // 2 + 1):
+        for _, g in brute_classes_with_edges(n, m):
+            orbits = brute_nonedge_orbits(g)
+            for start in (g, g.relabel(reverse)):
+                form, _, generators = canonical_form_and_code(start)
+                assert form == g
+                reps = _orbit_representatives(g, generators)
+                assert reps == sorted(min(orbit) for orbit in orbits)
 
 
 def _top_edges(G):

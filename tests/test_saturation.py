@@ -137,11 +137,21 @@ def test_certificate_text_round_trip():
         ("n 6\nmode semisaturated\n", "missing header 'k'"),
         ("n 6\nk six\nmode semisaturated\n", "line 2"),
         ("n 6\nk 6\nmode semisaturated\n0 2 : 0 1 x 3 4 5\n", "line 4"),
+        ("n 6\nk 6\nmode saturate\n", "unknown mode 'saturate'"),
     ],
 )
 def test_certificate_parse_errors_are_typed(text, message):
     with pytest.raises(CertificateError, match=message):
         Certificate.from_text(text)
+
+
+def test_certificate_vertex_out_of_range_is_a_problem():
+    # an out-of-range vertex is reported, not an IndexError or a wrap-around
+    g = build_wheel(6, 0).graph
+    text = is_semisaturated(g, 6).certificate.to_text()
+    for bad in ("9 2 : 9 1 2 3 4 5", "0 2 : 0 -1 2 3 4 5"):
+        problems = Certificate.from_text(text + bad + "\n").validate(g)
+        assert any(f"outside 0..{g.n - 1}" in p for p in problems)
 
 
 def test_certificate_validation_catches_tampering():
