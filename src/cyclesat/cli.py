@@ -332,8 +332,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "mine-suitable":
             return _cmd_mine(args)
         raise _UsageError(f"unknown command {args.command!r}")
-    except ValueError as exc:
-        # Usage errors and every typed input error are ValueError subclasses.
+    except (ValueError, OSError) as exc:
+        # Typed input errors subclass ValueError; OSError is an unusable file.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConstructionPostconditionError as exc:

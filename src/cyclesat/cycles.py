@@ -2,16 +2,17 @@
 
 This is the single search kernel behind every verifier in the package:
 depth-first backtracking over simple paths, taking candidates in ascending
-vertex order, with four prunings on per-vertex bitmasks:
+vertex order, within the vertices a completion may still use, and four
+prunings on per-vertex bitmasks:
 
-* distance: a branch dies when the target is farther (through unvisited
+* distance: a branch dies when the target is farther (through available
   vertices) than the remaining edge budget;
-* supply: a branch dies when the vertices that could still appear on the
-  path (reachable from both ends within the budget) cannot fill it;
+* supply: a branch dies when the usable vertices (reachable from both ends
+  within the budget) cannot fill the path;
 * twin skipping: once candidate w fails, a later candidate x at the same
   node with N(x) - {w} = N(w) - {x} is dropped.  Swapping w and x is an
   automorphism of the graph that fixes the current vertex, the target and
-  the visited set, so it maps any completion through x onto one through w;
+  the available set, so it maps any completion through x onto one through w;
 * edge retirement: when ``has_cycle_of_length`` finds no path closing the
   edge uv, no k-cycle passes through uv in this graph or any subgraph of
   it, so uv stays out of the graph for the later edges.
@@ -21,6 +22,17 @@ that takes candidates in ascending order and prunes only such branches
 returns the lexicographically first valid path.  Likewise the first edge
 in ``G.edges`` order that closes a k-cycle is the same with or without
 retirement.  So the witnesses do not depend on which prunings run.
+
+Two more steps make the usable set U, the vertices y with d(cur, y) +
+d(y, target) <= r for budget r, cheap and change no answer.  Scope
+narrowing: a node with r >= 4 hands each child w only U - {w}.  A vertex on
+a valid completion through w meets that bound, and so does one on a
+shortest path from w, or from the target, to a vertex usable at w; so the
+child's completions, usable set and target distance stay the same.
+Target-first BFS: the BFS out of cur keeps layer d only within r - d of the
+target.  The predecessor of a usable vertex on a shortest path from cur is
+usable too, so every usable vertex is still reached at its true distance,
+and no other vertex passes the filter.
 
 Exact-length path search is NP-hard in general, so a configurable node
 expansion budget turns pathological inputs into an explicit error instead
@@ -78,18 +90,10 @@ class CycleWitness:
         vs = self.vertices
         if len(vs) < 3 or len(set(vs)) != len(vs):
             return False
-        allowed = None
-        if missing_edge is not None:
-            allowed = (min(missing_edge), max(missing_edge))
-        misses = 0
-        for a, b in zip(vs, vs[1:] + vs[:1]):
-            if G.has_edge(a, b):
-                continue
-            if allowed is not None and (min(a, b), max(a, b)) == allowed:
-                misses += 1
-                continue
-            return False
-        return misses <= 1
+        # A simple cycle passes each vertex pair at most once.
+        allowed = None if missing_edge is None else set(missing_edge)
+        pairs = zip(vs, vs[1:] + vs[:1])
+        return all(G.has_edge(a, b) or {a, b} == allowed for a, b in pairs)
 
 
 class _Budget:
@@ -108,42 +112,16 @@ class _Budget:
 def _usable(adj: Sequence[int], avail: int, cur: int, target: int, remaining: int):
     """Vertices usable by some completion of the current branch.
 
-    Returns ``(usable_mask, target_dist)`` where ``target_dist`` is the
-    unvisited-graph distance from ``cur`` to ``target`` (None when the
-    target is out of reach within ``remaining``).  A vertex is usable when
-    its distances from ``cur`` and to ``target`` sum to at most
-    ``remaining``.
+    Returns ``(usable_mask, target_dist)`` for distances through ``avail``,
+    which holds ``target`` but not ``cur``: usable vertices have distances
+    from ``cur`` and to ``target`` summing to at most ``remaining``, and
+    ``(0, None)`` means the target is farther than ``remaining``.
     """
     # Inlined, not _bfs_layers: per search node, a generator measurably slows.
-    # BFS layers out of cur through available vertices.
-    from_cur = [1 << cur]
-    seen = 1 << cur
-    frontier = seen
+    # BFS out of target: within[j] holds the vertices at distance <= j.
     tbit = 1 << target
-    target_dist = None
-    depth = 0
-    while frontier and depth < remaining:
-        depth += 1
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= adj[low.bit_length() - 1]
-            m ^= low
-        nxt &= avail & ~seen
-        if not nxt:
-            break
-        if nxt & tbit and target_dist is None:
-            target_dist = depth
-        from_cur.append(nxt)
-        seen |= nxt
-        frontier = nxt
-    if target_dist is None:
-        return 0, None
-    # BFS layers out of target; cumulative unions by distance.
-    to_target_cum = [tbit]
-    seen = tbit
-    frontier = tbit
+    within = [tbit]
+    seen = frontier = tbit
     for _ in range(remaining - 1):
         nxt = 0
         m = frontier
@@ -151,37 +129,45 @@ def _usable(adj: Sequence[int], avail: int, cur: int, target: int, remaining: in
             low = m & -m
             nxt |= adj[low.bit_length() - 1]
             m ^= low
-        nxt &= avail & ~seen
-        if not nxt:
-            to_target_cum.append(seen)
+        frontier = nxt & avail & ~seen
+        seen |= frontier
+        within.append(seen)
+    # BFS out of cur keeping layer d inside within[remaining - d]; within[j] never
+    # holds cur, so seen ends as the usable set (empty: the target is too far).
+    target_dist = None
+    seen = 0
+    frontier = 1 << cur
+    for j in range(remaining - 1, -1, -1):
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            nxt |= adj[low.bit_length() - 1]
+            m ^= low
+        frontier = nxt & within[j] & ~seen
+        if not frontier:
             break
-        seen |= nxt
-        to_target_cum.append(seen)
-        frontier = nxt
-    usable = 0
-    top = len(to_target_cum) - 1
-    for d in range(1, len(from_cur)):
-        usable |= from_cur[d] & to_target_cum[min(remaining - d, top)]
-    return usable, target_dist
+        if target_dist is None and frontier & tbit:
+            target_dist = remaining - j
+        seen |= frontier
+    return seen, target_dist
 
 
 def _search_path(
     adj: Sequence[int], n: int, u: int, v: int, length: int, budget: _Budget
 ):
-    full = (1 << n) - 1
     tbit = 1 << v
     path = [u]
 
-    def rec(cur: int, visited: int, remaining: int) -> bool:
+    def rec(cur: int, avail: int, remaining: int) -> bool:
         budget.spend()
         if remaining == 1:
             if adj[cur] & tbit:
                 path.append(v)
                 return True
             return False
-        avail = full & ~visited
         if remaining == 2:
-            # Midpoint in closed form: any unvisited common neighbor.
+            # Midpoint in closed form: any available common neighbor.
             mids = adj[cur] & adj[v] & avail & ~tbit
             if mids:
                 w = (mids & -mids).bit_length() - 1
@@ -191,21 +177,17 @@ def _search_path(
             return False
         if remaining >= 4:
             # Two short BFS passes pay off only above the closed-form floor.
-            usable, tdist = _usable(adj, avail, cur, v, remaining)
-            if tdist is None or tdist > remaining:
+            # The children search inside the usable set.
+            avail = _usable(adj, avail, cur, v, remaining)[0]
+            if avail.bit_count() < remaining:
                 return False
-            if usable.bit_count() < remaining:
-                return False
-            candidates = adj[cur] & usable & ~tbit
-        else:
-            candidates = adj[cur] & avail & ~tbit
-        m = candidates
+        m = adj[cur] & avail & ~tbit
         while m:
             low = m & -m
             m ^= low
             w = low.bit_length() - 1
             path.append(w)
-            if rec(w, visited | low, remaining - 1):
+            if rec(w, avail ^ low, remaining - 1):
                 return True
             path.pop()
             # w failed, so every later twin of w fails too: drop them.
@@ -218,7 +200,7 @@ def _search_path(
                     m ^= xbit
         return False
 
-    if rec(u, 1 << u, length):
+    if rec(u, ((1 << n) - 1) ^ (1 << u), length):
         return PathWitness(tuple(path))
     return None
 

@@ -37,6 +37,15 @@ class CertificateError(ValueError):
 # -- certificates ---------------------------------------------------------
 
 
+# Header keys of a certificate; None marks an integer value.
+_HEADER_VALUES = {
+    "n": None,
+    "k": None,
+    "mode": ("saturated", "semisaturated"),
+    "freeness": ("confirmed", "failed"),
+}
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Machine-checkable evidence of (semi)saturation.
@@ -105,17 +114,25 @@ class Certificate:
                 if ":" in ln:
                     pair, _, cyc = ln.partition(":")
                     u, v = (int(x) for x in pair.split())
+                    if (u, v) in per:
+                        raise ValueError(f"repeated non-edge ({u}, {v})")
                     per[(u, v)] = CycleWitness(tuple(int(x) for x in cyc.split()))
                 elif ln:
                     key, _, val = ln.partition(" ")
-                    header[key] = int(val) if key in ("n", "k") else val.strip()
+                    val = val.strip()
+                    if key not in _HEADER_VALUES:
+                        raise ValueError(f"unknown header {key!r}")
+                    if key in header:
+                        raise ValueError(f"repeated header {key!r}")
+                    choices = _HEADER_VALUES[key]
+                    if choices and val not in choices:
+                        raise ValueError(f"unknown {key} {val!r}")
+                    header[key] = val if choices else int(val)
             except ValueError as exc:
                 raise CertificateError(f"line {lineno}: {ln!r}: {exc}") from exc
         for key in ("n", "k", "mode"):
             if key not in header:
                 raise CertificateError(f"missing header {key!r}")
-        if header["mode"] not in ("saturated", "semisaturated"):
-            raise CertificateError(f"unknown mode {header['mode']!r}")
         freeness = header["freeness"] == "confirmed" if "freeness" in header else None
         return cls(header["n"], header["k"], header["mode"], freeness, per)
 

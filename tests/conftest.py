@@ -76,6 +76,33 @@ def naive_first_cycle(G: Graph, k: int) -> tuple[int, ...] | None:
     return None
 
 
+def naive_usable(adj, avail: int, cur: int, target: int, remaining: int):
+    """The usable set and target distance of ``cycles._usable``, by definition.
+
+    Plain BFS distance maps from ``cur`` and from ``target`` inside ``avail``;
+    the usable vertices are those x != cur with d_cur(x) + d_t(x) <= remaining.
+    """
+
+    def distances(source: int) -> dict[int, int]:
+        dist = {source: 0}
+        queue = [source]
+        for x in queue:
+            for y in range(len(adj)):
+                if adj[x] >> y & 1 and avail >> y & 1 and y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        return dist
+
+    d_cur, d_t = distances(cur), distances(target)
+    if target not in d_cur or d_cur[target] > remaining:
+        return 0, None
+    usable = 0
+    for x, d in d_cur.items():
+        if x != cur and x in d_t and d + d_t[x] <= remaining:
+            usable |= 1 << x
+    return usable, d_cur[target]
+
+
 def naive_path_exists(G: Graph, u: int, v: int, length: int) -> bool:
     return naive_first_path(G, u, v, length) is not None
 

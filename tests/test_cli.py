@@ -164,6 +164,7 @@ def test_check_certificate_problems_exit_1(capsys, h1_files):
     [
         (None, "n 9\nmode saturated\n", "missing header 'k'"),
         (None, "n 9\nk 7\nmode saturated\n0 x : 1 2\n", "line 4"),
+        (None, "n 9\nk 7\nmode saturated\nfreeness maybe\n", "unknown freeness"),
         ("B\x01\n", None, "malformed graph input"),
     ],
 )
@@ -186,6 +187,32 @@ def test_check_certificate_missing_file_exit_2(capsys, h1_files):
     )
     assert code == 2
     assert "not found" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--k", "3", "--mode", "free", "--in", "{dir}"],
+        ["check-certificate", "--in", "{graph}", "--cert", "{dir}"],
+        ["construct", "--family", "wheel", "--k", "5", "--out", "{missing}"],
+        ["construct", "--family", "wheel", "--k", "5", "--labels", "{missing}"],
+        ["certify", "--k", "7", "--mode", "saturated", "--in", "{graph}", "--out", "{missing}"],
+        ["verify", "--k", "7", "--mode", "saturated", "--in", "{graph}",
+         "--certificate", "{missing}"],
+        ["oracle", "--k", "4", "--n", "5", "--mode", "sat", "--golden", "{missing}"],
+    ],
+    ids=[
+        "verify-in-dir", "check-cert-dir", "construct-out", "construct-labels",
+        "certify-out", "verify-certificate", "oracle-golden",
+    ],
+)
+def test_file_system_errors_exit_2(capsys, h1_files, tmp_path, argv):
+    # a directory read as a file, or a write into a missing directory
+    graph_path = h1_files[0]
+    paths = {"dir": tmp_path, "graph": graph_path, "missing": tmp_path / "missing" / "x"}
+    code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 def test_bounds_table(capsys):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -12,11 +12,13 @@ from conftest import (
     naive_first_cycle,
     naive_first_path,
     naive_path_exists,
+    naive_usable,
     path_graph,
     twin_rich_graphs,
 )
 from cyclesat.cycles import (
     SearchBudgetExceeded,
+    _usable,
     exists_path_of_length,
     has_cycle_of_length,
     shortest_cycle_through,
@@ -224,3 +226,52 @@ def test_budget_generous_enough_succeeds():
     g = complete_graph(12)
     w = exists_path_of_length(g, 0, 1, 11)
     assert w is not None and w.length == 11
+
+
+@given(st.one_of(graphs(min_n=2), twin_rich_graphs()), st.data())
+@settings(max_examples=300, deadline=None)
+def test_usable_matches_distance_definition(g, data):
+    # the target-first pruned BFS gives exactly the distance-sum definition
+    assume(g.n >= 2)
+    cur = data.draw(st.integers(0, g.n - 1))
+    target = data.draw(st.integers(0, g.n - 1).filter(lambda x: x != cur))
+    avail = (data.draw(st.integers(0, (1 << g.n) - 1)) | 1 << target) & ~(1 << cur)
+    remaining = data.draw(st.integers(1, g.n))
+    want = naive_usable(g.adj, avail, cur, target, remaining)
+    assert _usable(g.adj, avail, cur, target, remaining) == want
+
+
+def _least_sufficient_budget(search):
+    budget = 0
+    while True:
+        try:
+            return budget, search(budget)
+        except SearchBudgetExceeded:
+            budget += 1
+
+
+@given(twin_rich_graphs(max_n=8), st.data())
+@settings(max_examples=100, deadline=None)
+def test_budget_is_exact(g, data):
+    # E, the least budget that suffices, and every budget above it give the
+    # unbudgeted answer; E - 1 raises
+    assume(g.n >= 2)
+    u = data.draw(st.integers(0, g.n - 1))
+    v = data.draw(st.integers(0, g.n - 1).filter(lambda x: x != u))
+    length = data.draw(st.integers(1, g.n - 1))
+    k = data.draw(st.integers(3, max(3, g.n)))
+    queries = [
+        lambda b: exists_path_of_length(g, u, v, length, budget=b),
+        lambda b: has_cycle_of_length(g, k, budget=b),
+    ]
+    leasts = []
+    for search in queries:
+        least, found = _least_sufficient_budget(search)
+        for budget in range(least, least + 6):
+            assert search(budget) == search(None) == found
+        if least:
+            with pytest.raises(SearchBudgetExceeded):
+                search(least - 1)
+        leasts.append(least)
+    # only a query that runs no search at all gets by on budget 0
+    assert leasts[0] >= 1 and (leasts[1] == 0) == (k > g.n or not g.edges)

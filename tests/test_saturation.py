@@ -138,6 +138,10 @@ def test_certificate_text_round_trip():
         ("n 6\nk six\nmode semisaturated\n", "line 2"),
         ("n 6\nk 6\nmode semisaturated\n0 2 : 0 1 x 3 4 5\n", "line 4"),
         ("n 6\nk 6\nmode saturate\n", "unknown mode 'saturate'"),
+        ("n 6\nk 6\nmode semisaturated\n0 2 : 0 1 2\n0 2 : 0 3 2\n", "line 5.*repeated non-edge"),
+        ("n 5\nn 6\nk 6\nmode semisaturated\n", "line 2.*repeated header 'n'"),
+        ("n 6\nk 6\nbogus 7\nmode semisaturated\n", "line 3.*unknown header 'bogus'"),
+        ("n 6\nk 6\nmode saturated\nfreeness maybe\n", "line 4.*unknown freeness 'maybe'"),
     ],
 )
 def test_certificate_parse_errors_are_typed(text, message):
