@@ -272,6 +272,14 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if not args.no_golden:
+        # Fail before a search that may take minutes; the file itself is
+        # opened only for an exact result, so none is left behind otherwise.
+        golden = Path(args.golden)
+        if golden.is_dir():
+            raise _UsageError(f"--golden is a directory: {args.golden}")
+        if not golden.parent.is_dir():
+            raise _UsageError(f"--golden directory not found: {golden.parent}")
     result = oracle_mod.exact_min(
         args.n,
         args.k,

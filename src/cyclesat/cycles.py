@@ -112,10 +112,9 @@ class _Budget:
 def _usable(adj: Sequence[int], avail: int, cur: int, target: int, remaining: int):
     """Vertices usable by some completion of the current branch.
 
-    Returns ``(usable_mask, target_dist)`` for distances through ``avail``,
-    which holds ``target`` but not ``cur``: usable vertices have distances
-    from ``cur`` and to ``target`` summing to at most ``remaining``, and
-    ``(0, None)`` means the target is farther than ``remaining``.
+    Returns the mask of the vertices whose distances from ``cur`` and to
+    ``target`` through ``avail`` (which holds ``target`` but not ``cur``)
+    sum to at most ``remaining``; 0 means the target is farther than that.
     """
     # Inlined, not _bfs_layers: per search node, a generator measurably slows.
     # BFS out of target: within[j] holds the vertices at distance <= j.
@@ -134,7 +133,6 @@ def _usable(adj: Sequence[int], avail: int, cur: int, target: int, remaining: in
         within.append(seen)
     # BFS out of cur keeping layer d inside within[remaining - d]; within[j] never
     # holds cur, so seen ends as the usable set (empty: the target is too far).
-    target_dist = None
     seen = 0
     frontier = 1 << cur
     for j in range(remaining - 1, -1, -1):
@@ -147,10 +145,8 @@ def _usable(adj: Sequence[int], avail: int, cur: int, target: int, remaining: in
         frontier = nxt & within[j] & ~seen
         if not frontier:
             break
-        if target_dist is None and frontier & tbit:
-            target_dist = remaining - j
         seen |= frontier
-    return seen, target_dist
+    return seen
 
 
 def _search_path(
@@ -178,7 +174,7 @@ def _search_path(
         if remaining >= 4:
             # Two short BFS passes pay off only above the closed-form floor.
             # The children search inside the usable set.
-            avail = _usable(adj, avail, cur, v, remaining)[0]
+            avail = _usable(adj, avail, cur, v, remaining)
             if avail.bit_count() < remaining:
                 return False
         m = adj[cur] & avail & ~tbit

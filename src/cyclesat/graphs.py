@@ -214,6 +214,17 @@ class LabeledGraph:
 # interchangeable (twin) candidates, which collapses the large symmetric
 # cases (isolated vertices, cliques) that plain backtracking chokes on.
 #
+# The search keeps the unplaced vertices as an ordered partition: a list
+# of bitmask cells, each holding the vertices whose row (adjacency to the
+# placed prefix, first-placed vertex in the most significant bit) is
+# ``cell_rows[i]``, in ascending row order.  The candidates at a node are
+# then the bits of the first cell, ascending.  Placing v appends one least
+# significant bit to every row, so each cell splits into its non-neighbours
+# of v (row ``r << 1``) followed by its neighbours (``r << 1 | 1``); v has
+# no loop, so it lands in neither part and drops out.  Rows of different
+# cells already differ in a higher bit, so the split keeps the cells
+# sorted, and the first cell is again exactly the row-minimal vertices.
+#
 # The search meets automorphisms on the way: two complete placement orders
 # with equal rows give equal codes, so mapping one onto the other preserves
 # adjacency.  Those, with the transpositions of twin vertices that the
@@ -239,17 +250,11 @@ def _canonical_search(G: Graph) -> tuple[tuple[int, ...], list[Permutation]]:
     rows: list[int] = []
     automorphisms: list[Permutation] = []
 
-    def twins(u: int, v: int, rem_mask: int) -> bool:
-        # Swapping u and v fixes the unexplored structure when their
-        # neighborhoods among the remaining vertices agree outside {u, v}.
-        clear = ~((1 << u) | (1 << v))
-        return (adj[u] & rem_mask & clear) == (adj[v] & rem_mask & clear)
-
-    def rec(rem: list[int], rowint: list[int], tight: bool) -> None:
+    def rec(cells: list[int], cell_rows: list[int], rem_mask: int, tight: bool) -> None:
         # ``tight`` means the row prefix built so far equals the prefix of
         # the best complete code found; only then can the next row prune.
         nonlocal best_rows, best_order
-        if not rem:
+        if not rem_mask:
             if best_rows is None or not tight:
                 best_rows = rows.copy()
                 best_order = placed.copy()
@@ -261,30 +266,35 @@ def _canonical_search(G: Graph) -> tuple[tuple[int, ...], list[Permutation]]:
                 automorphisms.append(tuple(image))
             return
         depth = len(placed)
-        min_row = min(rowint[v] for v in rem)
+        min_row = cell_rows[0]
         child_tight = False
         if best_rows is not None and tight:
             if min_row > best_rows[depth]:
                 return
             child_tight = min_row == best_rows[depth]
-        rem_mask = 0
-        for v in rem:
-            rem_mask |= 1 << v
         reps: list[int] = []
-        for v in rem:
-            if rowint[v] != min_row:
-                continue
-            if any(twins(v, u, rem_mask) for u in reps):
-                continue
-            reps.append(v)
+        for v in _iter_bits(cells[0]):
+            for u in reps:
+                if not (adj[u] ^ adj[v]) & rem_mask & ~((1 << u) | (1 << v)):
+                    break  # v is a twin of an earlier candidate
+            else:
+                reps.append(v)
         for v in reps:
-            nxt_rem = [w for w in rem if w != v]
-            nxt_rowint = rowint.copy()
-            for w in nxt_rem:
-                nxt_rowint[w] = (rowint[w] << 1) | (adj[w] >> v & 1)
+            nbrs = adj[v]
+            others = ~(nbrs | (1 << v))
+            nxt_cells, nxt_rows = [], []
+            for c, r in zip(cells, cell_rows):
+                part = c & others
+                if part:
+                    nxt_cells.append(part)
+                    nxt_rows.append(r << 1)
+                part = c & nbrs
+                if part:
+                    nxt_cells.append(part)
+                    nxt_rows.append(r << 1 | 1)
             placed.append(v)
             rows.append(min_row)
-            rec(nxt_rem, nxt_rowint, child_tight)
+            rec(nxt_cells, nxt_rows, rem_mask ^ (1 << v), child_tight)
             placed.pop()
             rows.pop()
             # A better best may have been recorded inside the child; it
@@ -295,7 +305,8 @@ def _canonical_search(G: Graph) -> tuple[tuple[int, ...], list[Permutation]]:
                 and min_row == best_rows[depth]
             )
 
-    rec(list(range(n)), [0] * n, tight=False)
+    full = (1 << n) - 1
+    rec([full], [0], full, False)
     assert best_order is not None
     return tuple(best_order), automorphisms
 

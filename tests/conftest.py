@@ -11,7 +11,7 @@ import itertools
 
 from hypothesis import strategies as st
 
-from cyclesat.graphs import Graph, canonical_form_and_code
+from cyclesat.graphs import Graph, _code_from_order, canonical_form_and_code
 
 
 @st.composite
@@ -77,10 +77,11 @@ def naive_first_cycle(G: Graph, k: int) -> tuple[int, ...] | None:
 
 
 def naive_usable(adj, avail: int, cur: int, target: int, remaining: int):
-    """The usable set and target distance of ``cycles._usable``, by definition.
+    """The usable set of ``cycles._usable``, by definition.
 
     Plain BFS distance maps from ``cur`` and from ``target`` inside ``avail``;
-    the usable vertices are those x != cur with d_cur(x) + d_t(x) <= remaining.
+    the usable vertices are those x != cur with d_cur(x) + d_t(x) <= remaining,
+    and there are none when the target is unreachable or farther than that.
     """
 
     def distances(source: int) -> dict[int, int]:
@@ -95,12 +96,12 @@ def naive_usable(adj, avail: int, cur: int, target: int, remaining: int):
 
     d_cur, d_t = distances(cur), distances(target)
     if target not in d_cur or d_cur[target] > remaining:
-        return 0, None
+        return 0
     usable = 0
     for x, d in d_cur.items():
         if x != cur and x in d_t and d + d_t[x] <= remaining:
             usable |= 1 << x
-    return usable, d_cur[target]
+    return usable
 
 
 def naive_path_exists(G: Graph, u: int, v: int, length: int) -> bool:
@@ -179,6 +180,11 @@ def naive_levels(n: int) -> list[list[tuple[bytes, Graph]]]:
                 nxt.setdefault(code, h)
         levels.append(sorted(nxt.items()))
     return levels
+
+
+def brute_force_min_code(G: Graph) -> bytes:
+    """The minimal code by definition: least code over every placement order (n <= 7)."""
+    return min(_code_from_order(G, p) for p in itertools.permutations(range(G.n)))
 
 
 def brute_force_isomorphic(G: Graph, H: Graph) -> bool:

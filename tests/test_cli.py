@@ -261,14 +261,29 @@ def test_oracle_writes_golden(capsys, tmp_path):
     assert golden.read_text().splitlines()[1].startswith("5,4,sat,5,")
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "is-dir"])
+def test_oracle_rejects_golden_path_before_search(capsys, tmp_path, where):
+    golden = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+    code, out, err = run(
+        capsys,
+        "oracle", "--k", "4", "--n", "5", "--mode", "sat", "--golden", str(golden),
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+    assert not (tmp_path / "missing").exists()
+
+
 def test_oracle_budget_exit_3(capsys, tmp_path):
+    golden = tmp_path / "oracle_values.csv"
     code, out, _ = run(
         capsys,
         "oracle", "--k", "4", "--n", "8", "--mode", "sat",
-        "--max-seconds", "0", "--no-golden",
+        "--max-seconds", "0", "--golden", str(golden),
     )
     assert code == 3
     assert "budget exhausted" in out
+    assert not golden.exists()
 
 
 def test_mine_suitable_cli(capsys):

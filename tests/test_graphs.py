@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_force_isomorphic,
+    brute_force_min_code,
     complete_graph,
     cycle_graph,
     graphs,
@@ -20,6 +22,7 @@ from cyclesat.graphs import (
     LabeledGraph,
     LoopEdgeError,
     VertexRangeError,
+    _canonical_search,
     canonical_code,
     canonical_form_and_code,
 )
@@ -109,6 +112,65 @@ def test_canonical_c5_reversed_equal():
 @settings(max_examples=200, deadline=None)
 def test_canonical_code_matches_brute_force_isomorphism(g, h):
     assert (canonical_code(g) == canonical_code(h)) == brute_force_isomorphic(g, h)
+
+
+def test_canonical_code_is_minimal_code_exhaustive():
+    # every labeled graph on at most 5 vertices
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            assert canonical_code(g) == brute_force_min_code(g)
+
+
+@given(st.one_of(graphs(max_n=7), twin_rich_graphs(max_n=7)))
+@settings(max_examples=100, deadline=None)
+def test_canonical_code_is_minimal_code(g):
+    assert canonical_code(g) == brute_force_min_code(g)
+
+
+def _search_corpus() -> list[Graph]:
+    """300 seeded graphs, n = 2..9: sparse to dense random, and twin-rich blow-ups."""
+    rng = random.Random(2024)
+    corpus = []
+    for i in range(300):
+        n = 2 + i % 8
+        if i % 2:
+            pairs = list(itertools.combinations(range(n), 2))
+            p = rng.choice((0.2, 0.35, 0.5))
+            corpus.append(Graph(n, [e for e in pairs if rng.random() < p]))
+            continue
+        # blobs of 1-3 vertices, each an independent set or a clique, with
+        # random blob pairs joined completely, then relabeled at random
+        blobs, edges, m = [], [], 0
+        while m < n:
+            size = min(rng.randint(1, 3), n - m)
+            blob = list(range(m, m + size))
+            if rng.random() < 0.5:
+                edges.extend(itertools.combinations(blob, 2))
+            for other in blobs:
+                if rng.random() < 0.5:
+                    edges.extend((x, y) for x in other for y in blob)
+            blobs.append(blob)
+            m += size
+        perm = list(range(n))
+        rng.shuffle(perm)
+        corpus.append(Graph(n, [(perm[x], perm[y]) for x, y in edges]))
+    return corpus
+
+
+def test_search_output_is_pinned():
+    # The labeling search must visit the same nodes in the same order: its
+    # order and automorphism list (which depends on the visiting order) are
+    # hashed over a fixed corpus.  The digest was recorded at commit 7fd9920,
+    # with the search state kept as a vertex list plus a row per vertex,
+    # before the state became an ordered partition of bitmask cells.
+    digest = hashlib.sha256()
+    for g in _search_corpus():
+        digest.update(repr(_canonical_search(g)).encode())
+    assert digest.hexdigest() == (
+        "5db44e33770cabe7192957edf58e335aa6e15ee85f15ab446a822a377ba897ce"
+    )
 
 
 def test_without_vertex_relabels():
