@@ -233,6 +233,16 @@ class LabeledGraph:
 Permutation = tuple[int, ...]
 
 
+def _lower_twins(adj: tuple[int, ...]) -> list[int]:
+    """Per vertex v, the mask of its twins u < v: ``N(u) - v == N(v) - u``."""
+    lower = [0] * len(adj)
+    for v, row in enumerate(adj):
+        for u in range(v):
+            if not (adj[u] ^ row) & ~((1 << u) | (1 << v)):
+                lower[v] |= 1 << u
+    return lower
+
+
 def _canonical_search(G: Graph) -> tuple[tuple[int, ...], list[Permutation]]:
     """Canonical placement order, and the automorphisms met on the way.
 
@@ -243,6 +253,7 @@ def _canonical_search(G: Graph) -> tuple[tuple[int, ...], list[Permutation]]:
     n, adj = G.n, G.adj
     if n <= 1:
         return tuple(range(n)), []
+    lower = _lower_twins(adj)
 
     best_rows: list[int] | None = None
     best_order: list[int] | None = None
@@ -250,11 +261,11 @@ def _canonical_search(G: Graph) -> tuple[tuple[int, ...], list[Permutation]]:
     rows: list[int] = []
     automorphisms: list[Permutation] = []
 
-    def rec(cells: list[int], cell_rows: list[int], rem_mask: int, tight: bool) -> None:
+    def rec(cells: list[int], cell_rows: list[int], tight: bool) -> None:
         # ``tight`` means the row prefix built so far equals the prefix of
         # the best complete code found; only then can the next row prune.
         nonlocal best_rows, best_order
-        if not rem_mask:
+        if not cells:
             if best_rows is None or not tight:
                 best_rows = rows.copy()
                 best_order = placed.copy()
@@ -272,14 +283,10 @@ def _canonical_search(G: Graph) -> tuple[tuple[int, ...], list[Permutation]]:
             if min_row > best_rows[depth]:
                 return
             child_tight = min_row == best_rows[depth]
-        reps: list[int] = []
-        for v in _iter_bits(cells[0]):
-            for u in reps:
-                if not (adj[u] ^ adj[v]) & rem_mask & ~((1 << u) | (1 << v)):
-                    break  # v is a twin of an earlier candidate
-            else:
-                reps.append(v)
-        for v in reps:
+        first = cells[0]
+        for v in _iter_bits(first):
+            if lower[v] & first:
+                continue  # twins are an equivalence; its least one branches
             nbrs = adj[v]
             others = ~(nbrs | (1 << v))
             nxt_cells, nxt_rows = [], []
@@ -294,19 +301,15 @@ def _canonical_search(G: Graph) -> tuple[tuple[int, ...], list[Permutation]]:
                     nxt_rows.append(r << 1 | 1)
             placed.append(v)
             rows.append(min_row)
-            rec(nxt_cells, nxt_rows, rem_mask ^ (1 << v), child_tight)
+            rec(nxt_cells, nxt_rows, child_tight)
             placed.pop()
             rows.pop()
-            # A better best may have been recorded inside the child; it
-            # necessarily passed through this node, so re-anchor.
-            child_tight = (
-                best_rows is not None
-                and rows == best_rows[:depth]
-                and min_row == best_rows[depth]
-            )
+            # The best code now runs through this node and this row: either
+            # the child was tight, so any new best was recorded below it, or
+            # it pruned nothing and its first leaf became the new best.
+            child_tight = True
 
-    full = (1 << n) - 1
-    rec([full], [0], full, False)
+    rec([(1 << n) - 1], [0], False)
     assert best_order is not None
     return tuple(best_order), automorphisms
 
@@ -344,12 +347,10 @@ def canonical_form_and_code(G: Graph) -> tuple[Graph, bytes, list[Permutation]]:
         position[v] = pos
     form = G.relabel(position)
     generators = [tuple(position[p[v]] for v in order) for p in found]
-    adj = form.adj
-    for v in range(n):
-        for u in range(v):
-            if not (adj[u] ^ adj[v]) & ~((1 << u) | (1 << v)):
-                swap = list(range(n))
-                swap[u], swap[v] = v, u
-                generators.append(tuple(swap))
-                break
+    for v, twins in enumerate(_lower_twins(form.adj)):
+        if twins:
+            u = (twins & -twins).bit_length() - 1
+            swap = list(range(n))
+            swap[u], swap[v] = v, u
+            generators.append(tuple(swap))
     return form, _code_from_order(G, order), generators

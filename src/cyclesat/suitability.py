@@ -14,6 +14,11 @@ The extended variant keeps S1-S2 and replaces S3 by splits m1 + m2 = k
 vacuously satisfied.  For each fixed (q, m1, m2) the disjunction over the
 two special vertices is what is required; the satisfying side may differ
 from triple to triple.
+
+S1 belongs to the core and S2-S3 to the pair, so the miner checks S1 once
+per class and skips the pairs of a class that fails it: none can pass.  It
+tries the pairs of the others in ascending (a1, a2) order, so the first
+passer, hence the minimum and its witness, is the one a full scan finds.
 """
 
 from __future__ import annotations
@@ -83,24 +88,16 @@ def _report(
     k: int,
     mode: str,
     pairs: list[tuple[int, int]],
-    stop_at_failure: bool = False,
-) -> SuitabilityReport | None:
-    """Evaluate S2, S3 and S1 for the special pair (a1, a2), cheapest first.
+) -> SuitabilityReport:
+    """Evaluate S2, S3 and S1 for the special pair (a1, a2).
 
-    The a1a2 edge is checked before the longer S2 lengths, and path queries
-    for S3 are memoised.  With ``stop_at_failure`` the first failed
-    condition returns None without further queries (the miner's use).
+    Path queries for S3 are memoised.
     """
     s2_witnesses: dict[int, PathWitness] = {}
     s2_missing: list[int] = []
     for ell in range(1, k - 1):
-        if ell == 1:
-            w = PathWitness((a1, a2)) if G.has_edge(a1, a2) else None
-        else:
-            w = exists_path_of_length(G, a1, a2, ell)
+        w = exists_path_of_length(G, a1, a2, ell)
         if w is None:
-            if stop_at_failure:
-                return None
             s2_missing.append(ell)
         else:
             s2_witnesses[ell] = w
@@ -127,13 +124,9 @@ def _report(
             if w is not None:
                 s3_witnesses[(q, m1, m2)] = (2, w)
                 continue
-            if stop_at_failure:
-                return None
             s3_failures.append((q, m1, m2))
 
     semi = is_semisaturated(G, k, want_certificate=False)
-    if stop_at_failure and not semi.holds:
-        return None
     return SuitabilityReport(
         mode=mode,
         k=k,
@@ -201,9 +194,11 @@ def mine_suitable(
         return MiningResult(k, mode, status, m, witness, examined, time.monotonic() - t0)
 
     def accept(G: Graph) -> LabeledGraph | None:
+        if not is_semisaturated(G, k, want_certificate=False).holds:
+            return None
         for a1 in range(k):
             for a2 in range(a1 + 1, k):
-                if _report(G, a1, a2, k, mode, pairs, stop_at_failure=True):
+                if _report(G, a1, a2, k, mode, pairs).suitable:
                     return LabeledGraph(G, {"a1": a1, "a2": a2})
         return None
 

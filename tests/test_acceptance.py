@@ -34,6 +34,9 @@ SSAT_9_C5_VALUE = 11
 SSAT_9_C5_WITNESS = "H??GjEf"
 MINE_K6_VALUE = 9
 MINE_K6_WITNESS = "EJew"
+MINE_K8_VALUE = 13
+MINE_K8_WITNESS = "G@TcvK"
+MINE_K8_PAIR = {"a1": 1, "a2": 5}
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +218,14 @@ def test_criterion_9_miner_terminates_and_reverifies():
     assert result.edge_count == MINE_K6_VALUE  # golden
     assert graph6_encode(result.witness.graph) == MINE_K6_WITNESS  # golden
     assert is_k_suitable(result.witness, 6).suitable
+    # k = 8: both modes share the minimum, the witness and the special pair
+    for mode, full in (("k-suitable", is_k_suitable), ("kk2-suitable", is_kk2_suitable)):
+        result = mine_suitable(8, mode)
+        assert result.status == "exact", mode
+        assert result.edge_count == MINE_K8_VALUE, mode  # golden
+        assert graph6_encode(result.witness.graph) == MINE_K8_WITNESS, mode  # golden
+        assert result.witness.labels == MINE_K8_PAIR, mode  # golden
+        assert full(result.witness, 8).suitable, mode
     print("ACCEPTANCE 9 (minimal suitable core miner): PASS")
 
 

@@ -1,4 +1,6 @@
 import random
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ from conftest import (
     path_graph,
     star_graph,
 )
-from cyclesat.families import build_h1, build_wheel
+from cyclesat.cycles import CycleWitness
+from cyclesat.families import build_h1, build_h3, build_wheel
 from cyclesat.graphs import Graph
 from cyclesat.saturation import (
     Certificate,
@@ -168,6 +171,52 @@ def test_certificate_validation_catches_tampering():
     assert tampered.validate(g) != []
 
 
+def _with_line(cert: Certificate, pair: tuple[int, int], cycle: tuple[int, ...]):
+    return replace(cert, per_nonedge={**cert.per_nonedge, pair: CycleWitness(cycle)})
+
+
+# Edits of the build_h1(7, 9) certificate, whose line for the non-edge
+# (0, 4) is the 7-cycle 0 6 7 8 1 2 4, each with the problem it must raise.
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda c: replace(c, n=10), "certificate is for n=10, graph has n=9"),
+        (lambda c: _with_line(c, (0, 1), (0, 1, 2, 4, 3, 5, 6)), r"\(0, 1\) is an edge"),
+        (
+            lambda c: _with_line(c, (0, 4), (0, 6, 7, 8, 1, 4)),
+            r"witness for \(0, 4\) has length 6",
+        ),
+        (
+            lambda c: _with_line(c, (0, 4), (0, 6, 7, 8, 1, 2, 3)),
+            r"witness for \(0, 4\) misses an endpoint",
+        ),
+        (
+            lambda c: _with_line(c, (0, 4), (0, 6, 7, 4, 8, 1, 2)),
+            r"witness for \(0, 4\) does not use the non-edge",
+        ),
+        (
+            lambda c: _with_line(c, (0, 4), (0, 7, 6, 8, 1, 2, 4)),
+            r"witness for \(0, 4\) is not a cycle of G\+uv",
+        ),
+        (lambda c: replace(c, freeness=None), "lacks freeness confirmation"),
+    ],
+)
+def test_certificate_validation_reports_each_problem(edit, message):
+    h = build_h1(7, 9)
+    cert = is_saturated(h.graph, 7).certificate
+    assert cert.per_nonedge[(0, 4)] == CycleWitness((0, 6, 7, 8, 1, 2, 4))
+    assert cert.validate(h.graph) == []
+    problems = edit(cert).validate(h.graph)
+    assert any(re.search(message, p) for p in problems), problems
+
+
+def test_certificate_freeness_claim_on_graph_with_k_cycle():
+    claim = Certificate(5, 5, "saturated", True, {})
+    assert claim.validate(complete_graph(5)) == [
+        "graph contains a k-cycle despite freeness claim"
+    ]
+
+
 # -- degree partition ----------------------------------------------------------
 
 
@@ -232,6 +281,45 @@ def test_greedy_graphs_pass_structure_checks():
         g = greedy_saturate(n, k, order)
         report = check_structure(g, k, checks=("i", "ii", "iv", "v", "vi"))
         assert report.ok, (n, k, report.violations)
+
+
+def test_greedy_graph_with_leaves_passes_all_structure_checks():
+    # the acceptance generator at seed 1: leaves and degree-3 leaf
+    # neighbours, so the loops of checks iii and v run
+    rng = random.Random(1)
+    order = all_pairs(9)
+    rng.shuffle(order)
+    g = greedy_saturate(9, 6, order)
+    part = degree_partition(g)
+    assert part.x and part.y3
+    report = check_structure(g, 6, checks=("i", "ii", "iii", "iv", "v", "vi"))
+    assert report.ok, report.violations
+
+
+@pytest.mark.parametrize(
+    "g,k,check,detail",
+    [
+        (path_graph(3), 5, "ii", "leaf neighbor 1 has degree 2"),
+        (star_graph(4), 5, "iii", "removing leaf 1 drops below 5 vertices"),
+        (path_graph(6), 5, "iii", "graph minus leaf 0 is not semisaturated"),
+        (path_graph(5), 5, "iv", "degree-2 vertex 2 adjacent to 1"),
+        (build_h3(build_wheel(8, 0), 8, 2, 0).graph, 8, "v", "vertex 8 has 1 leaf"),
+        (build_h3(build_wheel(8, 0), 8, 2, 0).graph, 8, "v", "neighbor 8 adjacent to 9"),
+        (cycle_graph(6), 6, "vi", "of the degree-2 zone is not a path"),
+        (
+            Graph(10, [(i, (i + 1) % 10) for i in range(10)] + [(0, 5)]),
+            4,
+            "vi",
+            "path [1, 2, 3, 4] has length 3 > 2",
+        ),
+        (path_graph(4), 5, "cycle-cover", "vertex 0 lies on no cycle of length <= 6"),
+    ],
+)
+def test_structure_violation_is_reported(g, k, check, detail):
+    report = check_structure(g, k, checks=(check,))
+    assert not report.ok
+    assert {v.check for v in report.violations} == {check}
+    assert any(detail in v.detail for v in report.violations), report.violations
 
 
 # -- leaf stripping ---------------------------------------------------------------

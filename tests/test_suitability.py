@@ -5,7 +5,6 @@ from cyclesat.families import build_wheel
 from cyclesat.graphs import Graph, LabeledGraph
 from cyclesat.oracle import classes_with_edges
 from cyclesat.suitability import (
-    _report,
     is_k_suitable,
     is_kk2_suitable,
     mine_suitable,
@@ -155,27 +154,34 @@ def test_mine_ceiling_guard():
 
 
 @pytest.mark.parametrize(
-    "mode,full", [("k-suitable", is_k_suitable), ("kk2-suitable", is_kk2_suitable)]
+    "k,mode,full",
+    [
+        (5, "k-suitable", is_k_suitable),
+        (6, "k-suitable", is_k_suitable),
+        (6, "kk2-suitable", is_kk2_suitable),
+    ],
 )
-def test_early_exit_verdict_matches_full_report(mode, full):
-    # the miner's short-circuit call against the full report, on every
-    # connected 6-vertex class and every special pair
-    k = 6
-    pairs = split_pairs(k, mode)
-    checked = 0
-    for m in range(k - 1, k * (k - 1) // 2 + 1):
-        for _, g in classes_with_edges(k, m):
-            if not g.is_connected():
-                continue
-            for a1 in range(k):
-                for a2 in range(a1 + 1, k):
-                    quick = _report(g, a1, a2, k, mode, pairs, stop_at_failure=True)
-                    report = full(as_core(g, a1, a2), k)
-                    assert (quick is not None) == report.suitable, (g.edges, a1, a2)
-                    if quick is not None:
-                        assert quick == report
-                    checked += 1
-    assert checked == 112 * 15
+def test_mine_witness_is_least_code_suitable_class(k, mode, full):
+    # reference scan with the full report on every pair: the first connected
+    # class, by edge count then canonical code, with an a1 < a2 pair that
+    # passes, and its first such pair
+    def least_suitable_core() -> LabeledGraph | None:
+        for m in range(k - 1, k * (k - 1) // 2 + 1):
+            for _, g in classes_with_edges(k, m):
+                if not g.is_connected():
+                    continue
+                for a1 in range(k):
+                    for a2 in range(a1 + 1, k):
+                        if full(as_core(g, a1, a2), k).suitable:
+                            return as_core(g, a1, a2)
+        return None
+
+    expected = least_suitable_core()
+    assert expected is not None
+    result = mine_suitable(k, mode)
+    assert result.status == "exact"
+    assert result.edge_count == expected.graph.edge_count
+    assert result.witness == expected
 
 
 @pytest.mark.parametrize("budget", [float("nan"), -1.0])
