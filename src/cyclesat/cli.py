@@ -82,7 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--k", type=int, required=True)
     cert.add_argument("--mode", required=True, choices=["saturated", "semisaturated"])
     cert.add_argument("--in", dest="infile", help="graph file (default: stdin)")
-    cert.add_argument("--out", required=True, help="certificate output path")
+    cert.add_argument(
+        "--out", dest="certificate", required=True, help="certificate output path"
+    )
 
     chk = sub.add_parser("check-certificate", help="validate a certificate against a graph")
     chk.add_argument("--in", dest="infile", required=True, help="graph file")
@@ -183,9 +185,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace, always_certificate: bool = False) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     G = _read_graph(args.infile)
-    cert_path = args.out if always_certificate else args.certificate
     if args.mode == "free":
         res = is_ck_free(G, args.k)
         if res.holds:
@@ -195,12 +196,12 @@ def _cmd_verify(args: argparse.Namespace, always_certificate: bool = False) -> i
         print(f"cycle found: {' '.join(str(v) for v in res.cycle.vertices)}", file=sys.stderr)
         return EXIT_FALSE
     checker = is_saturated if args.mode == "saturated" else is_semisaturated
-    verdict = checker(G, args.k, want_certificate=bool(cert_path))
+    verdict = checker(G, args.k, want_certificate=bool(args.certificate))
     word = args.mode.upper()
     if verdict.holds:
         print(word)
-        if cert_path:
-            Path(cert_path).write_text(verdict.certificate.to_text())
+        if args.certificate:
+            Path(args.certificate).write_text(verdict.certificate.to_text())
         return EXIT_OK
     print(f"NOT {word}")
     if verdict.failing_nonedge is not None:
@@ -233,6 +234,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             ns = range(int(lo), int(hi) + 1)
         except ValueError as exc:
             raise _UsageError(f"bad --range {args.nrange!r}; expected A..B") from exc
+        if not ns:
+            raise _UsageError(f"empty --range {args.nrange!r}; B must not be below A")
     else:
         ns = range(args.n, args.n + 1)
     multi = len(ns) > 1
@@ -318,6 +321,18 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# certify is verify with --out stored as the certificate path, which it requires.
+_COMMANDS = {
+    "construct": _cmd_construct,
+    "verify": _cmd_verify,
+    "certify": _cmd_verify,
+    "check-certificate": _cmd_check_certificate,
+    "bounds": _cmd_bounds,
+    "oracle": _cmd_oracle,
+    "mine-suitable": _cmd_mine,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -325,21 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        if args.command == "construct":
-            return _cmd_construct(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "certify":
-            return _cmd_verify(args, always_certificate=True)
-        if args.command == "check-certificate":
-            return _cmd_check_certificate(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "mine-suitable":
-            return _cmd_mine(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         # Typed input errors subclass ValueError; OSError is an unusable file.
         print(f"error: {exc}", file=sys.stderr)

@@ -41,9 +41,7 @@ the next level.
 
 The search scans edge counts upward from the best applicable lower bound,
 verifying connected classes only (adding any non-edge between components
-creates no cycle, so a disconnected graph cannot be semisaturated); for
-k in {3, 4} the winning level is additionally swept to confirm no
-disconnected graph passes.
+creates no cycle, so a disconnected graph cannot be semisaturated).
 """
 
 from __future__ import annotations
@@ -185,12 +183,9 @@ class OracleResult:
     stats: SearchStats
 
 
-def _verifier(mode: str, k: int):
-    if mode == "sat":
-        return lambda g: is_saturated(g, k, want_certificate=False).holds
-    if mode == "ssat":
-        return lambda g: is_semisaturated(g, k, want_certificate=False).holds
-    raise ValueError(f"mode must be 'sat' or 'ssat', got {mode!r}")
+def _verifier(mode: str, k: int) -> Callable[[Graph], bool]:
+    check = is_saturated if mode == "sat" else is_semisaturated
+    return lambda g: check(g, k, want_certificate=False).holds
 
 
 def _deadline(t0: float, budget_seconds: float | None) -> float | None:
@@ -231,6 +226,41 @@ def search_stratum(
     return None, examined, False
 
 
+def scan_strata(
+    n: int,
+    floor: int,
+    accept: Callable[[Graph], _T | None],
+    ceiling: int,
+    budget_seconds: float | None,
+) -> tuple[int, _T | None, bool, SearchStats]:
+    """Scan edge counts upward to the first stratum with an accepted class.
+
+    Returns (m, accepted, timed_out, stats).  Only connected classes are
+    offered to ``accept``, so the scan starts at max(n - 1, floor).  Every
+    stratum below the returned m was scanned whole, so m is the minimum when
+    something was accepted and a proven floor when the budget ran out; when
+    nothing is accepted up to C(n, 2), accepted is None and timed_out False.
+    Raises CeilingExceeded when n is above ``ceiling``.
+    """
+    if n > ceiling:
+        raise CeilingExceeded(
+            f"{n} vertices is above the ceiling {ceiling}; raise `ceiling` to allow"
+        )
+    t0 = time.monotonic()
+    deadline = _deadline(t0, budget_seconds)
+    examined_total = classes_total = 0
+    for m in range(max(n - 1, floor), comb(n, 2) + 1):
+        accepted, examined, timed_out = search_stratum(n, m, accept, deadline)
+        examined_total += examined
+        if timed_out:
+            break
+        classes_total += len(classes_with_edges(n, m))
+        if accepted is not None:
+            break
+    stats = SearchStats(examined_total, classes_total, time.monotonic() - t0)
+    return m, accepted, timed_out, stats
+
+
 def exact_min(
     n: int,
     k: int,
@@ -252,39 +282,20 @@ def exact_min(
     if not 3 <= k <= n:
         raise ValueError(f"need n >= k >= 3, got n={n}, k={k}")
     cap = DEFAULT_CEILING[mode] if ceiling is None else ceiling
-    if n > cap:
-        raise CeilingExceeded(f"n={n} above ceiling {cap}; raise `ceiling` to allow")
-    t0 = time.monotonic()
-    deadline = _deadline(t0, budget_seconds)
     passes = _verifier(mode, k)
-    floor = max(n - 1, eval_bounds(n, k).lower_floor(mode))
-    examined_total = 0
-    classes_total = 0
-
-    def result(status: str, m: int, witness: Graph | None) -> OracleResult:
-        stats = SearchStats(examined_total, classes_total, time.monotonic() - t0)
-        return OracleResult(n, k, mode, status, m, witness, stats)
-
-    for m in range(floor, comb(n, 2) + 1):
-        witness, examined, timed_out = search_stratum(
-            n, m, lambda g: g if passes(g) else None, deadline
-        )
-        examined_total += examined
-        if timed_out:
-            return result("lower-bound-only", m, None)
-        classes_total += len(classes_with_edges(n, m))
-        if witness is not None:
-            if k in (3, 4):
-                # Connectivity of semisaturated graphs is immediate for
-                # k >= 5; for k in {3, 4} we verify instead of assume.
-                for _, g in classes_with_edges(n, m):
-                    if not g.is_connected() and passes(g):
-                        raise AssertionError(
-                            f"disconnected {g!r} passes {mode} at k={k}; verifier broken"
-                        )
-            assert passes(witness)
-            return result("exact", m, witness)
-    raise AssertionError("edge-count scan exhausted without a passing graph")
+    m, witness, timed_out, stats = scan_strata(
+        n,
+        eval_bounds(n, k).lower_floor(mode),
+        lambda g: g if passes(g) else None,
+        cap,
+        budget_seconds,
+    )
+    if timed_out:
+        return OracleResult(n, k, mode, "lower-bound-only", m, None, stats)
+    if witness is None:
+        raise AssertionError("edge-count scan exhausted without a passing graph")
+    assert passes(witness)
+    return OracleResult(n, k, mode, "exact", m, witness, stats)
 
 
 # -- golden file -------------------------------------------------------------
@@ -293,14 +304,14 @@ GOLDEN_HEADER = ("n", "k", "mode", "value", "witness_graph6")
 
 
 def append_golden(path: str | Path, result: OracleResult) -> None:
-    """Append an exact oracle result to the golden CSV (header if new)."""
+    """Append an exact oracle result to the golden CSV (header if new or empty)."""
     if result.status != "exact" or result.witness is None:
         raise ValueError("only exact results belong in the golden file")
     p = Path(path)
-    new = not p.exists()
     with p.open("a", newline="") as fh:
         writer = csv.writer(fh)
-        if new:
+        # Append mode opens at the end, so position 0 means a new or empty file.
+        if fh.tell() == 0:
             writer.writerow(GOLDEN_HEADER)
         writer.writerow(
             (

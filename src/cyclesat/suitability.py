@@ -23,12 +23,11 @@ passer, hence the minimum and its witness, is the one a full scan finds.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .cycles import PathWitness, exists_path_of_length
 from .graphs import Graph, LabeledGraph
-from .oracle import _deadline, search_stratum
+from .oracle import scan_strata
 from .saturation import is_semisaturated
 
 
@@ -89,10 +88,7 @@ def _report(
     mode: str,
     pairs: list[tuple[int, int]],
 ) -> SuitabilityReport:
-    """Evaluate S2, S3 and S1 for the special pair (a1, a2).
-
-    Path queries for S3 are memoised.
-    """
+    """Evaluate S2, S3 and S1 for the special pair (a1, a2)."""
     s2_witnesses: dict[int, PathWitness] = {}
     s2_missing: list[int] = []
     for ell in range(1, k - 1):
@@ -102,25 +98,17 @@ def _report(
         else:
             s2_witnesses[ell] = w
 
-    memo: dict[tuple[int, int, int], PathWitness | None] = {}
-
-    def reach(src: int, q: int, m: int) -> PathWitness | None:
-        key = (src, q, m)
-        if key not in memo:
-            memo[key] = exists_path_of_length(G, src, q, m)
-        return memo[key]
-
     s3_failures: list[tuple[int, int, int]] = []
     s3_witnesses: dict[tuple[int, int, int], tuple[int, PathWitness]] = {}
     for q in range(G.n):
         if q in (a1, a2):
             continue
         for m1, m2 in pairs:
-            w = reach(a1, q, m1)
+            w = exists_path_of_length(G, a1, q, m1)
             if w is not None:
                 s3_witnesses[(q, m1, m2)] = (1, w)
                 continue
-            w = reach(a2, q, m2)
+            w = exists_path_of_length(G, a2, q, m2)
             if w is not None:
                 s3_witnesses[(q, m1, m2)] = (2, w)
                 continue
@@ -182,16 +170,6 @@ def mine_suitable(
     """
     pairs = split_pairs(k, mode)
     cap = DEFAULT_MINE_CEILING if ceiling is None else ceiling
-    if k > cap:
-        raise ValueError(
-            f"k={k} above the mining ceiling {cap}; raise `ceiling` explicitly"
-        )
-    t0 = time.monotonic()
-    deadline = _deadline(t0, budget_seconds)
-    examined = 0
-
-    def result(status: str, m: int | None = None, witness: LabeledGraph | None = None):
-        return MiningResult(k, mode, status, m, witness, examined, time.monotonic() - t0)
 
     def accept(G: Graph) -> LabeledGraph | None:
         if not is_semisaturated(G, k, want_certificate=False).holds:
@@ -202,11 +180,12 @@ def mine_suitable(
                     return LabeledGraph(G, {"a1": a1, "a2": a2})
         return None
 
-    for m in range(k - 1, k * (k - 1) // 2 + 1):
-        witness, seen, timed_out = search_stratum(k, m, accept, deadline)
-        examined += seen
-        if timed_out:
-            return result("budget-exhausted")
-        if witness is not None:
-            return result("exact", m, witness)
-    return result("not-found")
+    # No floor of its own: the scan starts at k - 1, the size of a tree.
+    m, witness, timed_out, stats = scan_strata(k, 0, accept, cap, budget_seconds)
+    if timed_out:
+        status, m = "budget-exhausted", None
+    elif witness is None:
+        status, m = "not-found", None
+    else:
+        status = "exact"
+    return MiningResult(k, mode, status, m, witness, stats.graphs_examined, stats.elapsed)

@@ -250,6 +250,14 @@ def test_bounds_requires_n_or_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("fmt", [(), ("--csv",)])
+def test_bounds_empty_range_exit_2(capsys, fmt):
+    code, out, err = run(capsys, "bounds", "--k", "6", "--range", "9..5", *fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "'9..5'" in err
+
+
 def test_oracle_writes_golden(capsys, tmp_path):
     golden = tmp_path / "oracle_values.csv"
     code, out, _ = run(
@@ -291,6 +299,13 @@ def test_mine_suitable_cli(capsys):
     assert code == 0
     assert "9" in out.splitlines()[0]
     assert "witness:" in out
+
+
+def test_mine_suitable_above_ceiling_exit_2(capsys):
+    code, out, err = run(capsys, "mine-suitable", "--k", "9")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "ceiling" in err
 
 
 def test_usage_error_exit_2(capsys):

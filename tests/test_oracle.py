@@ -1,4 +1,5 @@
 import time
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from conftest import (
 )
 from cyclesat import oracle
 from cyclesat.bounds import Observation, check_consistency
+from cyclesat.codec import graph6_encode
 from cyclesat.graphs import canonical_code, canonical_form_and_code
 from cyclesat.oracle import (
     CeilingExceeded,
@@ -168,6 +170,40 @@ def test_minimality_no_witness_one_below():
     assert below is None
 
 
+def test_no_disconnected_graph_is_semisaturated():
+    # a non-edge between two components closes no cycle, so no disconnected
+    # graph is semisaturated, let alone saturated; the search relies on this
+    # to verify connected classes only
+    checks = 0
+    for n in range(3, 8):
+        for m in range(comb(n, 2) + 1):
+            for _, g in classes_with_edges(n, m):
+                if g.is_connected():
+                    continue
+                for k in range(3, n + 1):
+                    assert not is_semisaturated(g, k, want_certificate=False).holds
+                    assert not is_saturated(g, k, want_certificate=False).holds
+                    checks += 1
+    assert checks == 1182
+
+
+@pytest.mark.parametrize(
+    "n,k,mode,budget,status,value,witness,examined,seen",
+    [
+        (7, 4, "sat", None, "exact", 8, "F?Ddw", 128, 203),
+        (8, 4, "sat", None, "exact", 9, "G?CaK{", 547, 738),
+        (6, 6, "ssat", None, "exact", 9, "EJbw", 100, 105),
+        (8, 4, "sat", 0.0, "lower-bound-only", 7, None, 0, 0),
+    ],
+)
+def test_search_result_is_pinned(n, k, mode, budget, status, value, witness, examined, seen):
+    result = exact_min(n, k, mode, budget_seconds=budget)
+    assert (result.status, result.value) == (status, value)
+    assert (graph6_encode(result.witness) if result.witness else None) == witness
+    assert result.stats.graphs_examined == examined
+    assert result.stats.classes_seen == seen
+
+
 def test_stratum_deadline_is_reported_not_raised():
     # a passed deadline stops level generation and the scan alike
     past = time.monotonic() - 1
@@ -242,6 +278,13 @@ def test_golden_append(tmp_path):
     assert lines[0] == "n,k,mode,value,witness_graph6"
     assert lines[1].startswith("5,4,sat,5,")
     assert lines[2].startswith("6,3,sat,5,")
+
+
+def test_golden_append_to_empty_file_writes_header(tmp_path):
+    path = tmp_path / "oracle_values.csv"
+    path.touch()
+    append_golden(path, exact_min(5, 4, "sat"))
+    assert path.read_text().splitlines() == ["n,k,mode,value,witness_graph6", "5,4,sat,5,DBk"]
 
 
 def test_golden_rejects_partial(tmp_path):

@@ -1,9 +1,10 @@
 import pytest
 
 from conftest import path_graph
+from cyclesat.codec import graph6_encode
 from cyclesat.families import build_wheel
 from cyclesat.graphs import Graph, LabeledGraph
-from cyclesat.oracle import classes_with_edges
+from cyclesat.oracle import CeilingExceeded, classes_with_edges
 from cyclesat.suitability import (
     is_k_suitable,
     is_kk2_suitable,
@@ -145,12 +146,31 @@ def test_mine_k5():
 
 
 def test_mine_ceiling_guard():
-    with pytest.raises(ValueError):
-        mine_suitable(9, "k-suitable")
-    with pytest.raises(ValueError):
+    # the oracle's typed error, a ValueError subclass
+    with pytest.raises(CeilingExceeded):
+        mine_suitable(9)
+    with pytest.raises(CeilingExceeded):
         mine_suitable(9, "k-suitable", ceiling=None)
-    with pytest.raises(ValueError):
+    with pytest.raises(CeilingExceeded):
         mine_suitable(6, "k-suitable", ceiling=5)
+
+
+@pytest.mark.parametrize(
+    "k,mode,budget,status,value,witness,pair,examined",
+    [
+        (6, "k-suitable", None, "exact", 9, "EJew", {"a1": 0, "a2": 4}, 101),
+        (7, "k-suitable", None, "exact", 11, "FBYmg", {"a1": 1, "a2": 3}, 613),
+        (6, "kk2-suitable", None, "exact", 9, "EJew", {"a1": 0, "a2": 4}, 101),
+        (7, "k-suitable", 0.0, "budget-exhausted", None, None, None, 0),
+    ],
+)
+def test_mine_result_is_pinned(k, mode, budget, status, value, witness, pair, examined):
+    result = mine_suitable(k, mode, budget_seconds=budget)
+    assert (result.status, result.edge_count) == (status, value)
+    core = result.witness
+    assert (graph6_encode(core.graph) if core else None) == witness
+    assert (core.labels if core else None) == pair
+    assert result.classes_examined == examined
 
 
 @pytest.mark.parametrize(
