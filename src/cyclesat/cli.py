@@ -61,11 +61,11 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--n", type=int, help="target order (h1)")
     c.add_argument("--t", type=int, help="number of path blocks (h2, h3)")
-    c.add_argument("--r", type=int, default=0, help="spikes (wheel) or trimmed spikes (h3)")
+    c.add_argument("--r", type=int, help="spikes (wheel) or trimmed spikes (h3); default 0")
     c.add_argument("--core", help="core graph file for h2/h3 (graph6 or edge list)")
     c.add_argument("--core-labels", help="label sidecar for --core")
     c.add_argument(
-        "--core-r", type=int, default=0, help="spike count when the core is a built wheel"
+        "--core-r", type=int, help="spike count when the core is a built wheel; default 0"
     )
     c.add_argument("--unchecked", action="store_true", help="waive core suitability checks")
     c.add_argument("--format", choices=["graph6", "edges"], default="graph6")
@@ -153,28 +153,44 @@ def _default_budget(flag_value: float | None) -> float | None:
     return value
 
 
+# The family-specific flags (argparse destinations) each family reads.
+_FAMILY_FLAGS = {
+    "h1": ("n",),
+    "wheel": ("r",),
+    "h2": ("t", "core", "core_labels", "core_r", "unchecked"),
+    "h3": ("t", "r", "core", "core_labels", "core_r", "unchecked"),
+}
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
+    specific = {d for flags in _FAMILY_FLAGS.values() for d in flags}
+    for dest in sorted(specific - set(_FAMILY_FLAGS[args.family])):
+        if getattr(args, dest) not in (None, False):
+            flag = "--" + dest.replace("_", "-")
+            raise _UsageError(f"construct --family {args.family} does not read {flag}")
+    if bool(args.core) != bool(args.core_labels):
+        raise _UsageError("--core and --core-labels (the a1, a2 roles) go together")
+    if args.core and args.core_r is not None:
+        raise _UsageError("--core-r builds a wheel core and cannot be combined with --core")
     if args.family == "h1":
         if args.n is None:
             raise _UsageError("construct --family h1 requires --n")
         built = build_h1(args.k, args.n)
     elif args.family == "wheel":
-        built = build_wheel(args.k, args.r)
+        built = build_wheel(args.k, args.r or 0)
     else:
         if args.t is None:
             raise _UsageError(f"construct --family {args.family} requires --t")
         if args.core:
             graph = _read_graph(args.core)
-            if not args.core_labels:
-                raise _UsageError("--core requires --core-labels for (a1, a2)")
             labels = labels_decode(_read_file(args.core_labels))
             core = LabeledGraph(graph, labels)
         else:
-            core = build_wheel(args.k, args.core_r)
+            core = build_wheel(args.k, args.core_r or 0)
         if args.family == "h2":
             built = build_h2(core, args.k, args.t, unchecked=args.unchecked)
         else:
-            built = build_h3(core, args.k, args.t, args.r, unchecked=args.unchecked)
+            built = build_h3(core, args.k, args.t, args.r or 0, unchecked=args.unchecked)
     if args.format == "graph6":
         out = graph6_encode(built.graph) + "\n"
     else:
@@ -186,6 +202,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.mode == "free" and args.certificate:
+        raise _UsageError("certificates need --mode saturated or --mode semisaturated")
     G = _read_graph(args.infile)
     if args.mode == "free":
         res = is_ck_free(G, args.k)

@@ -141,6 +141,8 @@ def labels_decode(text: str) -> dict[str, int | tuple[int, ...]]:
         if not sep:
             raise EdgeListError(f"bad label line {ln!r}")
         role = role.strip()
+        if role in labels:
+            raise EdgeListError(f"repeated role {role!r}")
         try:
             values = tuple(int(p) for p in rest.split())
         except ValueError as exc:

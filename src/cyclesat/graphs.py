@@ -1,7 +1,7 @@
 """Immutable simple undirected graphs with bitset adjacency, labels and canonical forms.
 
 Vertices are 0..n-1.  Every graph is a hashable value: mutation-style
-operations (``with_edge``, ``without_vertex``, ...) return new graphs, so
+operations (``with_edge``, ``induced``, ...) return new graphs, so
 verifiers and searches can snapshot and share them freely.
 """
 
@@ -134,19 +134,6 @@ class Graph:
         if pair not in self.edges:
             raise GraphError(f"edge {pair} not present")
         return Graph(self.n, tuple(e for e in self.edges if e != pair))
-
-    def without_vertex(self, x: int) -> "Graph":
-        """Delete vertex ``x``; vertices above ``x`` shift down by one."""
-        if not 0 <= x < self.n:
-            raise VertexRangeError(f"vertex {x} outside 0..{self.n - 1}")
-
-        def shift(w: int) -> int:
-            return w - 1 if w > x else w
-
-        return Graph(
-            self.n - 1,
-            [(shift(u), shift(v)) for u, v in self.edges if x not in (u, v)],
-        )
 
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph plus the old-vertex -> new-vertex mapping."""

@@ -251,7 +251,7 @@ def degree_partition(G: Graph) -> DegreePartition:
     x = frozenset(v for v in range(G.n) if G.degree(v) == 1)
     y = frozenset(w for v in x for w in G.neighbors(v)) - x
     z = frozenset(range(G.n)) - x - y
-    part = DegreePartition(
+    return DegreePartition(
         x=x,
         y3=frozenset(v for v in y if G.degree(v) == 3),
         y4plus=frozenset(v for v in y if G.degree(v) >= 4),
@@ -260,10 +260,6 @@ def degree_partition(G: Graph) -> DegreePartition:
         z3plus=frozenset(v for v in z if G.degree(v) >= 3),
         z_low=frozenset(v for v in z if G.degree(v) < 2),
     )
-    if len(part.y) == len(part.x) and part.five_parts:
-        # Size identity that holds whenever each leaf has a private neighbor.
-        assert G.n == part.a + 2 * part.b + part.c + 2 * part.d
-    return part
 
 
 # -- structural checks ------------------------------------------------------
@@ -302,17 +298,23 @@ def check_structure(
     vertex on a cycle of length at most k+1).  Nothing is assumed about the
     input; a violation on a graph that was claimed saturated falsifies
     either the claim or the implementation.
+
+    Check iii reads G itself.  A degree-1 vertex v is interior to no path,
+    so for x, y != v the x-y paths of G - v are exactly those of G.  Hence
+    G - v is semisaturated iff every non-edge of G that avoids v has a
+    (k-1)-edge path in G, and one scan of G's non-edges serves every leaf.
     """
+    if k < 3:
+        raise ValueError(f"cycle length must be at least 3, got {k}")
     part = degree_partition(G)
     violations: list[Violation] = []
     x_sorted = sorted(part.x)
-    y_of = {v: G.neighbors(v)[0] for v in x_sorted}
 
     for check in checks:
         if check == "i":
             seen: dict[int, int] = {}
             for v in x_sorted:
-                w = y_of[v]
+                w = G.neighbors(v)[0]
                 if w in seen:
                     violations.append(
                         Violation("i", f"leaves {seen[w]} and {v} share neighbor {w}")
@@ -320,20 +322,19 @@ def check_structure(
                 else:
                     seen[w] = v
         elif check == "ii":
-            for w in sorted(part.y):
-                if G.degree(w) < 3:
-                    violations.append(
-                        Violation("ii", f"leaf neighbor {w} has degree {G.degree(w)}")
-                    )
+            for w in sorted(part.y_low):
+                violations.append(
+                    Violation("ii", f"leaf neighbor {w} has degree {G.degree(w)}")
+                )
         elif check == "iii":
+            scan = G.non_edges() if x_sorted and G.n > k else []
+            pathless = [e for e in scan if exists_path_of_length(G, *e, k - 1) is None]
             for v in x_sorted:
-                reduced = G.without_vertex(v)
-                if reduced.n < k:
+                if G.n <= k:
                     violations.append(
                         Violation("iii", f"removing leaf {v} drops below {k} vertices")
                     )
-                    continue
-                if not is_semisaturated(reduced, k, want_certificate=False).holds:
+                elif any(v not in pair for pair in pathless):
                     violations.append(
                         Violation("iii", f"graph minus leaf {v} is not semisaturated")
                     )
@@ -362,9 +363,7 @@ def check_structure(
                         )
                     )
         elif check == "vi":
-            sub, remap = G.induced(sorted(part.z2))
-            back = {new: old for old, new in remap.items()}
-            for msg in _path_components(sub, k, back):
+            for msg in _path_components(G, k, part.z2):
                 violations.append(Violation("vi", msg))
         elif check == "cycle-cover":
             for v in range(G.n):
@@ -381,43 +380,34 @@ def check_structure(
     return StructureReport(tuple(checks), tuple(violations))
 
 
-def _path_components(sub: Graph, k: int, back: dict[int, int]) -> list[str]:
-    """Messages for components of ``sub`` that are not paths of length <= k-2."""
+def _path_components(G: Graph, k: int, zone: frozenset[int]) -> list[str]:
+    """Messages for components of G[zone] that are not paths of length <= k-2."""
     msgs = []
-    full = (1 << sub.n) - 1
-    seen = 0
-    for start in range(sub.n):
-        if seen >> start & 1:
-            continue
-        mask = 1 << start
-        for layer in _bfs_layers(sub.adj, mask, full):
+    left = zone_mask = sum(1 << v for v in zone)
+    while left:
+        mask = left & -left
+        for layer in _bfs_layers(G.adj, mask, zone_mask):
             mask |= layer
-        seen |= mask
+        left &= ~mask
         comp = list(_iter_bits(mask))
-        original = sorted(back[v] for v in comp)
-        degs = sorted(sub.degree(v) for v in comp)
+        degs = sorted((G.adj[v] & zone_mask).bit_count() for v in comp)
         edges = sum(degs) // 2
         is_path = edges == len(comp) - 1 and (not degs or degs[-1] <= 2)
         if not is_path:
-            msgs.append(f"component {original} of the degree-2 zone is not a path")
+            msgs.append(f"component {comp} of the degree-2 zone is not a path")
         elif edges > k - 2:
-            msgs.append(f"degree-2 zone path {original} has length {edges} > {k - 2}")
+            msgs.append(f"degree-2 zone path {comp} has length {edges} > {k - 2}")
     return msgs
 
 
 def strip_leaves(G: Graph) -> tuple[Graph, int]:
     """Remove degree <= 1 vertices repeatedly; returns (core, removed count)."""
-    g = G
-    removed = 0
-    while g.n:
-        low = [v for v in range(g.n) if g.degree(v) <= 1]
-        if not low:
-            break
-        # Deleting shifts labels, so delete from the top down.
-        for v in sorted(low, reverse=True):
-            g = g.without_vertex(v)
-            removed += 1
-    return g, removed
+    full = live = (1 << G.n) - 1
+    while low := [v for v in _iter_bits(live) if (G.adj[v] & live).bit_count() <= 1]:
+        live ^= sum(1 << v for v in low)
+    if live == full:
+        return G, 0
+    return G.induced(_iter_bits(live))[0], G.n - live.bit_count()
 
 
 # -- generators --------------------------------------------------------------

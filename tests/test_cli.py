@@ -64,6 +64,49 @@ def test_construct_bad_params_exit_2(capsys):
     assert "k >= 7" in err
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (
+            ("--family", "h1", "--k", "7", "--n", "9", "--t", "5", "--r", "2",
+             "--core", "/nonexistent"),
+            "construct --family h1 does not read --core",
+        ),
+        (("--family", "wheel", "--k", "6", "--n", "9", "--t", "3"), "does not read --n"),
+        (("--family", "wheel", "--k", "6", "--r", "0", "--t", "3"), "does not read --t"),
+        (
+            ("--family", "h2", "--k", "6", "--t", "1", "--r", "3",
+             "--core-labels", "/nonexistent"),
+            "construct --family h2 does not read --r",
+        ),
+        (
+            ("--family", "h1", "--k", "7", "--n", "9", "--unchecked", "--core-r", "3"),
+            "does not read --core-r",
+        ),
+        (("--family", "h1", "--k", "7", "--n", "9", "--unchecked"), "does not read --unchecked"),
+        (("--family", "h3", "--k", "8", "--t", "2", "--n", "20"), "does not read --n"),
+        (
+            ("--family", "h2", "--k", "6", "--t", "1", "--core-labels", "/nonexistent"),
+            "--core and --core-labels (the a1, a2 roles) go together",
+        ),
+        (
+            ("--family", "h3", "--k", "6", "--t", "1", "--core", "/nonexistent"),
+            "--core and --core-labels (the a1, a2 roles) go together",
+        ),
+        (
+            ("--family", "h3", "--k", "6", "--t", "1", "--core", "/nonexistent",
+             "--core-labels", "/nonexistent", "--core-r", "0"),
+            "--core-r builds a wheel core and cannot be combined with --core",
+        ),
+    ],
+)
+def test_construct_flag_its_family_does_not_read_exit_2(capsys, flags, message):
+    code, out, err = run(capsys, "construct", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_verify_saturated_from_stdin(capsys, monkeypatch):
     feed_stdin(monkeypatch, graph6_encode(build_h1(7, 9).graph) + "\n")
     code, out, _ = run(capsys, "verify", "--k", "7", "--mode", "saturated")
@@ -88,6 +131,18 @@ def test_verify_free_mode(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--k", "7", "--mode", "free")
     assert code == 1 and out.strip() == "NOT FREE"
     assert "cycle found" in err
+
+
+def test_verify_free_mode_certificate_exit_2(capsys, monkeypatch, tmp_path):
+    cert_path = tmp_path / "cert.txt"
+    feed_stdin(monkeypatch, graph6_encode(build_h1(7, 9).graph))
+    code, out, err = run(
+        capsys, "verify", "--k", "7", "--mode", "free", "--certificate", str(cert_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert "certificates need --mode saturated or --mode semisaturated" in err
+    assert not cert_path.exists()
 
 
 def test_verify_semisaturated_edge_list_input(capsys, tmp_path):
@@ -358,6 +413,7 @@ def test_bad_budget_rejected(capsys, monkeypatch, command, value):
         ("a1=99\na2=1\n", "special pair (99, 1)"),
         ("a1=1\na2=1\n", "special pair (1, 1)"),
         ("a1=x\na2=1\n", "bad label line 'a1=x'"),
+        ("a1=0\na2=1\na1=3\n", "repeated role 'a1'"),
     ],
 )
 def test_construct_bad_special_pair_exit_2(capsys, tmp_path, labels, message, unchecked):

@@ -173,13 +173,6 @@ def test_search_output_is_pinned():
     )
 
 
-def test_without_vertex_relabels():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    h = g.without_vertex(1)
-    assert h.n == 3
-    assert h.edges == ((1, 2),)  # old (2, 3) shifted down
-
-
 def test_induced_subgraph():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     sub, remap = g.induced([0, 1, 4])

@@ -17,6 +17,7 @@ from conftest import (
 from cyclesat.cycles import CycleWitness
 from cyclesat.families import build_h1, build_h3, build_wheel
 from cyclesat.graphs import Graph
+from cyclesat.oracle import classes_with_edges
 from cyclesat.saturation import (
     Certificate,
     CertificateError,
@@ -322,6 +323,83 @@ def test_structure_violation_is_reported(g, k, check, detail):
     assert any(detail in v.detail for v in report.violations), report.violations
 
 
+@pytest.mark.parametrize("k", [2, 0])
+@pytest.mark.parametrize("g", [path_graph(4), cycle_graph(5)])
+def test_structure_rejects_k_below_3(g, k):
+    # raised before any check runs, whether or not the graph has a leaf
+    with pytest.raises(ValueError, match=f"cycle length must be at least 3, got {k}"):
+        check_structure(g, k)
+
+
+def _minus_vertex(g, v):
+    return g.induced(u for u in range(g.n) if u != v)[0]
+
+
+def _reference_iii(g, k):
+    details = []
+    for v in range(g.n):
+        if g.degree(v) != 1:
+            continue
+        reduced = _minus_vertex(g, v)
+        if reduced.n < k:
+            details.append(f"removing leaf {v} drops below {k} vertices")
+        elif not is_semisaturated(reduced, k, want_certificate=False).holds:
+            details.append(f"graph minus leaf {v} is not semisaturated")
+    return details
+
+
+def _reference_vi(g, k):
+    z2 = sorted(degree_partition(g).z2)
+    sub, _ = g.induced(z2)
+    details, seen = [], set()
+    for start in range(sub.n):
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for w in sub.neighbors(stack.pop()):
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        original = sorted(z2[v] for v in comp)
+        edges = sum(sub.degree(v) for v in comp) // 2
+        if edges != len(comp) - 1 or any(sub.degree(v) > 2 for v in comp):
+            details.append(f"component {original} of the degree-2 zone is not a path")
+        elif edges > k - 2:
+            details.append(f"degree-2 zone path {original} has length {edges} > {k - 2}")
+    return details
+
+
+def _reference_strip(g):
+    removed = 0
+    while low := [v for v in range(g.n) if g.degree(v) <= 1]:
+        g = _minus_vertex(g, low[0])
+        removed += 1
+    return g, removed
+
+
+def test_leaf_checks_and_stripping_match_their_definitions():
+    # Check iii against G - v built per leaf and run through
+    # is_semisaturated, check vi against the components of G[z2], and
+    # strip_leaves against peeling one low-degree vertex at a time, on
+    # every class with n <= 7 at every k = 3..n+1.
+    reports = 0
+    for n in range(8):
+        for m in range(n * (n - 1) // 2 + 1):
+            for _, g in classes_with_edges(n, m):
+                core, removed = strip_leaves(g)
+                assert (core, removed) == _reference_strip(g), g.edges
+                assert (core is g) == (removed == 0)
+                for k in range(3, n + 2):
+                    report = check_structure(g, k, checks=("iii", "vi"))
+                    expected = [("iii", d) for d in _reference_iii(g, k)]
+                    expected += [("vi", d) for d in _reference_vi(g, k)]
+                    got = [(v.check, v.detail) for v in report.violations]
+                    assert got == expected, (g.edges, k)
+                    reports += 1
+    # 2, 4, 11, 34, 156 and 1,044 classes on 2..7 vertices, n - 1 values of k each
+    assert reports == 7_223
 # -- leaf stripping ---------------------------------------------------------------
 
 
@@ -390,5 +468,5 @@ def test_leaf_removal_keeps_semisaturation():
         g = greedy_saturate(n, k, order)
         for v in range(g.n):
             if g.degree(v) == 1:
-                reduced = g.without_vertex(v)
+                reduced = _minus_vertex(g, v)
                 assert is_semisaturated(reduced, k, want_certificate=False).holds
