@@ -315,7 +315,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     print(f"witness: {graph6_encode(result.witness)}")
     print(
         f"examined {result.stats.graphs_examined} graphs over "
-        f"{result.stats.classes_seen} classes in {result.stats.elapsed:.1f}s"
+        f"{result.stats.classes_seen} classes in {result.stats.elapsed:.1f}s "
+        f"(generate {result.stats.generate_s:.1f}s, "
+        f"verify {result.stats.verify_s:.1f}s)"
     )
     if not args.no_golden:
         oracle_mod.append_golden(args.golden, result)

@@ -341,3 +341,136 @@ def canonical_form_and_code(G: Graph) -> tuple[Graph, bytes, list[Permutation]]:
             swap[u], swap[v] = v, u
             generators.append(tuple(swap))
     return form, _code_from_order(G, order), generators
+
+
+# -- refinement labeling -------------------------------------------------
+#
+# A second labeling, by individualization and refinement (McKay and
+# Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 2014).
+# Its code is the least adjacency code over the leaves of a search tree
+# that depends only on the isomorphism class, so it too identifies the
+# class, but it is not the minimal code over all placement orders.  Level
+# generation labels with it; the minimal code picks and relabels witnesses.
+#
+# A node of the tree is an equitable ordered partition of the vertices into
+# bitmask cells: every vertex of a cell has the same number of neighbours in
+# each cell.  The root refines the one-cell partition; a child individualizes
+# one vertex v of the first non-singleton cell, placing {v} in front of the
+# rest of the cell, and refines again.  A leaf, a partition into singletons,
+# is a placement order.  A child is skipped when v has a twin below it in the
+# cell, or lies in the orbit of an explored sibling under the automorphisms
+# found so far that fix every individualized vertex: either way its subtree
+# is the image of an explored one under an automorphism fixing the node, and
+# holds the same codes.
+
+
+def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
+    """The coarsest equitable ordered partition refining ``cells``.
+
+    ``cells`` must already be equitable with respect to every cell that is
+    not in ``splitters``.  Each splitter W in queue order splits the cells,
+    in cell order, by the number of neighbours in W of their vertices, the
+    sub-cells in ascending count.  A split cell's sub-cells join the queue,
+    all of them when the cell was still queued and all but its first largest
+    otherwise: counts into that one follow from counts into the others and
+    into the cell.  Every step reads only the cells, so the result maps onto
+    the result for the image partition under any isomorphism.
+    """
+    queue = list(splitters)
+    pending = set(queue)
+    for w in queue:
+        if w not in pending:
+            continue  # split after it was queued; its sub-cells are queued
+        pending.discard(w)
+        reach = 0
+        for x in _iter_bits(w):
+            reach |= adj[x]
+        refined = []
+        for c in cells:
+            if not c & reach or not c & (c - 1):
+                refined.append(c)  # no neighbour in W, or a singleton
+                continue
+            by_count: dict[int, int] = {}
+            for v in _iter_bits(c):
+                count = (adj[v] & w).bit_count()
+                by_count[count] = by_count.get(count, 0) | 1 << v
+            if len(by_count) == 1:
+                refined.append(c)
+                continue
+            parts = [by_count[count] for count in sorted(by_count)]
+            refined.extend(parts)
+            if c in pending:
+                pending.discard(c)
+            else:
+                parts.remove(max(parts, key=int.bit_count))
+            queue.extend(parts)
+            pending.update(parts)
+        cells = refined
+    return cells
+
+
+def _refined_form_and_code(G: Graph) -> tuple[Graph, bytes, list[Permutation]]:
+    """The refinement labeling's form, its code and automorphisms of the form.
+
+    Returned like ``canonical_form_and_code``: the automorphisms are the
+    ones that two leaves with equal codes gave, plus the transposition of
+    each vertex with its least twin.
+    """
+    n, adj = G.n, G.adj
+    lower = _lower_twins(adj)
+    best_code = b""
+    best_order: list[int] = []
+    found: list[Permutation] = []
+
+    def rec(cells: list[int], prefix: list[int]) -> None:
+        nonlocal best_code, best_order
+        i = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+        if i is None:
+            order = [c.bit_length() - 1 for c in cells]
+            code = _code_from_order(G, order)
+            if not best_order or code < best_code:
+                best_code, best_order = code, order
+            elif code == best_code:
+                # Equal codes: best_order[j] -> order[j] preserves adjacency.
+                image = [0] * n
+                for b, p in zip(best_order, order):
+                    image[b] = p
+                found.append(tuple(image))
+            return
+        target = cells[i]
+        explored = 0
+        for v in _iter_bits(target):
+            if lower[v] & target or explored >> v & 1:
+                continue
+            bit = 1 << v
+            rec(
+                _refine(adj, cells[:i] + [bit, target ^ bit] + cells[i + 1 :], [bit]),
+                prefix + [v],
+            )
+            # Close the explored children under the automorphisms found so
+            # far that fix the prefix; later children in it are skipped.
+            fixing = [p for p in found if all(p[x] == x for x in prefix)]
+            explored |= bit
+            grow = explored
+            while grow:
+                image = 0
+                for p in fixing:
+                    for x in _iter_bits(grow):
+                        image |= 1 << p[x]
+                grow = image & ~explored
+                explored |= grow
+
+    full = (1 << n) - 1
+    rec(_refine(adj, [full], [full]) if n else [], [])
+    position = [0] * n
+    for pos, v in enumerate(best_order):
+        position[v] = pos
+    form = G.relabel(position)
+    generators = [tuple(position[p[v]] for v in best_order) for p in found]
+    for v, twins in enumerate(_lower_twins(form.adj)):
+        if twins:
+            u = (twins & -twins).bit_length() - 1
+            swap = list(range(n))
+            swap[u], swap[v] = v, u
+            generators.append(tuple(swap))
+    return form, best_code, generators

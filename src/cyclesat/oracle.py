@@ -1,9 +1,14 @@
 """Exact minimum edge counts of (semi)saturated graphs at desk scale.
 
 Isomorphism classes of n-vertex graphs are generated level by level: level
-m+1 extends the canonical representative of every class of level m by its
-non-edges and deduplicates the children on canonical codes.  Levels are
-cached per vertex count for the session, sorted by code.
+m+1 extends the representative of every class of level m by its non-edges
+and deduplicates the children on codes.  Levels are labeled by the
+refinement labeling of ``graphs._refined_form_and_code``, which is much
+cheaper than the minimal code on sparse graphs; each class is stored as its
+refined form and code, and levels are cached per vertex count for the
+session, sorted by that code.  The minimal code (``canonical_form_and_code``)
+only picks and relabels the witness of a stratum, so results do not depend
+on the level labeling.
 
 Isomorphs are rejected before labeling by the canonical-deletion test of
 McKay's canonical augmentation (J. Algorithms 1998), done by invariant: a
@@ -18,21 +23,21 @@ class is lost:
 - the isomorphism takes f to a non-edge e of P, and P + e is isomorphic to h;
 - e is a top edge of P + e because the key is invariant, so h is generated.
 
-Children that pass the test and are still isomorphic share a canonical code
-and are merged; the stored representative is the canonical form, so the
-levels do not depend on which child came first.
+Children that pass the test and are still isomorphic share a code and are
+merged; the stored representative is the refined form, so the levels do not
+depend on which child came first.
 
 The other half of canonical augmentation prunes before the test: a parent P
 is extended by one non-edge per orbit of a group of automorphisms of P, the
-one generated by the automorphisms that P's own labeling search met (see
-``canonical_form_and_code``).  Nothing is lost or changed:
+one generated by the automorphisms that P's own labeling search met.
+Nothing is lost or changed:
 
 - each generator is an automorphism, so the children P + e for the non-edges
   e of one orbit are isomorphic;
 - the top-edge key is invariant, so the orbit's representative passes the
   top-edge test exactly when every member of its orbit does;
-- the stored representatives are canonical forms, so the levels, their
-  order and every witness are the same whichever member is extended.
+- the stored representatives are refined forms, so the levels and their
+  order are the same whichever member is extended.
 
 Completeness of the group only matters for speed: a smaller group leaves
 more orbits, and their children are merged on codes as before.  The
@@ -41,7 +46,9 @@ the next level.
 
 The search scans edge counts upward from the best applicable lower bound,
 verifying connected classes only (adding any non-edge between components
-creates no cycle, so a disconnected graph cannot be semisaturated).
+creates no cycle, so a disconnected graph cannot be semisaturated).  A
+stratum is scanned whole, and its witness is the passing class with the
+least minimal code, in its minimal-code form.
 """
 
 from __future__ import annotations
@@ -55,7 +62,12 @@ from typing import Callable, TypeVar
 
 from .bounds import eval_bounds
 from .codec import graph6_encode
-from .graphs import Graph, Permutation, canonical_form_and_code
+from .graphs import (
+    Graph,
+    Permutation,
+    _refined_form_and_code,
+    canonical_form_and_code,
+)
 from .saturation import is_saturated, is_semisaturated
 
 DEFAULT_CEILING = {"sat": 8, "ssat": 9}
@@ -132,16 +144,17 @@ def _orbit_representatives(
 
 
 def classes_with_edges(n: int, m: int, deadline: float | None = None) -> Level:
-    """Canonical representatives of all n-vertex graphs with m edges.
+    """Refined forms and codes of all n-vertex graphs with m edges.
 
-    Sorted by canonical code.  Levels are built on demand and cached; a
-    level interrupted by the deadline is discarded whole, so the cache only
-    ever holds complete levels and the generators of the top one.
+    Sorted by the refinement labeling's code.  Levels are built on demand
+    and cached; a level interrupted by the deadline is discarded whole, so
+    the cache only ever holds complete levels and the generators of the top
+    one.
     """
     if not 0 <= m <= comb(n, 2):
         return []
     if n not in _LEVELS:
-        empty, code, generators = canonical_form_and_code(Graph(n, []))
+        empty, code, generators = _refined_form_and_code(Graph(n, []))
         _LEVELS[n] = ([[(code, empty)]], [generators])
     levels, top_generators = _LEVELS[n]
     while len(levels) <= m:
@@ -154,7 +167,7 @@ def classes_with_edges(n: int, m: int, deadline: float | None = None) -> Level:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
                 if _is_top_edge(adj, u, v):
-                    h, code, child_generators = canonical_form_and_code(
+                    h, code, child_generators = _refined_form_and_code(
                         g.with_edge(u, v)
                     )
                     nxt.setdefault(code, (h, child_generators))
@@ -170,6 +183,8 @@ class SearchStats:
     graphs_examined: int
     classes_seen: int
     elapsed: float
+    generate_s: float  # building levels, summed over the strata scanned
+    verify_s: float  # scanning them
 
 
 @dataclass(frozen=True)
@@ -205,12 +220,17 @@ def search_stratum(
 ) -> tuple[_T | None, int, bool]:
     """Scan one edge-count stratum; returns (accepted, examined, timed_out).
 
-    Connected classes come in ascending canonical-code order, and the first
-    one for which ``accept`` returns something other than None gives the
-    result.  A deadline hit, while the level is generated or while it is
-    scanned, is reported only through ``timed_out``.
+    Every connected class of the level is offered to ``accept``.  Among the
+    classes for which it returns something other than None, the one with
+    the least minimal code wins, and the result is ``accept`` applied to its
+    minimal-code form (``canonical_form_and_code``), so it does not depend
+    on how the levels are labeled.  ``examined`` counts the classes scanned,
+    the whole level unless the deadline hit.  A deadline hit, while the
+    level is generated or while it is scanned, is reported only through
+    ``timed_out``.
     """
     examined = 0
+    least: tuple[bytes, Graph] | None = None
     try:
         stratum = classes_with_edges(n, m, deadline=deadline)
     except GenerationTimeout:
@@ -219,11 +239,11 @@ def search_stratum(
         if deadline is not None and time.monotonic() > deadline:
             return None, examined, True
         examined += 1
-        if g.is_connected():
-            found = accept(g)
-            if found is not None:
-                return found, examined, False
-    return None, examined, False
+        if g.is_connected() and accept(g) is not None:
+            form, code, _ = canonical_form_and_code(g)
+            if least is None or code < least[0]:
+                least = (code, form)
+    return (None if least is None else accept(least[1])), examined, False
 
 
 def scan_strata(
@@ -236,7 +256,9 @@ def scan_strata(
     """Scan edge counts upward to the first stratum with an accepted class.
 
     Returns (m, accepted, timed_out, stats).  Only connected classes are
-    offered to ``accept``, so the scan starts at max(n - 1, floor).  Every
+    offered to ``accept``, so the scan starts at max(n - 1, floor); each
+    stratum is searched by ``search_stratum``, whose level is built first so
+    that ``stats`` can split the time into generating and verifying.  Every
     stratum below the returned m was scanned whole, so m is the minimum when
     something was accepted and a proven floor when the budget ran out; when
     nothing is accepted up to C(n, 2), accepted is None and timed_out False.
@@ -249,15 +271,29 @@ def scan_strata(
     t0 = time.monotonic()
     deadline = _deadline(t0, budget_seconds)
     examined_total = classes_total = 0
+    generate_s = verify_s = 0.0
+    accepted, timed_out = None, False
     for m in range(max(n - 1, floor), comb(n, 2) + 1):
+        start = time.monotonic()
+        try:
+            classes = len(classes_with_edges(n, m, deadline=deadline))
+        except GenerationTimeout:
+            timed_out = True
+        built = time.monotonic()
+        generate_s += built - start
+        if timed_out:
+            break
         accepted, examined, timed_out = search_stratum(n, m, accept, deadline)
+        verify_s += time.monotonic() - built
         examined_total += examined
         if timed_out:
             break
-        classes_total += len(classes_with_edges(n, m))
+        classes_total += classes
         if accepted is not None:
             break
-    stats = SearchStats(examined_total, classes_total, time.monotonic() - t0)
+    stats = SearchStats(
+        examined_total, classes_total, time.monotonic() - t0, generate_s, verify_s
+    )
     return m, accepted, timed_out, stats
 
 

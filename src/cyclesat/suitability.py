@@ -17,8 +17,8 @@ from triple to triple.
 
 S1 belongs to the core and S2-S3 to the pair, so the miner checks S1 once
 per class and skips the pairs of a class that fails it: none can pass.  It
-tries the pairs of the others in ascending (a1, a2) order, so the first
-passer, hence the minimum and its witness, is the one a full scan finds.
+tries the pairs of the others in ascending (a1, a2) order and stops at the
+first passer, so it finds the same classes as a check of every pair.
 """
 
 from __future__ import annotations
@@ -163,10 +163,12 @@ def mine_suitable(
 ) -> MiningResult:
     """Minimum edge count of a k-vertex core passing the given mode.
 
-    Exhausts isomorphism classes of k-vertex graphs in edge-count-ascending
-    order (canonical-code order inside a stratum) and tries every special
-    pair, so the first hit is the minimum with the lexicographically least
-    canonical witness.  ``budget_seconds=None`` sets no time limit.
+    Exhausts isomorphism classes of k-vertex graphs stratum by stratum in
+    ascending edge count and tries every special pair, so the first stratum
+    with a suitable class gives the minimum.  The witness is the suitable
+    class of that stratum with the least minimal code, in its minimal-code
+    form, with its first suitable pair in ascending (a1, a2) order.
+    ``budget_seconds=None`` sets no time limit.
     """
     pairs = split_pairs(k, mode)
     cap = DEFAULT_MINE_CEILING if ceiling is None else ceiling

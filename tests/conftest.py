@@ -182,6 +182,26 @@ def naive_levels(n: int) -> list[list[tuple[bytes, Graph]]]:
     return levels
 
 
+def naive_equitable_refinement(G: Graph, cells: list[int]) -> set[int]:
+    """The coarsest equitable partition finer than ``cells``, as a set of bitmask cells.
+
+    Colour refinement by full passes: every cell splits by its vertices'
+    neighbour counts into every cell, until no cell splits.
+    """
+    while True:
+        split = []
+        for c in cells:
+            groups: dict[tuple[int, ...], int] = {}
+            for v in range(G.n):
+                if c >> v & 1:
+                    key = tuple((G.adj[v] & d).bit_count() for d in cells)
+                    groups[key] = groups.get(key, 0) | 1 << v
+            split.extend(groups.values())
+        if len(split) == len(cells):
+            return set(cells)
+        cells = split
+
+
 def brute_force_min_code(G: Graph) -> bytes:
     """The minimal code by definition: least code over every placement order (n <= 7)."""
     return min(_code_from_order(G, p) for p in itertools.permutations(range(G.n)))

@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 
@@ -321,6 +322,8 @@ def test_oracle_writes_golden(capsys, tmp_path):
     )
     assert code == 0
     assert "sat(5, C4) = 5" in out
+    # the result line splits the time into level generation and verification
+    assert re.search(r"in \d+\.\ds \(generate \d+\.\ds, verify \d+\.\ds\)$", out, re.M)
     assert golden.read_text().splitlines()[1].startswith("5,4,sat,5,")
 
 

@@ -12,6 +12,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     graphs,
+    naive_equitable_refinement,
     path_graph,
     twin_rich_graphs,
 )
@@ -23,6 +24,8 @@ from cyclesat.graphs import (
     LoopEdgeError,
     VertexRangeError,
     _canonical_search,
+    _refine,
+    _refined_form_and_code,
     canonical_code,
     canonical_form_and_code,
 )
@@ -90,6 +93,40 @@ def test_returned_permutations_are_automorphisms_of_the_form(g):
     for p in generators:
         assert sorted(p) == list(range(g.n))
         assert form.relabel(p) == form
+
+
+@given(
+    st.one_of(graphs(max_n=9), twin_rich_graphs(max_n=9)),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_refined_labeling_is_canonical(g, rng):
+    # the refinement labeling's form and code do not depend on the vertex
+    # names, its form labels to itself, and its generators fix the form
+    form, code, generators = _refined_form_and_code(g)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    assert _refined_form_and_code(g.relabel(perm))[:2] == (form, code)
+    assert _refined_form_and_code(form)[:2] == (form, code)
+    for p in generators:
+        assert sorted(p) == list(range(g.n))
+        assert form.relabel(p) == form
+
+
+@given(st.one_of(graphs(min_n=1, max_n=9), twin_rich_graphs(max_n=9)))
+@settings(max_examples=200, deadline=None)
+def test_refinement_is_coarsest_equitable(g):
+    # the splitter queue reaches the partition that full passes reach, at
+    # the root and after individualizing a vertex of the first non-singleton
+    # cell, where only the new singleton is queued
+    full = (1 << g.n) - 1
+    cells = _refine(g.adj, [full], [full])
+    assert set(cells) == naive_equitable_refinement(g, [full])
+    target = next((c for c in cells if c & (c - 1)), None)
+    if target is not None:
+        i, bit = cells.index(target), target & -target
+        start = cells[:i] + [bit, target ^ bit] + cells[i + 1 :]
+        assert set(_refine(g.adj, start, [bit])) == naive_equitable_refinement(g, start)
 
 
 def test_canonical_distinguishes_triangle_from_path():

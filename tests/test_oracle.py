@@ -14,7 +14,11 @@ from conftest import (
 from cyclesat import oracle
 from cyclesat.bounds import Observation, check_consistency
 from cyclesat.codec import graph6_encode
-from cyclesat.graphs import canonical_code, canonical_form_and_code
+from cyclesat.graphs import (
+    _refined_form_and_code,
+    canonical_code,
+    canonical_form_and_code,
+)
 from cyclesat.oracle import (
     CeilingExceeded,
     GenerationTimeout,
@@ -31,6 +35,8 @@ from cyclesat.saturation import is_saturated, is_semisaturated
 # generator (row n=5 and n=6 of the standard triangle)
 COUNTS_5 = [1, 1, 2, 4, 6, 6, 6, 4, 2, 1, 1]
 COUNTS_6 = [1, 1, 2, 5, 9, 15, 21, 24, 24, 21, 15, 9, 5, 2, 1, 1]
+# row n=8 of OEIS A008406 for m = 0..9, the levels exact_min(8, 4, "sat") builds
+COUNTS_8 = [1, 1, 2, 5, 11, 24, 56, 115, 221, 402]
 
 # graphs on n = 0..7 vertices up to isomorphism: all (OEIS A000088) and
 # connected ones (OEIS A001349)
@@ -38,11 +44,18 @@ A000088 = [1, 1, 2, 4, 11, 34, 156, 1044]
 A001349 = [1, 1, 1, 2, 6, 21, 112, 853]
 
 
+def _minimal_codes(level):
+    """The sorted minimal codes of a level's classes, whatever its labeling."""
+    return sorted(canonical_code(g) for _, g in level)
+
+
 def test_level_generation_matches_known_counts():
     for m, expect in enumerate(COUNTS_5):
         assert len(classes_with_edges(5, m)) == expect
     for m, expect in enumerate(COUNTS_6):
         assert len(classes_with_edges(6, m)) == expect
+    for m, expect in enumerate(COUNTS_8):
+        assert len(classes_with_edges(8, m)) == expect
 
 
 def test_level_generation_matches_brute_force():
@@ -50,7 +63,7 @@ def test_level_generation_matches_brute_force():
         for m in range(n * (n - 1) // 2 + 1):
             gen = classes_with_edges(n, m)
             brute = brute_classes_with_edges(n, m)
-            assert [c for c, _ in gen] == [c for c, _ in brute]
+            assert _minimal_codes(gen) == [c for c, _ in brute]
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -59,7 +72,7 @@ def test_level_generation_matches_naive_levels(n):
     # generator labels every child, so both must give the same levels
     levels = naive_levels(n)
     for m, level in enumerate(levels):
-        assert classes_with_edges(n, m) == level
+        assert _minimal_codes(classes_with_edges(n, m)) == [c for c, _ in level]
     assert classes_with_edges(n, len(levels)) == []
 
 
@@ -96,22 +109,27 @@ def test_deadline_mid_level_leaves_cache_consistent(monkeypatch, levels7, parent
     assert extended <= parents < extended + len(levels[-1])
     assert len(top_generators) == len(levels[-1])
     for m, level in enumerate(levels7):
-        assert classes_with_edges(7, m) == level
+        assert _minimal_codes(classes_with_edges(7, m)) == [c for c, _ in level]
 
 
-@pytest.mark.parametrize("n", range(7))
-def test_orbit_representatives_match_brute_force_orbits(n):
+@pytest.mark.parametrize(
+    "label,n",
+    [(canonical_form_and_code, n) for n in range(7)]
+    + [(_refined_form_and_code, n) for n in range(7)],
+    ids=[str(n) for n in range(7)] + [f"refined-{n}" for n in range(7)],
+)
+def test_orbit_representatives_match_brute_force_orbits(label, n):
     # one representative per orbit of the whole automorphism group, so the
-    # generators met by the labeling search span the group on these classes;
-    # labeling a relabeled copy makes the search improve on its first leaf
+    # generators met by either labeling search span the group on these
+    # classes; labeling a relabeled copy makes the search improve on its
+    # first leaf
     reverse = list(range(n))[::-1]
     for m in range(n * (n - 1) // 2 + 1):
         for _, g in brute_classes_with_edges(n, m):
-            orbits = brute_nonedge_orbits(g)
             for start in (g, g.relabel(reverse)):
-                form, _, generators = canonical_form_and_code(start)
-                assert form == g
-                reps = _orbit_representatives(g, generators)
+                form, _, generators = label(start)
+                reps = _orbit_representatives(form, generators)
+                orbits = brute_nonedge_orbits(form)
                 assert reps == sorted(min(orbit) for orbit in orbits)
 
 
@@ -131,8 +149,13 @@ def test_top_edges_map_onto_top_edges(G, data):
 
 
 def test_representatives_are_canonical():
-    for code, g in classes_with_edges(5, 5):
-        assert canonical_code(g) == code
+    # each class is stored once, as its own refined form under its code,
+    # and the level is sorted by that code
+    level = classes_with_edges(5, 5)
+    for code, g in level:
+        assert _refined_form_and_code(g)[:2] == (g, code)
+    assert [c for c, _ in level] == sorted(c for c, _ in level)
+    assert _minimal_codes(level) == [c for c, _ in brute_classes_with_edges(5, 5)]
 
 
 def test_sat_c4_small_values():
@@ -190,9 +213,9 @@ def test_no_disconnected_graph_is_semisaturated():
 @pytest.mark.parametrize(
     "n,k,mode,budget,status,value,witness,examined,seen",
     [
-        (7, 4, "sat", None, "exact", 8, "F?Ddw", 128, 203),
-        (8, 4, "sat", None, "exact", 9, "G?CaK{", 547, 738),
-        (6, 6, "ssat", None, "exact", 9, "EJbw", 100, 105),
+        (7, 4, "sat", None, "exact", 8, "F?Ddw", 203, 203),
+        (8, 4, "sat", None, "exact", 9, "G?CaK{", 738, 738),
+        (6, 6, "ssat", None, "exact", 9, "EJbw", 105, 105),
         (8, 4, "sat", 0.0, "lower-bound-only", 7, None, 0, 0),
     ],
 )
@@ -202,6 +225,9 @@ def test_search_result_is_pinned(n, k, mode, budget, status, value, witness, exa
     assert (graph6_encode(result.witness) if result.witness else None) == witness
     assert result.stats.graphs_examined == examined
     assert result.stats.classes_seen == seen
+    stats = result.stats
+    assert 0 <= stats.generate_s and 0 <= stats.verify_s
+    assert stats.generate_s + stats.verify_s <= stats.elapsed
 
 
 def test_stratum_deadline_is_reported_not_raised():
@@ -212,14 +238,15 @@ def test_stratum_deadline_is_reported_not_raised():
 
 @pytest.mark.parametrize("n,k", [(5, 4), (6, 3), (7, 4)])
 def test_witness_is_least_code_connected_passer(n, k):
+    # the passers are compared by minimal code, not by the level's order
     result = exact_min(n, k, "sat")
     passers = [
-        (code, g)
-        for code, g in classes_with_edges(n, result.value)
+        g
+        for _, g in classes_with_edges(n, result.value)
         if g.is_connected() and is_saturated(g, k, want_certificate=False).holds
     ]
-    _, least = min(passers, key=lambda cg: cg[0])
-    assert result.witness == least
+    least = min(passers, key=canonical_code)
+    assert result.witness == canonical_form_and_code(least)[0]
 
 
 def test_values_respect_lower_bounds():

@@ -3,7 +3,12 @@ import pytest
 from conftest import path_graph
 from cyclesat.codec import graph6_encode
 from cyclesat.families import build_wheel
-from cyclesat.graphs import Graph, LabeledGraph
+from cyclesat.graphs import (
+    Graph,
+    LabeledGraph,
+    canonical_code,
+    canonical_form_and_code,
+)
 from cyclesat.oracle import CeilingExceeded, classes_with_edges
 from cyclesat.suitability import (
     is_k_suitable,
@@ -158,9 +163,9 @@ def test_mine_ceiling_guard():
 @pytest.mark.parametrize(
     "k,mode,budget,status,value,witness,pair,examined",
     [
-        (6, "k-suitable", None, "exact", 9, "EJew", {"a1": 0, "a2": 4}, 101),
-        (7, "k-suitable", None, "exact", 11, "FBYmg", {"a1": 1, "a2": 3}, 613),
-        (6, "kk2-suitable", None, "exact", 9, "EJew", {"a1": 0, "a2": 4}, 101),
+        (6, "k-suitable", None, "exact", 9, "EJew", {"a1": 0, "a2": 4}, 105),
+        (7, "k-suitable", None, "exact", 11, "FBYmg", {"a1": 1, "a2": 3}, 630),
+        (6, "kk2-suitable", None, "exact", 9, "EJew", {"a1": 0, "a2": 4}, 105),
         (7, "k-suitable", 0.0, "budget-exhausted", None, None, None, 0),
     ],
 )
@@ -182,18 +187,25 @@ def test_mine_result_is_pinned(k, mode, budget, status, value, witness, pair, ex
     ],
 )
 def test_mine_witness_is_least_code_suitable_class(k, mode, full):
-    # reference scan with the full report on every pair: the first connected
-    # class, by edge count then canonical code, with an a1 < a2 pair that
-    # passes, and its first such pair
+    # reference scan with the full report on every pair: in the least edge
+    # count with a connected class that has a passing a1 < a2 pair, the
+    # least such class by minimal code, in its minimal-code form, with its
+    # first passing pair
+    def passing_pairs(g: Graph) -> list[LabeledGraph]:
+        return [
+            as_core(g, a1, a2)
+            for a1 in range(k)
+            for a2 in range(a1 + 1, k)
+            if full(as_core(g, a1, a2), k).suitable
+        ]
+
     def least_suitable_core() -> LabeledGraph | None:
         for m in range(k - 1, k * (k - 1) // 2 + 1):
-            for _, g in classes_with_edges(k, m):
-                if not g.is_connected():
-                    continue
-                for a1 in range(k):
-                    for a2 in range(a1 + 1, k):
-                        if full(as_core(g, a1, a2), k).suitable:
-                            return as_core(g, a1, a2)
+            classes = [g for _, g in classes_with_edges(k, m) if g.is_connected()]
+            suitable = [g for g in classes if passing_pairs(g)]
+            if suitable:
+                least = min(suitable, key=canonical_code)
+                return passing_pairs(canonical_form_and_code(least)[0])[0]
         return None
 
     expected = least_suitable_core()
