@@ -338,6 +338,10 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     print(f"minimum size of a {args.k}-vertex {mode} core: {result.edge_count}")
     print(f"witness: {graph6_encode(result.witness.graph)}")
     sys.stdout.write(labels_encode(result.witness.labels))
+    print(
+        f"examined {result.classes_examined} classes in {result.elapsed:.1f}s "
+        f"(generate {result.generate_s:.1f}s, verify {result.verify_s:.1f}s)"
+    )
     return EXIT_OK
 
 

@@ -27,6 +27,21 @@ Children that pass the test and are still isomorphic share a code and are
 merged; the stored representative is the refined form, so the levels do not
 depend on which child came first.
 
+The test is evaluated as a cascade that stops at the first deciding step,
+and each early exit gives the verdict of comparing all full keys.  Colours
+compare degree first, a key starts with its larger endpoint colour, and d is
+the larger degree of u and v:
+
+- a vertex of degree above d has an edge whose key starts with a colour
+  above both colours of uv, so uv is not top;
+- otherwise every vertex of degree below d has a colour below
+  top = max(colour u, colour v), whose degree is d, so only the degree-d
+  vertices are coloured; one coloured above top has an edge whose key
+  starts above uv's;
+- otherwise no colour exceeds top, so every edge with no endpoint coloured
+  top has a smaller key than uv, and uv is top exactly when no edge at a
+  vertex coloured top has a larger (other colour, triangle count) pair.
+
 The other half of canonical augmentation prunes before the test: a parent P
 is extended by one non-edge per orbit of a group of automorphisms of P, the
 one generated by the automorphisms that P's own labeling search met.
@@ -96,23 +111,43 @@ def _is_top_edge(adj: list[int], u: int, v: int) -> bool:
     count; a vertex's colour is its degree and the sorted degrees of its
     neighbours.  Every part is preserved by isomorphisms, so an isomorphism
     maps top edges onto top edges.
+
+    The keys are compared in a cascade that stops at the first deciding
+    step (the module docstring argues that each exit gives the full-key
+    verdict): degrees first, then the colours of the vertices of uv's
+    degree, then the keys of the edges at the vertices of uv's top colour.
     """
     deg = [a.bit_count() for a in adj]
-    colour = [
-        (deg[w], sorted(deg[x] for x in range(len(adj)) if a >> x & 1))
-        for w, a in enumerate(adj)
-    ]
+    d = max(deg[u], deg[v])
+    if max(deg) > d:
+        return False
+    vertices = range(len(adj))
+    colours: dict[int, tuple[int, list[int]]] = {}
 
-    def key(a: int, b: int) -> tuple:
-        ca, cb = colour[a], colour[b]
-        return (max(ca, cb), min(ca, cb), (adj[a] & adj[b]).bit_count())
+    def colour(w: int) -> tuple[int, list[int]]:
+        if w not in colours:
+            a = adj[w]
+            colours[w] = (deg[w], sorted([deg[x] for x in vertices if a >> x & 1]))
+        return colours[w]
 
-    top = key(u, v)
+    top, low = sorted((colour(u), colour(v)), reverse=True)
+    peak = []
+    for w in vertices:
+        if deg[w] == d:
+            c = colour(w)
+            if c > top:
+                return False
+            if c == top:
+                peak.append(w)
+    # Every colour is now at most top, so an edge xy at a peak vertex x has
+    # the key (top, colour(y), triangles), and an edge at no peak vertex is
+    # below uv; a neighbour of lower degree than low has a lower colour.
+    bound = (low, (adj[u] & adj[v]).bit_count())
     return all(
-        key(a, b) <= top
-        for a, row in enumerate(adj)
-        for b in range(a + 1, len(adj))
-        if row >> b & 1
+        (colour(y), (adj[x] & adj[y]).bit_count()) <= bound
+        for x in peak
+        for y in vertices
+        if adj[x] >> y & 1 and deg[y] >= low[0]
     )
 
 

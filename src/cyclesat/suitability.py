@@ -150,6 +150,8 @@ class MiningResult:
     witness: LabeledGraph | None
     classes_examined: int
     elapsed: float
+    generate_s: float  # building levels, as in ``oracle.SearchStats``
+    verify_s: float  # scanning them
 
 
 DEFAULT_MINE_CEILING = 8
@@ -190,4 +192,14 @@ def mine_suitable(
         status, m = "not-found", None
     else:
         status = "exact"
-    return MiningResult(k, mode, status, m, witness, stats.graphs_examined, stats.elapsed)
+    return MiningResult(
+        k,
+        mode,
+        status,
+        m,
+        witness,
+        stats.graphs_examined,
+        stats.elapsed,
+        stats.generate_s,
+        stats.verify_s,
+    )

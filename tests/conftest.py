@@ -202,6 +202,32 @@ def naive_equitable_refinement(G: Graph, cells: list[int]) -> set[int]:
         cells = split
 
 
+def naive_is_top_edge(adj: list[int], u: int, v: int) -> bool:
+    """The top-edge test of ``oracle._is_top_edge`` by definition.
+
+    Colours every vertex (its degree and the sorted degrees of its
+    neighbours) and compares the full key of uv, (larger endpoint colour,
+    smaller endpoint colour, triangle count), with that of every edge.
+    """
+    deg = [a.bit_count() for a in adj]
+    colour = [
+        (deg[w], sorted(deg[x] for x in range(len(adj)) if a >> x & 1))
+        for w, a in enumerate(adj)
+    ]
+
+    def key(a: int, b: int) -> tuple:
+        ca, cb = colour[a], colour[b]
+        return (max(ca, cb), min(ca, cb), (adj[a] & adj[b]).bit_count())
+
+    top = key(u, v)
+    return all(
+        key(a, b) <= top
+        for a, row in enumerate(adj)
+        for b in range(a + 1, len(adj))
+        if row >> b & 1
+    )
+
+
 def brute_force_min_code(G: Graph) -> bytes:
     """The minimal code by definition: least code over every placement order (n <= 7)."""
     return min(_code_from_order(G, p) for p in itertools.permutations(range(G.n)))

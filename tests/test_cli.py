@@ -355,8 +355,15 @@ def test_oracle_budget_exit_3(capsys, tmp_path):
 def test_mine_suitable_cli(capsys):
     code, out, _ = run(capsys, "mine-suitable", "--k", "6")
     assert code == 0
-    assert "9" in out.splitlines()[0]
-    assert "witness:" in out
+    lines = out.splitlines()
+    assert "9" in lines[0]
+    assert lines[1] == "witness: EJew"
+    assert lines[2:4] == ["a1=0", "a2=4"]
+    assert re.fullmatch(
+        r"examined 105 classes in \d+\.\ds \(generate \d+\.\ds, verify \d+\.\ds\)",
+        lines[4],
+    )
+    assert len(lines) == 5
 
 
 def test_mine_suitable_above_ceiling_exit_2(capsys):

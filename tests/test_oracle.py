@@ -9,7 +9,9 @@ from conftest import (
     brute_classes_with_edges,
     brute_nonedge_orbits,
     graphs,
+    naive_is_top_edge,
     naive_levels,
+    twin_rich_graphs,
 )
 from cyclesat import oracle
 from cyclesat.bounds import Observation, check_consistency
@@ -137,7 +139,33 @@ def _top_edges(G):
     return {(u, v) for u, v in G.edges if _is_top_edge(list(G.adj), u, v)}
 
 
-@given(graphs(max_n=8), st.data())
+def _assert_top_edge_matches_naive(adj):
+    for u, row in enumerate(adj):
+        for v in range(u + 1, len(adj)):
+            if row >> v & 1:
+                assert _is_top_edge(adj, u, v) == naive_is_top_edge(adj, u, v)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_top_edge_cascade_matches_full_keys_on_every_child(n):
+    # every child g + uv the level generator could meet, whichever non-edge
+    # the orbits pick, and every edge of it, not only the new one
+    for m in range(n * (n - 1) // 2):
+        for _, g in classes_with_edges(n, m):
+            for u, v in g.non_edges():
+                adj = list(g.adj)
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                _assert_top_edge_matches_naive(adj)
+
+
+@given(st.one_of(graphs(max_n=9), twin_rich_graphs(max_n=9)))
+@settings(max_examples=300, deadline=None)
+def test_top_edge_cascade_matches_full_keys(G):
+    _assert_top_edge_matches_naive(list(G.adj))
+
+
+@given(st.one_of(graphs(max_n=8), twin_rich_graphs()), st.data())
 @settings(max_examples=200, deadline=None)
 def test_top_edges_map_onto_top_edges(G, data):
     # the lemma the level filter rests on: the top-edge set is invariant

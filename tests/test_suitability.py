@@ -176,6 +176,8 @@ def test_mine_result_is_pinned(k, mode, budget, status, value, witness, pair, ex
     assert (graph6_encode(core.graph) if core else None) == witness
     assert (core.labels if core else None) == pair
     assert result.classes_examined == examined
+    assert 0 <= result.generate_s and 0 <= result.verify_s
+    assert result.generate_s + result.verify_s <= result.elapsed
 
 
 @pytest.mark.parametrize(
