@@ -292,6 +292,13 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _stats_line(stats: oracle_mod.SearchStats) -> str:
+    return (
+        f"examined {stats.graphs_examined} classes in {stats.elapsed:.1f}s "
+        f"(generate {stats.generate_s:.1f}s, verify {stats.verify_s:.1f}s)"
+    )
+
+
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if not args.no_golden:
         # Fail before a search that may take minutes; the file itself is
@@ -313,12 +320,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         return EXIT_BUDGET
     print(f"{args.mode}({args.n}, C{args.k}) = {result.value}")
     print(f"witness: {graph6_encode(result.witness)}")
-    print(
-        f"examined {result.stats.graphs_examined} graphs over "
-        f"{result.stats.classes_seen} classes in {result.stats.elapsed:.1f}s "
-        f"(generate {result.stats.generate_s:.1f}s, "
-        f"verify {result.stats.verify_s:.1f}s)"
-    )
+    print(_stats_line(result.stats))
     if not args.no_golden:
         oracle_mod.append_golden(args.golden, result)
     return EXIT_OK
@@ -330,7 +332,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     result = mine_suitable(args.k, mode, ceiling=args.ceiling, budget_seconds=budget)
     if result.status == "budget-exhausted":
         print(f"mining {mode} at k={args.k}: budget exhausted "
-              f"after {result.classes_examined} classes")
+              f"after {result.stats.graphs_examined} classes")
         return EXIT_BUDGET
     if result.status == "not-found":
         print(f"no {mode} graph on {args.k} vertices")
@@ -338,10 +340,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     print(f"minimum size of a {args.k}-vertex {mode} core: {result.edge_count}")
     print(f"witness: {graph6_encode(result.witness.graph)}")
     sys.stdout.write(labels_encode(result.witness.labels))
-    print(
-        f"examined {result.classes_examined} classes in {result.elapsed:.1f}s "
-        f"(generate {result.generate_s:.1f}s, verify {result.verify_s:.1f}s)"
-    )
+    print(_stats_line(result.stats))
     return EXIT_OK
 
 

@@ -108,12 +108,19 @@ def edge_list_decode(text: str) -> Graph:
 
 
 def detect_and_decode(text: str) -> Graph:
-    """Auto-detect format: graph6 if the first byte is >= '?', else edge list."""
+    """Auto-detect format: graph6 if the first byte is >= '?', else edge list.
+
+    Graph6 input must hold exactly one graph: a second non-empty line
+    raises ``Graph6Error`` rather than being dropped.
+    """
     stripped = text.strip()
     if not stripped:
         raise EdgeListError("empty graph input")
     if ord(stripped[0]) >= 63:
-        return graph6_decode(stripped.splitlines()[0])
+        first, *rest = stripped.splitlines()
+        if any(ln.strip() for ln in rest):
+            raise Graph6Error("graph6 input holds more than one line")
+        return graph6_decode(first)
     return edge_list_decode(stripped)
 
 

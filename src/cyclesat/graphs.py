@@ -212,10 +212,8 @@ class LabeledGraph:
 # cells already differ in a higher bit, so the split keeps the cells
 # sorted, and the first cell is again exactly the row-minimal vertices.
 #
-# The search meets automorphisms on the way: two complete placement orders
-# with equal rows give equal codes, so mapping one onto the other preserves
-# adjacency.  Those, with the transpositions of twin vertices that the
-# branching skips, are returned as generators of the automorphism group.
+# The search only picks the order: the automorphisms that level generation
+# prunes with come from the refinement labeling below.
 
 Permutation = tuple[int, ...]
 
@@ -230,23 +228,17 @@ def _lower_twins(adj: tuple[int, ...]) -> list[int]:
     return lower
 
 
-def _canonical_search(G: Graph) -> tuple[tuple[int, ...], list[Permutation]]:
-    """Canonical placement order, and the automorphisms met on the way.
-
-    The order realizes the canonical (minimal) adjacency code.  Each
-    automorphism ``p`` maps vertex v of G to ``p[v]``; it comes from a
-    leaf whose rows equal those of the best leaf found so far.
-    """
+def _canonical_search(G: Graph) -> tuple[int, ...]:
+    """The placement order that realizes the minimal adjacency code."""
     n, adj = G.n, G.adj
     if n <= 1:
-        return tuple(range(n)), []
+        return tuple(range(n))
     lower = _lower_twins(adj)
 
     best_rows: list[int] | None = None
     best_order: list[int] | None = None
     placed: list[int] = []
     rows: list[int] = []
-    automorphisms: list[Permutation] = []
 
     def rec(cells: list[int], cell_rows: list[int], tight: bool) -> None:
         # ``tight`` means the row prefix built so far equals the prefix of
@@ -256,12 +248,6 @@ def _canonical_search(G: Graph) -> tuple[tuple[int, ...], list[Permutation]]:
             if best_rows is None or not tight:
                 best_rows = rows.copy()
                 best_order = placed.copy()
-            else:
-                # Equal rows: best_order[i] -> placed[i] preserves adjacency.
-                image = [0] * n
-                for b, p in zip(best_order, placed):
-                    image[b] = p
-                automorphisms.append(tuple(image))
             return
         depth = len(placed)
         min_row = cell_rows[0]
@@ -298,7 +284,7 @@ def _canonical_search(G: Graph) -> tuple[tuple[int, ...], list[Permutation]]:
 
     rec([(1 << n) - 1], [0], False)
     assert best_order is not None
-    return tuple(best_order), automorphisms
+    return tuple(best_order)
 
 
 def _code_from_order(G: Graph, order: tuple[int, ...]) -> bytes:
@@ -313,34 +299,28 @@ def _code_from_order(G: Graph, order: tuple[int, ...]) -> bytes:
     return bytes([G.n]) + payload
 
 
-def canonical_code(G: Graph) -> bytes:
-    """Relabeling-invariant byte code identifying the isomorphism class."""
-    return _code_from_order(G, _canonical_search(G)[0])
-
-
-def canonical_form_and_code(G: Graph) -> tuple[Graph, bytes, list[Permutation]]:
-    """Canonical relabeling, its code and automorphisms of the relabeling.
-
-    Two graphs are isomorphic iff their canonical relabelings are equal.
-    The automorphisms, each mapping vertex i of the form to ``p[i]``, are
-    the ones the labeling search met, plus one transposition ``(u, v)`` for
-    each twin v of a smaller vertex u (``N(u) - v == N(v) - u``).  They
-    usually generate the whole automorphism group, but nothing relies on it.
-    """
-    order, found = _canonical_search(G)
-    n = G.n
-    position = [0] * n
+def _relabeling(order: list[int] | tuple[int, ...]) -> list[int]:
+    """The relabeling ``v -> position of v in order``, taking order[i] to i."""
+    position = [0] * len(order)
     for pos, v in enumerate(order):
         position[v] = pos
-    form = G.relabel(position)
-    generators = [tuple(position[p[v]] for v in order) for p in found]
-    for v, twins in enumerate(_lower_twins(form.adj)):
-        if twins:
-            u = (twins & -twins).bit_length() - 1
-            swap = list(range(n))
-            swap[u], swap[v] = v, u
-            generators.append(tuple(swap))
-    return form, _code_from_order(G, order), generators
+    return position
+
+
+def canonical_code(G: Graph) -> bytes:
+    """Relabeling-invariant byte code identifying the isomorphism class."""
+    return _code_from_order(G, _canonical_search(G))
+
+
+def canonical_form_and_code(G: Graph) -> tuple[Graph, bytes]:
+    """Canonical relabeling and its minimal code.
+
+    Two graphs are isomorphic iff their canonical relabelings are equal.
+    Only the refinement labeling (``_refined_form_and_code``) reports
+    automorphisms.
+    """
+    order = _canonical_search(G)
+    return G.relabel(_relabeling(order)), _code_from_order(G, order)
 
 
 # -- refinement labeling -------------------------------------------------
@@ -412,9 +392,11 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
 def _refined_form_and_code(G: Graph) -> tuple[Graph, bytes, list[Permutation]]:
     """The refinement labeling's form, its code and automorphisms of the form.
 
-    Returned like ``canonical_form_and_code``: the automorphisms are the
+    Each automorphism maps vertex i of the form to ``p[i]``.  They are the
     ones that two leaves with equal codes gave, plus the transposition of
-    each vertex with its least twin.
+    each vertex with its least twin (``N(u) - v == N(v) - u``).  They
+    usually generate the whole automorphism group, but nothing relies on
+    it.
     """
     n, adj = G.n, G.adj
     lower = _lower_twins(adj)
@@ -462,9 +444,7 @@ def _refined_form_and_code(G: Graph) -> tuple[Graph, bytes, list[Permutation]]:
 
     full = (1 << n) - 1
     rec(_refine(adj, [full], [full]) if n else [], [])
-    position = [0] * n
-    for pos, v in enumerate(best_order):
-        position[v] = pos
+    position = _relabeling(best_order)
     form = G.relabel(position)
     generators = [tuple(position[p[v]] for v in best_order) for p in found]
     for v, twins in enumerate(_lower_twins(form.adj)):

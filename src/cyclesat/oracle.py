@@ -215,8 +215,7 @@ def classes_with_edges(n: int, m: int, deadline: float | None = None) -> Level:
 
 @dataclass(frozen=True)
 class SearchStats:
-    graphs_examined: int
-    classes_seen: int
+    graphs_examined: int  # classes scanned, every stratum whole unless timed out
     elapsed: float
     generate_s: float  # building levels, summed over the strata scanned
     verify_s: float  # scanning them
@@ -251,31 +250,26 @@ def _deadline(t0: float, budget_seconds: float | None) -> float | None:
 
 
 def search_stratum(
-    n: int, m: int, accept: Callable[[Graph], _T | None], deadline: float | None = None
+    level: Level, accept: Callable[[Graph], _T | None], deadline: float | None = None
 ) -> tuple[_T | None, int, bool]:
     """Scan one edge-count stratum; returns (accepted, examined, timed_out).
 
-    Every connected class of the level is offered to ``accept``.  Among the
+    Every connected class of ``level`` is offered to ``accept``.  Among the
     classes for which it returns something other than None, the one with
     the least minimal code wins, and the result is ``accept`` applied to its
     minimal-code form (``canonical_form_and_code``), so it does not depend
     on how the levels are labeled.  ``examined`` counts the classes scanned,
-    the whole level unless the deadline hit.  A deadline hit, while the
-    level is generated or while it is scanned, is reported only through
+    the whole level unless the deadline hit, which is reported only through
     ``timed_out``.
     """
     examined = 0
     least: tuple[bytes, Graph] | None = None
-    try:
-        stratum = classes_with_edges(n, m, deadline=deadline)
-    except GenerationTimeout:
-        return None, examined, True
-    for _, g in stratum:
+    for _, g in level:
         if deadline is not None and time.monotonic() > deadline:
             return None, examined, True
         examined += 1
         if g.is_connected() and accept(g) is not None:
-            form, code, _ = canonical_form_and_code(g)
+            form, code = canonical_form_and_code(g)
             if least is None or code < least[0]:
                 least = (code, form)
     return (None if least is None else accept(least[1])), examined, False
@@ -291,13 +285,14 @@ def scan_strata(
     """Scan edge counts upward to the first stratum with an accepted class.
 
     Returns (m, accepted, timed_out, stats).  Only connected classes are
-    offered to ``accept``, so the scan starts at max(n - 1, floor); each
-    stratum is searched by ``search_stratum``, whose level is built first so
-    that ``stats`` can split the time into generating and verifying.  Every
-    stratum below the returned m was scanned whole, so m is the minimum when
-    something was accepted and a proven floor when the budget ran out; when
-    nothing is accepted up to C(n, 2), accepted is None and timed_out False.
-    Raises CeilingExceeded when n is above ``ceiling``.
+    offered to ``accept``, so the scan starts at max(n - 1, floor).  Each
+    stratum's level is built once, by ``classes_with_edges``, and scanned
+    by ``search_stratum``; ``stats`` splits the time between the two.  A
+    deadline hit in either stops the scan.  Every stratum below the
+    returned m was scanned whole, so m is the minimum when something was
+    accepted and a proven floor when the budget ran out; when nothing is
+    accepted up to C(n, 2), accepted is None and timed_out False.  Raises
+    CeilingExceeded when n is above ``ceiling``.
     """
     if n > ceiling:
         raise CeilingExceeded(
@@ -305,30 +300,25 @@ def scan_strata(
         )
     t0 = time.monotonic()
     deadline = _deadline(t0, budget_seconds)
-    examined_total = classes_total = 0
+    examined_total = 0
     generate_s = verify_s = 0.0
     accepted, timed_out = None, False
     for m in range(max(n - 1, floor), comb(n, 2) + 1):
         start = time.monotonic()
         try:
-            classes = len(classes_with_edges(n, m, deadline=deadline))
+            level = classes_with_edges(n, m, deadline=deadline)
         except GenerationTimeout:
             timed_out = True
-        built = time.monotonic()
-        generate_s += built - start
-        if timed_out:
             break
-        accepted, examined, timed_out = search_stratum(n, m, accept, deadline)
+        finally:
+            built = time.monotonic()
+            generate_s += built - start
+        accepted, examined, timed_out = search_stratum(level, accept, deadline)
         verify_s += time.monotonic() - built
         examined_total += examined
-        if timed_out:
+        if timed_out or accepted is not None:
             break
-        classes_total += classes
-        if accepted is not None:
-            break
-    stats = SearchStats(
-        examined_total, classes_total, time.monotonic() - t0, generate_s, verify_s
-    )
+    stats = SearchStats(examined_total, time.monotonic() - t0, generate_s, verify_s)
     return m, accepted, timed_out, stats
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .cycles import PathWitness, exists_path_of_length
 from .graphs import Graph, LabeledGraph
-from .oracle import scan_strata
+from .oracle import SearchStats, scan_strata
 from .saturation import is_semisaturated
 
 
@@ -148,10 +148,7 @@ class MiningResult:
     status: str  # "exact" | "budget-exhausted" | "not-found"
     edge_count: int | None
     witness: LabeledGraph | None
-    classes_examined: int
-    elapsed: float
-    generate_s: float  # building levels, as in ``oracle.SearchStats``
-    verify_s: float  # scanning them
+    stats: SearchStats
 
 
 DEFAULT_MINE_CEILING = 8
@@ -192,14 +189,4 @@ def mine_suitable(
         status, m = "not-found", None
     else:
         status = "exact"
-    return MiningResult(
-        k,
-        mode,
-        status,
-        m,
-        witness,
-        stats.graphs_examined,
-        stats.elapsed,
-        stats.generate_s,
-        stats.verify_s,
-    )
+    return MiningResult(k, mode, status, m, witness, stats)

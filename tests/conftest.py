@@ -159,7 +159,7 @@ def brute_classes_with_edges(n: int, m: int) -> list[tuple[bytes, Graph]]:
         if mask.bit_count() != m:
             continue
         g = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-        h, code, _ = canonical_form_and_code(g)
+        h, code = canonical_form_and_code(g)
         found.setdefault(code, h)
     return sorted(found.items())
 
@@ -170,13 +170,13 @@ def naive_levels(n: int) -> list[list[tuple[bytes, Graph]]]:
     Level m+1 extends every class of level m by every non-edge and keeps
     one canonical form per code: no child is skipped before labeling.
     """
-    empty, code, _ = canonical_form_and_code(Graph(n, []))
+    empty, code = canonical_form_and_code(Graph(n, []))
     levels = [[(code, empty)]]
     for _ in range(n * (n - 1) // 2):
         nxt: dict[bytes, Graph] = {}
         for _, g in levels[-1]:
             for u, v in g.non_edges():
-                h, code, _ = canonical_form_and_code(g.with_edge(u, v))
+                h, code = canonical_form_and_code(g.with_edge(u, v))
                 nxt.setdefault(code, h)
         levels.append(sorted(nxt.items()))
     return levels

@@ -171,6 +171,16 @@ def test_verify_malformed_input_exit_2(capsys, monkeypatch):
     assert "malformed" in err
 
 
+def test_verify_two_graph6_lines_exit_2(capsys, tmp_path):
+    # only one graph is verified per run, so a second one is an error
+    path = tmp_path / "two.g6"
+    path.write_text("Bw\nBw\n")
+    code, out, err = run(capsys, "verify", "--k", "3", "--mode", "free", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert "malformed" in err and "more than one line" in err
+
+
 def test_certify_writes_validating_certificate(capsys, monkeypatch, tmp_path):
     h = build_h1(7, 9)
     cert_path = tmp_path / "cert.txt"
@@ -322,8 +332,13 @@ def test_oracle_writes_golden(capsys, tmp_path):
     )
     assert code == 0
     assert "sat(5, C4) = 5" in out
-    # the result line splits the time into level generation and verification
-    assert re.search(r"in \d+\.\ds \(generate \d+\.\ds, verify \d+\.\ds\)$", out, re.M)
+    # the result line, as mine-suitable prints it, splits the time into
+    # level generation and verification
+    assert re.search(
+        r"^examined \d+ classes in \d+\.\ds \(generate \d+\.\ds, verify \d+\.\ds\)$",
+        out,
+        re.M,
+    )
     assert golden.read_text().splitlines()[1].startswith("5,4,sat,5,")
 
 

@@ -103,6 +103,15 @@ def test_autodetect():
     assert detect_and_decode(edge_list_encode(g)) == g
 
 
+def test_autodetect_rejects_a_second_graph6_line():
+    # trailing blank lines are fine; a second graph is not silently dropped
+    assert detect_and_decode("Bw\n\n  \n") == complete_graph(3)
+    with pytest.raises(Graph6Error, match="more than one line"):
+        detect_and_decode("Bw\ngarbage")
+    with pytest.raises(Graph6Error, match="more than one line"):
+        detect_and_decode("Bw\n\nBw\n")
+
+
 def test_labels_round_trip():
     labels = {"a1": 0, "a2": 1, "A": (0, 1), "C": (4, 5, 6), "D": ()}
     assert labels_decode(labels_encode(labels)) == labels

@@ -81,18 +81,9 @@ def test_canonical_code_invariant_under_relabeling(g, rng):
 
 @given(graphs(max_n=7))
 def test_canonical_form_is_idempotent(g):
-    form, code, _ = canonical_form_and_code(g)
+    form, code = canonical_form_and_code(g)
     assert canonical_code(form) == code
     assert canonical_form_and_code(form)[0] == form
-
-
-@given(st.one_of(graphs(max_n=8), twin_rich_graphs()))
-@settings(max_examples=300, deadline=None)
-def test_returned_permutations_are_automorphisms_of_the_form(g):
-    form, _, generators = canonical_form_and_code(g)
-    for p in generators:
-        assert sorted(p) == list(range(g.n))
-        assert form.relabel(p) == form
 
 
 @given(
@@ -197,16 +188,15 @@ def _search_corpus() -> list[Graph]:
 
 
 def test_search_output_is_pinned():
-    # The labeling search must visit the same nodes in the same order: its
-    # order and automorphism list (which depends on the visiting order) are
-    # hashed over a fixed corpus.  The digest was recorded at commit 7fd9920,
-    # with the search state kept as a vertex list plus a row per vertex,
-    # before the state became an ordered partition of bitmask cells.
+    # The labeling search must pick the same placement order: the orders are
+    # hashed over a fixed corpus.  The digest is that of the orders the
+    # search returned while it also collected automorphisms (commit
+    # 66033ea), so dropping them left every order as it was.
     digest = hashlib.sha256()
     for g in _search_corpus():
         digest.update(repr(_canonical_search(g)).encode())
     assert digest.hexdigest() == (
-        "5db44e33770cabe7192957edf58e335aa6e15ee85f15ab446a822a377ba897ce"
+        "bc565bed4bde8ae84a6cf2430c13c8ed298bb92ecfef6ce55dd99e9c05293d70"
     )
 
 

@@ -101,6 +101,25 @@ def test_h1_is_saturated_with_sound_certificate():
     assert cert.validate(h.graph) == []
 
 
+# The Petersen graph: outer 5-cycle, inner pentagram, spokes.  It has no
+# Hamiltonian cycle, and adding any non-edge creates one (it is maximally
+# non-Hamiltonian; Clark and Entringer, Period. Math. Hungar. 1983).
+PETERSEN = Graph(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    + [(i, 5 + i) for i in range(5)],
+)
+
+
+def test_petersen_is_c10_saturated():
+    assert PETERSEN.edge_count == 15
+    verdict = is_saturated(PETERSEN, 10)
+    assert verdict.holds
+    cert = verdict.certificate
+    assert cert is not None and cert.validate(PETERSEN) == []
+
+
 def test_star_is_triangle_saturated():
     for n in (3, 5, 8):
         assert is_saturated(star_graph(n), 3).holds

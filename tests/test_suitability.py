@@ -175,9 +175,10 @@ def test_mine_result_is_pinned(k, mode, budget, status, value, witness, pair, ex
     core = result.witness
     assert (graph6_encode(core.graph) if core else None) == witness
     assert (core.labels if core else None) == pair
-    assert result.classes_examined == examined
-    assert 0 <= result.generate_s and 0 <= result.verify_s
-    assert result.generate_s + result.verify_s <= result.elapsed
+    stats = result.stats
+    assert stats.graphs_examined == examined
+    assert 0 <= stats.generate_s and 0 <= stats.verify_s
+    assert stats.generate_s + stats.verify_s <= stats.elapsed
 
 
 @pytest.mark.parametrize(
