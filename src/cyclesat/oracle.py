@@ -5,8 +5,8 @@ m+1 extends the representative of every class of level m by its non-edges
 and deduplicates the children on codes.  Levels are labeled by the
 refinement labeling of ``graphs._refined_form_and_code``, which is much
 cheaper than the minimal code on sparse graphs; each class is stored as its
-refined form and code, and levels are cached per vertex count for the
-session, sorted by that code.  The minimal code (``canonical_form_and_code``)
+refined form and code, and levels are cached per vertex count (and
+filter, below) for the session, sorted by that code.  The minimal code (``canonical_form_and_code``)
 only picks and relabels the witness of a stratum, so results do not depend
 on the level labeling.
 
@@ -56,14 +56,40 @@ Nothing is lost or changed:
 
 Completeness of the group only matters for speed: a smaller group leaves
 more orbits, and their children are merged on codes as before.  The
-generators are kept only for the top cached level of each n, the parents of
-the next level.
+generators are kept only for the top cached level of each cache key, the
+parents of the next level.
+
+The same generator builds the levels of a hereditary class, the C_k-free
+graphs (``free_of=k``): a child g + uv whose top-edge test passes is then
+kept only when g has no u-v path of k - 1 edges.  That is one path query
+per child that passes the test, made after it because the test rejects
+most children more cheaply.  Every new k-cycle of g + uv runs through uv,
+so the kept children of a C_k-free parent are exactly its C_k-free ones,
+and no C_k-free class is lost:
+
+- deleting an edge keeps a graph C_k-free, so for a C_k-free class h with
+  top edge f, h - f is C_k-free and, by induction, isomorphic to a
+  representative P of the filtered level below;
+- the isomorphism takes f to a non-edge e = uv of P, and P + e is
+  isomorphic to h, so it has no k-cycle and P has no u-v path of k - 1
+  edges;
+- the representative of e's orbit passes the top-edge test as before, and,
+  as the image of e under an automorphism of P, it has no such path
+  either, so h is generated.
+
+The filtered levels are the unfiltered ones restricted to C_k-free classes,
+with the same codes and representatives.  Their cache key is (n, k); the
+unfiltered levels, which ``ssat`` and the miner scan, stay under (n, None).
 
 The search scans edge counts upward from the best applicable lower bound,
 verifying connected classes only (adding any non-edge between components
 creates no cycle, so a disconnected graph cannot be semisaturated).  A
 stratum is scanned whole, and its witness is the passing class with the
-least minimal code, in its minimal-code form.
+least minimal code, in its minimal-code form.  A ``sat`` search scans the
+C_k-free levels only.  This cannot move its value or its witness: every
+C_k-saturated class is C_k-free, so every stratum still holds every class
+that passes, and the least minimal code among them still wins; only the
+``examined`` count shrinks.
 """
 
 from __future__ import annotations
@@ -77,6 +103,7 @@ from typing import Callable, TypeVar
 
 from .bounds import eval_bounds
 from .codec import graph6_encode
+from .cycles import exists_path_of_length
 from .graphs import (
     Graph,
     Permutation,
@@ -91,9 +118,10 @@ _T = TypeVar("_T")
 
 Level = list[tuple[bytes, Graph]]
 
-# n -> (the levels built so far, the automorphism generators of each class
-# of the top level in level order: the parents' orbit data for the next).
-_LEVELS: dict[int, tuple[list[Level], list[list[Permutation]]]] = {}
+# (n, free_of) -> (the levels built so far, the automorphism generators of
+# each class of the top level in level order: the parents' orbit data for
+# the next).
+_LEVELS: dict[tuple[int, int | None], tuple[list[Level], list[list[Permutation]]]] = {}
 
 
 class CeilingExceeded(ValueError):
@@ -178,20 +206,26 @@ def _orbit_representatives(
     return reps
 
 
-def classes_with_edges(n: int, m: int, deadline: float | None = None) -> Level:
+def classes_with_edges(
+    n: int, m: int, deadline: float | None = None, *, free_of: int | None = None
+) -> Level:
     """Refined forms and codes of all n-vertex graphs with m edges.
 
-    Sorted by the refinement labeling's code.  Levels are built on demand
-    and cached; a level interrupted by the deadline is discarded whole, so
+    With ``free_of=k``, only the classes with no k-cycle.  Sorted by the
+    refinement labeling's code.  Levels are built on demand and cached per
+    (n, free_of); a level interrupted by the deadline is discarded whole, so
     the cache only ever holds complete levels and the generators of the top
     one.
     """
+    if free_of is not None and free_of < 3:
+        raise ValueError(f"cycle length must be at least 3, got {free_of}")
     if not 0 <= m <= comb(n, 2):
         return []
-    if n not in _LEVELS:
+    key = (n, free_of)
+    if key not in _LEVELS:
         empty, code, generators = _refined_form_and_code(Graph(n, []))
-        _LEVELS[n] = ([[(code, empty)]], [generators])
-    levels, top_generators = _LEVELS[n]
+        _LEVELS[key] = ([[(code, empty)]], [generators])
+    levels, top_generators = _LEVELS[key]
     while len(levels) <= m:
         nxt: dict[bytes, tuple[Graph, list[Permutation]]] = {}
         for (_, g), generators in zip(levels[-1], top_generators):
@@ -201,7 +235,10 @@ def classes_with_edges(n: int, m: int, deadline: float | None = None) -> Level:
                 adj = list(g.adj)
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
-                if _is_top_edge(adj, u, v):
+                if _is_top_edge(adj, u, v) and (
+                    free_of is None
+                    or exists_path_of_length(g, u, v, free_of - 1) is None
+                ):
                     h, code, child_generators = _refined_form_and_code(
                         g.with_edge(u, v)
                     )
@@ -209,7 +246,7 @@ def classes_with_edges(n: int, m: int, deadline: float | None = None) -> Level:
         ordered = sorted(nxt.items())
         levels = levels + [[(code, h) for code, (h, _) in ordered]]
         top_generators = [generators for _, (_, generators) in ordered]
-        _LEVELS[n] = (levels, top_generators)
+        _LEVELS[key] = (levels, top_generators)
     return list(levels[m])
 
 
@@ -281,13 +318,16 @@ def scan_strata(
     accept: Callable[[Graph], _T | None],
     ceiling: int,
     budget_seconds: float | None,
+    *,
+    free_of: int | None = None,
 ) -> tuple[int, _T | None, bool, SearchStats]:
     """Scan edge counts upward to the first stratum with an accepted class.
 
     Returns (m, accepted, timed_out, stats).  Only connected classes are
     offered to ``accept``, so the scan starts at max(n - 1, floor).  Each
-    stratum's level is built once, by ``classes_with_edges``, and scanned
-    by ``search_stratum``; ``stats`` splits the time between the two.  A
+    stratum's level is built once, by ``classes_with_edges`` (holding only
+    the C_k-free classes when ``free_of=k``), and scanned by
+    ``search_stratum``; ``stats`` splits the time between the two.  A
     deadline hit in either stops the scan.  Every stratum below the
     returned m was scanned whole, so m is the minimum when something was
     accepted and a proven floor when the budget ran out; when nothing is
@@ -306,7 +346,7 @@ def scan_strata(
     for m in range(max(n - 1, floor), comb(n, 2) + 1):
         start = time.monotonic()
         try:
-            level = classes_with_edges(n, m, deadline=deadline)
+            level = classes_with_edges(n, m, deadline=deadline, free_of=free_of)
         except GenerationTimeout:
             timed_out = True
             break
@@ -350,6 +390,7 @@ def exact_min(
         lambda g: g if passes(g) else None,
         cap,
         budget_seconds,
+        free_of=k if mode == "sat" else None,
     )
     if timed_out:
         return OracleResult(n, k, mode, "lower-bound-only", m, None, stats)

@@ -19,6 +19,8 @@ from typing import Iterable, Sequence
 
 from .cycles import (
     CycleWitness,
+    _Budget,
+    _search_path,
     exists_path_of_length,
     has_cycle_of_length,
     shortest_cycle_through,
@@ -299,6 +301,11 @@ def check_structure(
     input; a violation on a graph that was claimed saturated falsifies
     either the claim or the implementation.
 
+    Claim iii needs n > k: G - v has n - 1 vertices, and no graph on fewer
+    than k vertices is C_k-semisaturated.  At n = k it fails on saturated
+    graphs, for example ``FJ\\~w`` (k = 7) and ``GJ\\z~{`` (k = 8), a leaf on
+    a dense graph, which report "removing leaf 0 drops below k vertices".
+
     Check iii reads G itself.  A degree-1 vertex v is interior to no path,
     so for x, y != v the x-y paths of G - v are exactly those of G.  Hence
     G - v is semisaturated iff every non-edge of G that avoids v has a
@@ -421,15 +428,20 @@ def greedy_saturate(n: int, k: int, edge_order: Iterable[tuple[int, int]]) -> Gr
     """Scan vertex pairs in the given order, keeping the graph C_k-free.
 
     A pair is added exactly when no path of k-1 edges currently joins it.
-    The result is maximal C_k-free, hence C_k-saturated.
+    The result is maximal C_k-free, hence C_k-saturated.  The graph grows in
+    one adjacency list that the path kernel reads directly; the ``Graph`` is
+    built once, at the end.
     """
     if n < k:
         raise TooFewVertices(f"need at least {k} vertices, got {n}")
     order = list(edge_order)
     if sorted(order) != all_pairs(n):
         raise ValueError("edge_order must be a permutation of all vertex pairs")
-    G = Graph(n, [])
+    adj = [0] * n
+    kept = []
     for u, v in order:
-        if exists_path_of_length(G, u, v, k - 1) is None:
-            G = G.with_edge(u, v)
-    return G
+        if _search_path(adj, n, u, v, k - 1, _Budget(None)) is None:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            kept.append((u, v))
+    return Graph(n, kept)

@@ -14,7 +14,7 @@ from conftest import (
     twin_rich_graphs,
 )
 from cyclesat import oracle
-from cyclesat.bounds import Observation, check_consistency
+from cyclesat.bounds import Observation, check_consistency, eval_bounds
 from cyclesat.codec import graph6_encode
 from cyclesat.graphs import (
     _refined_form_and_code,
@@ -31,7 +31,7 @@ from cyclesat.oracle import (
     exact_min,
     search_stratum,
 )
-from cyclesat.saturation import is_saturated, is_semisaturated
+from cyclesat.saturation import is_ck_free, is_saturated, is_semisaturated
 
 # class counts of n-vertex graphs per edge count, for cross-checking the
 # generator (row n=5 and n=6 of the standard triangle)
@@ -44,6 +44,8 @@ COUNTS_8 = [1, 1, 2, 5, 11, 24, 56, 115, 221, 402]
 # connected ones (OEIS A001349)
 A000088 = [1, 1, 2, 4, 11, 34, 156, 1044]
 A001349 = [1, 1, 1, 2, 6, 21, 112, 853]
+# triangle-free graphs on n = 1..7 vertices (OEIS A006785)
+A006785 = [1, 2, 3, 7, 14, 38, 107]
 
 
 def _minimal_codes(level):
@@ -87,31 +89,66 @@ def test_class_totals_match_oeis(n):
     assert sum(g.is_connected() for g in classes) == A001349[n]
 
 
+@pytest.mark.parametrize("n", range(3, 8))
+def test_free_levels_are_the_free_classes_of_the_full_levels(n):
+    # the C_k-free filter runs inside the generator; the full levels,
+    # filtered afterwards, must give the same codes and representatives
+    for k in range(3, n + 1):
+        for m in range(comb(n, 2) + 1):
+            free = [(c, g) for c, g in classes_with_edges(n, m) if is_ck_free(g, k)]
+            assert classes_with_edges(n, m, free_of=k) == free
+
+
+def test_triangle_free_totals_match_oeis():
+    totals = [
+        sum(len(classes_with_edges(n, m, free_of=3)) for m in range(comb(n, 2) + 1))
+        for n in range(1, 8)
+    ]
+    assert totals == A006785
+
+
+@pytest.mark.parametrize("free_of", [0, 2, -3])
+def test_free_of_below_3_raises(free_of):
+    with pytest.raises(ValueError, match="cycle length must be at least 3"):
+        classes_with_edges(5, 2, free_of=free_of)
+
+
+PARENTS = [0, 1, 7, 60, 400]
+
+
 @pytest.fixture(scope="module")
 def levels7():
     return naive_levels(7)
 
 
-@pytest.mark.parametrize("parents", [0, 1, 7, 60, 400])
-def test_deadline_mid_level_leaves_cache_consistent(monkeypatch, levels7, parents):
+@pytest.mark.parametrize(
+    "parents,free_of",
+    [(p, None) for p in PARENTS] + [(p, 7) for p in PARENTS],
+    ids=[str(p) for p in PARENTS] + [f"free7-{p}" for p in PARENTS],
+)
+def test_deadline_mid_level_leaves_cache_consistent(
+    monkeypatch, levels7, parents, free_of
+):
     # the deadline passes after ``parents`` parents have been extended, in
     # whatever level that falls; the partial level and its generators are
     # dropped, and generation resumes from the cache to the naive levels
+    # (for free_of=7, their 661 non-Hamiltonian classes)
     cache: dict = {}
     monkeypatch.setattr(oracle, "_LEVELS", cache)
     checks = iter([0.0] * parents)
     with monkeypatch.context() as clock:
         clock.setattr(oracle.time, "monotonic", lambda: next(checks, 2.0))
         with pytest.raises(GenerationTimeout):
-            classes_with_edges(7, 21, deadline=1.0)
+            classes_with_edges(7, 21, deadline=1.0, free_of=free_of)
     # every parent below the top level was extended; the deadline hit
     # while the top level's classes were being extended
-    levels, top_generators = cache[7]
+    levels, top_generators = cache[(7, free_of)]
     extended = sum(len(level) for level in levels[:-1])
     assert extended <= parents < extended + len(levels[-1])
     assert len(top_generators) == len(levels[-1])
     for m, level in enumerate(levels7):
-        assert _minimal_codes(classes_with_edges(7, m)) == [c for c, _ in level]
+        expect = [c for c, g in level if free_of is None or is_ck_free(g, free_of)]
+        assert _minimal_codes(classes_with_edges(7, m, free_of=free_of)) == expect
 
 
 @pytest.mark.parametrize("n", range(7), ids=[f"refined-{n}" for n in range(7)])
@@ -188,11 +225,14 @@ def test_sat_c4_small_values():
     assert exact_min(7, 4, "sat").value == 8
 
 
-@pytest.mark.parametrize("n", range(5, 9))
+@pytest.mark.parametrize("n", range(5, 10))
 def test_sat_c5_matches_chen_formula(n):
     # sat(n, C5) = ceil(10(n - 1) / 7) (Chen, J. Graph Theory 2009, proved
-    # for n >= 21); the exhaustive values agree at n = 5..8 as well
-    assert exact_min(n, 5, "sat").value == ceil(10 * (n - 1) / 7)
+    # for n >= 21); the exhaustive values agree at n = 5..9 as well
+    result = exact_min(n, 5, "sat", ceiling=9)
+    assert result.value == ceil(10 * (n - 1) / 7)
+    if n == 9:
+        assert graph6_encode(result.witness) == "H??GnRp"
 
 
 def test_sat_c3_is_spanning_tree_size():
@@ -243,8 +283,8 @@ def test_no_disconnected_graph_is_semisaturated():
 @pytest.mark.parametrize(
     "n,k,mode,budget,status,value,witness,examined",
     [
-        (7, 4, "sat", None, "exact", 8, "F?Ddw", 203),
-        (8, 4, "sat", None, "exact", 9, "G?CaK{", 738),
+        (7, 4, "sat", None, "exact", 8, "F?Ddw", 76),
+        (8, 4, "sat", None, "exact", 9, "G?CaK{", 232),
         (6, 6, "ssat", None, "exact", 9, "EJbw", 105),
         (8, 4, "sat", 0.0, "lower-bound-only", 7, None, 0),
     ],
@@ -257,6 +297,15 @@ def test_search_result_is_pinned(n, k, mode, budget, status, value, witness, exa
     assert stats.graphs_examined == examined
     assert 0 <= stats.generate_s and 0 <= stats.verify_s
     assert stats.generate_s + stats.verify_s <= stats.elapsed
+    if status == "exact":
+        # every class of the full levels in the strata scanned, C_k-free
+        # ones only for sat
+        start = max(n - 1, eval_bounds(n, k).lower_floor(mode))
+        assert examined == sum(
+            mode == "ssat" or is_ck_free(g, k).holds
+            for m in range(start, value + 1)
+            for _, g in classes_with_edges(n, m)
+        )
 
 
 def test_generation_deadline_stops_the_scan(monkeypatch):

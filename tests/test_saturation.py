@@ -14,11 +14,13 @@ from conftest import (
     path_graph,
     star_graph,
 )
+from cyclesat.codec import graph6_decode
 from cyclesat.cycles import CycleWitness
 from cyclesat.families import build_h1, build_h3, build_wheel
 from cyclesat.graphs import Graph
 from cyclesat.oracle import classes_with_edges
 from cyclesat.saturation import (
+    LEAF_CHECKS,
     Certificate,
     CertificateError,
     TooFewVertices,
@@ -340,6 +342,20 @@ def test_structure_violation_is_reported(g, k, check, detail):
     assert not report.ok
     assert {v.check for v in report.violations} == {check}
     assert any(detail in v.detail for v in report.violations), report.violations
+
+
+@pytest.mark.parametrize("code,k", [("FJ\\~w", 7), ("GJ\\z~{", 8)])
+def test_claim_iii_needs_more_than_k_vertices(code, k):
+    # a leaf on a dense graph with n = k: C_k-saturated, hence semisaturated,
+    # but removing the leaf leaves k - 1 vertices, so check iii reports it;
+    # a scan of every semisaturated class with n <= 8 and 5 <= k <= n found
+    # no other check i-iii violation
+    g = graph6_decode(code)
+    assert g.n == k and is_saturated(g, k, want_certificate=False).holds
+    report = check_structure(g, k, checks=LEAF_CHECKS)
+    assert [(v.check, v.detail) for v in report.violations] == [
+        ("iii", f"removing leaf 0 drops below {k} vertices")
+    ]
 
 
 @pytest.mark.parametrize("k", [2, 0])
