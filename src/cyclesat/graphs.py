@@ -8,7 +8,7 @@ verifiers and searches can snapshot and share them freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -218,7 +218,7 @@ class LabeledGraph:
 Permutation = tuple[int, ...]
 
 
-def _lower_twins(adj: tuple[int, ...]) -> list[int]:
+def _lower_twins(adj: Sequence[int]) -> list[int]:
     """Per vertex v, the mask of its twins u < v: ``N(u) - v == N(v) - u``."""
     lower = [0] * len(adj)
     for v, row in enumerate(adj):
@@ -287,40 +287,40 @@ def _canonical_search(G: Graph) -> tuple[int, ...]:
     return tuple(best_order)
 
 
-def _code_from_order(G: Graph, order: tuple[int, ...]) -> bytes:
+def _code_from_order(adj: Sequence[int], order: Sequence[int]) -> bytes:
+    """The adjacency code of placing ``order[i]`` at i: row i against columns 0..i-1."""
     bits = 0
     nbits = 0
-    for i in range(1, G.n):
-        row_src = G.adj[order[i]]
+    for i in range(1, len(adj)):
+        row_src = adj[order[i]]
         for j in range(i):
             bits = (bits << 1) | (row_src >> order[j] & 1)
             nbits += 1
     payload = bits.to_bytes((nbits + 7) // 8, "big") if nbits else b""
-    return bytes([G.n]) + payload
+    return bytes([len(adj)]) + payload
 
 
-def _relabeling(order: list[int] | tuple[int, ...]) -> list[int]:
-    """The relabeling ``v -> position of v in order``, taking order[i] to i."""
-    position = [0] * len(order)
-    for pos, v in enumerate(order):
-        position[v] = pos
-    return position
+def _graph_from_code(code: bytes) -> Graph:
+    """The form a code was written from: row i holds vertex i's edges to 0..i-1."""
+    n, bits = code[0], int.from_bytes(code[1:], "big")
+    pairs = [(j, i) for i in range(1, n) for j in range(i)]
+    return Graph(n, [p for b, p in enumerate(reversed(pairs)) if bits >> b & 1])
 
 
 def canonical_code(G: Graph) -> bytes:
     """Relabeling-invariant byte code identifying the isomorphism class."""
-    return _code_from_order(G, _canonical_search(G))
+    return _code_from_order(G.adj, _canonical_search(G))
 
 
 def canonical_form_and_code(G: Graph) -> tuple[Graph, bytes]:
     """Canonical relabeling and its minimal code.
 
     Two graphs are isomorphic iff their canonical relabelings are equal.
-    Only the refinement labeling (``_refined_form_and_code``) reports
+    Only the refinement labeling (``_refined_code``) reports
     automorphisms.
     """
-    order = _canonical_search(G)
-    return G.relabel(_relabeling(order)), _code_from_order(G, order)
+    code = canonical_code(G)
+    return _graph_from_code(code), code
 
 
 # -- refinement labeling -------------------------------------------------
@@ -344,7 +344,7 @@ def canonical_form_and_code(G: Graph) -> tuple[Graph, bytes]:
 # holds the same codes.
 
 
-def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
+def _refine(adj: Sequence[int], cells: list[int], splitters: list[int]) -> list[int]:
     """The coarsest equitable ordered partition refining ``cells``.
 
     ``cells`` must already be equitable with respect to every cell that is
@@ -389,16 +389,16 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
     return cells
 
 
-def _refined_form_and_code(G: Graph) -> tuple[Graph, bytes, list[Permutation]]:
-    """The refinement labeling's form, its code and automorphisms of the form.
+def _refined_code(adj: Sequence[int]) -> tuple[bytes, list[Permutation]]:
+    """The refinement labeling's code and automorphisms of its form.
 
-    Each automorphism maps vertex i of the form to ``p[i]``.  They are the
-    ones that two leaves with equal codes gave, plus the transposition of
-    each vertex with its least twin (``N(u) - v == N(v) - u``).  They
-    usually generate the whole automorphism group, but nothing relies on
-    it.
+    Each automorphism maps vertex i of the form (``_graph_from_code`` of the
+    code) to ``p[i]``.  They are the ones that two leaves with equal codes
+    gave, plus the transposition of each vertex with its least twin
+    (``N(u) - v == N(v) - u``).  They usually generate the whole
+    automorphism group, but nothing relies on it.
     """
-    n, adj = G.n, G.adj
+    n = len(adj)
     lower = _lower_twins(adj)
     best_code = b""
     best_order: list[int] = []
@@ -409,7 +409,7 @@ def _refined_form_and_code(G: Graph) -> tuple[Graph, bytes, list[Permutation]]:
         i = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
         if i is None:
             order = [c.bit_length() - 1 for c in cells]
-            code = _code_from_order(G, order)
+            code = _code_from_order(adj, order)
             if not best_order or code < best_code:
                 best_code, best_order = code, order
             elif code == best_code:
@@ -444,13 +444,13 @@ def _refined_form_and_code(G: Graph) -> tuple[Graph, bytes, list[Permutation]]:
 
     full = (1 << n) - 1
     rec(_refine(adj, [full], [full]) if n else [], [])
-    position = _relabeling(best_order)
-    form = G.relabel(position)
-    generators = [tuple(position[p[v]] for v in best_order) for p in found]
-    for v, twins in enumerate(_lower_twins(form.adj)):
+    for v, twins in enumerate(lower):
         if twins:
             u = (twins & -twins).bit_length() - 1
             swap = list(range(n))
             swap[u], swap[v] = v, u
-            generators.append(tuple(swap))
-    return form, best_code, generators
+            found.append(tuple(swap))
+    position = [0] * n
+    for pos, v in enumerate(best_order):
+        position[v] = pos
+    return best_code, [tuple(position[p[v]] for v in best_order) for p in found]

@@ -3,12 +3,13 @@
 Isomorphism classes of n-vertex graphs are generated level by level: level
 m+1 extends the representative of every class of level m by its non-edges
 and deduplicates the children on codes.  Levels are labeled by the
-refinement labeling of ``graphs._refined_form_and_code``, which is much
-cheaper than the minimal code on sparse graphs; each class is stored as its
-refined form and code, and levels are cached per vertex count (and
-filter, below) for the session, sorted by that code.  The minimal code (``canonical_form_and_code``)
-only picks and relabels the witness of a stratum, so results do not depend
-on the level labeling.
+refinement labeling of ``graphs._refined_code``, much cheaper than the
+minimal code on sparse graphs.  A level is the sorted refined codes of its
+classes; a code is its class's refined form, row by row, which
+``graphs._graph_from_code`` rebuilds to extend or scan the class.  Levels
+are cached per vertex count (and filter, below) for the session.  The
+minimal code (``canonical_form_and_code``) only picks and relabels the
+witness of a stratum, so results do not depend on the level labeling.
 
 Isomorphs are rejected before labeling by the canonical-deletion test of
 McKay's canonical augmentation (J. Algorithms 1998), done by invariant: a
@@ -23,9 +24,7 @@ class is lost:
 - the isomorphism takes f to a non-edge e of P, and P + e is isomorphic to h;
 - e is a top edge of P + e because the key is invariant, so h is generated.
 
-Children that pass the test and are still isomorphic share a code and are
-merged; the stored representative is the refined form, so the levels do not
-depend on which child came first.
+Isomorphic children share a code, so a level does not depend on which came first.
 
 The test is evaluated as a cascade that stops at the first deciding step,
 and each early exit gives the verdict of comparing all full keys.  Colours
@@ -51,8 +50,8 @@ Nothing is lost or changed:
   e of one orbit are isomorphic;
 - the top-edge key is invariant, so the orbit's representative passes the
   top-edge test exactly when every member of its orbit does;
-- the stored representatives are refined forms, so the levels and their
-  order are the same whichever member is extended.
+- a class is stored as its refined code, so the levels and their order are
+  the same whichever member is extended.
 
 Completeness of the group only matters for speed: a smaller group leaves
 more orbits, and their children are merged on codes as before.  The
@@ -78,8 +77,8 @@ and no C_k-free class is lost:
   either, so h is generated.
 
 The filtered levels are the unfiltered ones restricted to C_k-free classes,
-with the same codes and representatives.  Their cache key is (n, k); the
-unfiltered levels, which ``ssat`` and the miner scan, stay under (n, None).
+with the same codes.  Their cache key is (n, k); the unfiltered levels,
+which ``ssat`` and the miner scan, stay under (n, None).
 
 The search scans edge counts upward from the best applicable lower bound,
 verifying connected classes only (adding any non-edge between components
@@ -107,7 +106,8 @@ from .cycles import exists_path_of_length
 from .graphs import (
     Graph,
     Permutation,
-    _refined_form_and_code,
+    _graph_from_code,
+    _refined_code,
     canonical_form_and_code,
 )
 from .saturation import is_saturated, is_semisaturated
@@ -116,7 +116,7 @@ DEFAULT_CEILING = {"sat": 8, "ssat": 9}
 
 _T = TypeVar("_T")
 
-Level = list[tuple[bytes, Graph]]
+Level = list[bytes]
 
 # (n, free_of) -> (the levels built so far, the automorphism generators of
 # each class of the top level in level order: the parents' orbit data for
@@ -209,13 +209,13 @@ def _orbit_representatives(
 def classes_with_edges(
     n: int, m: int, deadline: float | None = None, *, free_of: int | None = None
 ) -> Level:
-    """Refined forms and codes of all n-vertex graphs with m edges.
+    """The sorted refined codes of all n-vertex graphs with m edges, one per class.
 
-    With ``free_of=k``, only the classes with no k-cycle.  Sorted by the
-    refinement labeling's code.  Levels are built on demand and cached per
-    (n, free_of); a level interrupted by the deadline is discarded whole, so
-    the cache only ever holds complete levels and the generators of the top
-    one.
+    With ``free_of=k``, only the classes with no k-cycle.  A code decodes to
+    its class's refined form (``graphs._graph_from_code``).  Levels are built
+    on demand and cached per (n, free_of); a level interrupted by the
+    deadline is discarded whole, so the cache only ever holds complete
+    levels and the generators of the top one.
     """
     if free_of is not None and free_of < 3:
         raise ValueError(f"cycle length must be at least 3, got {free_of}")
@@ -223,14 +223,15 @@ def classes_with_edges(
         return []
     key = (n, free_of)
     if key not in _LEVELS:
-        empty, code, generators = _refined_form_and_code(Graph(n, []))
-        _LEVELS[key] = ([[(code, empty)]], [generators])
+        code, generators = _refined_code([0] * n)
+        _LEVELS[key] = ([[code]], [generators])
     levels, top_generators = _LEVELS[key]
     while len(levels) <= m:
-        nxt: dict[bytes, tuple[Graph, list[Permutation]]] = {}
-        for (_, g), generators in zip(levels[-1], top_generators):
+        nxt: dict[bytes, list[Permutation]] = {}
+        for parent, generators in zip(levels[-1], top_generators):
             if deadline is not None and time.monotonic() > deadline:
                 raise GenerationTimeout(len(levels))
+            g = _graph_from_code(parent)
             for u, v in _orbit_representatives(g, generators):
                 adj = list(g.adj)
                 adj[u] |= 1 << v
@@ -239,13 +240,11 @@ def classes_with_edges(
                     free_of is None
                     or exists_path_of_length(g, u, v, free_of - 1) is None
                 ):
-                    h, code, child_generators = _refined_form_and_code(
-                        g.with_edge(u, v)
-                    )
-                    nxt.setdefault(code, (h, child_generators))
-        ordered = sorted(nxt.items())
-        levels = levels + [[(code, h) for code, (h, _) in ordered]]
-        top_generators = [generators for _, (_, generators) in ordered]
+                    code, child_generators = _refined_code(adj)
+                    nxt.setdefault(code, child_generators)
+        codes = sorted(nxt)
+        levels = levels + [codes]
+        top_generators = [nxt[code] for code in codes]
         _LEVELS[key] = (levels, top_generators)
     return list(levels[m])
 
@@ -301,10 +300,11 @@ def search_stratum(
     """
     examined = 0
     least: tuple[bytes, Graph] | None = None
-    for _, g in level:
+    for refined in level:
         if deadline is not None and time.monotonic() > deadline:
             return None, examined, True
         examined += 1
+        g = _graph_from_code(refined)
         if g.is_connected() and accept(g) is not None:
             form, code = canonical_form_and_code(g)
             if least is None or code < least[0]:

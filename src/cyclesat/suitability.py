@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .cycles import PathWitness, exists_path_of_length
 from .graphs import Graph, LabeledGraph
 from .oracle import SearchStats, scan_strata
-from .saturation import is_semisaturated
+from .saturation import SaturationVerdict, is_semisaturated
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,9 @@ def _report(
     k: int,
     mode: str,
     pairs: list[tuple[int, int]],
+    semi: SaturationVerdict,
 ) -> SuitabilityReport:
-    """Evaluate S2, S3 and S1 for the special pair (a1, a2)."""
+    """Evaluate S2 and S3 for the special pair (a1, a2); ``semi`` is G's S1 verdict."""
     s2_witnesses: dict[int, PathWitness] = {}
     s2_missing: list[int] = []
     for ell in range(1, k - 1):
@@ -114,7 +115,6 @@ def _report(
                 continue
             s3_failures.append((q, m1, m2))
 
-    semi = is_semisaturated(G, k, want_certificate=False)
     return SuitabilityReport(
         mode=mode,
         k=k,
@@ -132,13 +132,17 @@ def _report(
 def is_k_suitable(core: LabeledGraph, k: int) -> SuitabilityReport:
     """Full report for the plain suitability conditions S1-S3."""
     pairs = split_pairs(k, "k-suitable")
-    return _report(core.graph, *core.special_pair(), k, "k-suitable", pairs)
+    a1, a2 = core.special_pair()
+    semi = is_semisaturated(core.graph, k, want_certificate=False)
+    return _report(core.graph, a1, a2, k, "k-suitable", pairs, semi)
 
 
 def is_kk2_suitable(core: LabeledGraph, k: int) -> SuitabilityReport:
     """Full report for the extended conditions S1, S2, and the two-split S3."""
     pairs = split_pairs(k, "kk2-suitable")
-    return _report(core.graph, *core.special_pair(), k, "kk2-suitable", pairs)
+    a1, a2 = core.special_pair()
+    semi = is_semisaturated(core.graph, k, want_certificate=False)
+    return _report(core.graph, a1, a2, k, "kk2-suitable", pairs, semi)
 
 
 @dataclass(frozen=True)
@@ -173,11 +177,12 @@ def mine_suitable(
     cap = DEFAULT_MINE_CEILING if ceiling is None else ceiling
 
     def accept(G: Graph) -> LabeledGraph | None:
-        if not is_semisaturated(G, k, want_certificate=False).holds:
+        semi = is_semisaturated(G, k, want_certificate=False)
+        if not semi.holds:
             return None
         for a1 in range(k):
             for a2 in range(a1 + 1, k):
-                if _report(G, a1, a2, k, mode, pairs).suitable:
+                if _report(G, a1, a2, k, mode, pairs, semi).suitable:
                     return LabeledGraph(G, {"a1": a1, "a2": a2})
         return None
 

@@ -11,7 +11,12 @@ import itertools
 
 from hypothesis import strategies as st
 
-from cyclesat.graphs import Graph, _code_from_order, canonical_form_and_code
+from cyclesat.graphs import (
+    Graph,
+    _code_from_order,
+    _graph_from_code,
+    canonical_form_and_code,
+)
 
 
 @st.composite
@@ -164,6 +169,11 @@ def brute_classes_with_edges(n: int, m: int) -> list[tuple[bytes, Graph]]:
     return sorted(found.items())
 
 
+def decoded(level: list[bytes]) -> list[tuple[bytes, Graph]]:
+    """A level of ``classes_with_edges`` as (code, refined form) pairs."""
+    return [(code, _graph_from_code(code)) for code in level]
+
+
 def naive_levels(n: int) -> list[list[tuple[bytes, Graph]]]:
     """Every class of n-vertex graphs, level m holding those with m edges.
 
@@ -230,7 +240,7 @@ def naive_is_top_edge(adj: list[int], u: int, v: int) -> bool:
 
 def brute_force_min_code(G: Graph) -> bytes:
     """The minimal code by definition: least code over every placement order (n <= 7)."""
-    return min(_code_from_order(G, p) for p in itertools.permutations(range(G.n)))
+    return min(_code_from_order(G.adj, p) for p in itertools.permutations(range(G.n)))
 
 
 def brute_force_isomorphic(G: Graph, H: Graph) -> bool:

@@ -1,3 +1,5 @@
+import hashlib
+import random
 import time
 from math import ceil, comb
 
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     brute_classes_with_edges,
     brute_nonedge_orbits,
+    decoded,
     graphs,
     naive_is_top_edge,
     naive_levels,
@@ -17,7 +20,9 @@ from cyclesat import oracle
 from cyclesat.bounds import Observation, check_consistency, eval_bounds
 from cyclesat.codec import graph6_encode
 from cyclesat.graphs import (
-    _refined_form_and_code,
+    _code_from_order,
+    _graph_from_code,
+    _refined_code,
     canonical_code,
     canonical_form_and_code,
 )
@@ -40,9 +45,9 @@ COUNTS_6 = [1, 1, 2, 5, 9, 15, 21, 24, 24, 21, 15, 9, 5, 2, 1, 1]
 # row n=8 of OEIS A008406 for m = 0..9, the levels exact_min(8, 4, "sat") builds
 COUNTS_8 = [1, 1, 2, 5, 11, 24, 56, 115, 221, 402]
 
-# graphs on n = 0..7 vertices up to isomorphism: all (OEIS A000088) and
-# connected ones (OEIS A001349)
-A000088 = [1, 1, 2, 4, 11, 34, 156, 1044]
+# graphs on n = 0..8 vertices up to isomorphism (OEIS A000088) and
+# connected ones on n = 0..7 (OEIS A001349)
+A000088 = [1, 1, 2, 4, 11, 34, 156, 1044, 12346]
 A001349 = [1, 1, 1, 2, 6, 21, 112, 853]
 # triangle-free graphs on n = 1..7 vertices (OEIS A006785)
 A006785 = [1, 2, 3, 7, 14, 38, 107]
@@ -50,7 +55,7 @@ A006785 = [1, 2, 3, 7, 14, 38, 107]
 
 def _minimal_codes(level):
     """The sorted minimal codes of a level's classes, whatever its labeling."""
-    return sorted(canonical_code(g) for _, g in level)
+    return sorted(canonical_code(g) for _, g in decoded(level))
 
 
 def test_level_generation_matches_known_counts():
@@ -83,7 +88,9 @@ def test_level_generation_matches_naive_levels(n):
 @pytest.mark.parametrize("n", range(8))
 def test_class_totals_match_oeis(n):
     classes = [
-        g for m in range(n * (n - 1) // 2 + 1) for _, g in classes_with_edges(n, m)
+        g
+        for m in range(n * (n - 1) // 2 + 1)
+        for _, g in decoded(classes_with_edges(n, m))
     ]
     assert len(classes) == A000088[n]
     assert sum(g.is_connected() for g in classes) == A001349[n]
@@ -95,8 +102,9 @@ def test_free_levels_are_the_free_classes_of_the_full_levels(n):
     # filtered afterwards, must give the same codes and representatives
     for k in range(3, n + 1):
         for m in range(comb(n, 2) + 1):
-            free = [(c, g) for c, g in classes_with_edges(n, m) if is_ck_free(g, k)]
-            assert classes_with_edges(n, m, free_of=k) == free
+            level = decoded(classes_with_edges(n, m))
+            free = [(c, g) for c, g in level if is_ck_free(g, k)]
+            assert decoded(classes_with_edges(n, m, free_of=k)) == free
 
 
 def test_triangle_free_totals_match_oeis():
@@ -161,7 +169,8 @@ def test_orbit_representatives_match_brute_force_orbits(n):
     for m in range(n * (n - 1) // 2 + 1):
         for _, g in brute_classes_with_edges(n, m):
             for start in (g, g.relabel(reverse)):
-                form, _, generators = _refined_form_and_code(start)
+                code, generators = _refined_code(start.adj)
+                form = _graph_from_code(code)
                 reps = _orbit_representatives(form, generators)
                 orbits = brute_nonedge_orbits(form)
                 assert reps == sorted(min(orbit) for orbit in orbits)
@@ -183,7 +192,7 @@ def test_top_edge_cascade_matches_full_keys_on_every_child(n):
     # every child g + uv the level generator could meet, whichever non-edge
     # the orbits pick, and every edge of it, not only the new one
     for m in range(n * (n - 1) // 2):
-        for _, g in classes_with_edges(n, m):
+        for _, g in decoded(classes_with_edges(n, m)):
             for u, v in g.non_edges():
                 adj = list(g.adj)
                 adj[u] |= 1 << v
@@ -212,10 +221,55 @@ def test_representatives_are_canonical():
     # each class is stored once, as its own refined form under its code,
     # and the level is sorted by that code
     level = classes_with_edges(5, 5)
-    for code, g in level:
-        assert _refined_form_and_code(g)[:2] == (g, code)
-    assert [c for c, _ in level] == sorted(c for c, _ in level)
+    for code, g in decoded(level):
+        assert _refined_code(g.adj)[0] == code
+    assert level == sorted(level)
     assert _minimal_codes(level) == [c for c, _ in brute_classes_with_edges(5, 5)]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_level_codes_are_their_forms(n):
+    # a class is stored as its code alone: the decoded form writes the same
+    # code in its own vertex order, a relabeled copy labels back to it, and
+    # the minimal codes of the forms are the classes (for n < 8 level by
+    # level in test_level_generation_matches_naive_levels)
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    minimal = set()
+    for m in range(comb(n, 2) + 1):
+        for code, g in decoded(classes_with_edges(n, m)):
+            assert _code_from_order(g.adj, range(n)) == code
+            assert _refined_code(g.relabel(perm).adj)[0] == code
+            minimal.add(canonical_code(g))
+    assert len(minimal) == A000088[n]
+
+
+# SHA-256 of the codes of every level for n = 0..8 in (n, m, code) order, as
+# the levels held them when each class also kept its form; a code's first
+# byte fixes its length, so the digest pins every level
+LEVEL_DIGESTS = {
+    None: "171275a2f6aab6c9b3b1793dfbf322842e51909f4065d4b33be29e4c3461d0cf",
+    4: "f8e482b434373ce98d7ca722364865da4627676f5ae85dbb5d0bd75babe123c8",
+    5: "b3ba9e90cba6be9578914824fccf19d517b54ba73ce42262b725f6ac7c358ca7",
+}
+
+
+@pytest.mark.parametrize("free_of", list(LEVEL_DIGESTS))
+def test_level_codes_are_pinned(free_of):
+    digest = hashlib.sha256()
+    for n in range(9):
+        for m in range(comb(n, 2) + 1):
+            for code in classes_with_edges(n, m, free_of=free_of):
+                digest.update(code)
+    assert digest.hexdigest() == LEVEL_DIGESTS[free_of]
+
+
+def test_level_cache_holds_codes_only():
+    classes_with_edges(6, 7)
+    classes_with_edges(6, 7, free_of=4)
+    assert oracle._LEVELS
+    for levels, _ in oracle._LEVELS.values():
+        assert all(type(code) is bytes for level in levels for code in level)
 
 
 def test_sat_c4_small_values():
@@ -270,7 +324,7 @@ def test_no_disconnected_graph_is_semisaturated():
     checks = 0
     for n in range(3, 8):
         for m in range(comb(n, 2) + 1):
-            for _, g in classes_with_edges(n, m):
+            for _, g in decoded(classes_with_edges(n, m)):
                 if g.is_connected():
                     continue
                 for k in range(3, n + 1):
@@ -304,7 +358,7 @@ def test_search_result_is_pinned(n, k, mode, budget, status, value, witness, exa
         assert examined == sum(
             mode == "ssat" or is_ck_free(g, k).holds
             for m in range(start, value + 1)
-            for _, g in classes_with_edges(n, m)
+            for _, g in decoded(classes_with_edges(n, m))
         )
 
 
@@ -330,7 +384,7 @@ def test_witness_is_least_code_connected_passer(n, k):
     result = exact_min(n, k, "sat")
     passers = [
         g
-        for _, g in classes_with_edges(n, result.value)
+        for _, g in decoded(classes_with_edges(n, result.value))
         if g.is_connected() and is_saturated(g, k, want_certificate=False).holds
     ]
     least = min(passers, key=canonical_code)

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import path_graph
+from conftest import decoded, path_graph
 from cyclesat.codec import graph6_encode
 from cyclesat.families import build_wheel
 from cyclesat.graphs import (
@@ -9,6 +9,7 @@ from cyclesat.graphs import (
     canonical_code,
     canonical_form_and_code,
 )
+from cyclesat import suitability
 from cyclesat.oracle import CeilingExceeded, classes_with_edges
 from cyclesat.suitability import (
     is_k_suitable,
@@ -204,7 +205,8 @@ def test_mine_witness_is_least_code_suitable_class(k, mode, full):
 
     def least_suitable_core() -> LabeledGraph | None:
         for m in range(k - 1, k * (k - 1) // 2 + 1):
-            classes = [g for _, g in classes_with_edges(k, m) if g.is_connected()]
+            level = decoded(classes_with_edges(k, m))
+            classes = [g for _, g in level if g.is_connected()]
             suitable = [g for g in classes if passing_pairs(g)]
             if suitable:
                 least = min(suitable, key=canonical_code)
@@ -217,6 +219,28 @@ def test_mine_witness_is_least_code_suitable_class(k, mode, full):
     assert result.status == "exact"
     assert result.edge_count == expected.graph.edge_count
     assert result.witness == expected
+
+
+def test_mine_checks_s1_once_per_class(monkeypatch):
+    # accept checks S1 once for each connected class it is offered, and
+    # the special pairs reuse that verdict; search_stratum offers the
+    # winner's minimal-code form once more
+    calls = []
+    check = suitability.is_semisaturated
+
+    def counting(G, k, want_certificate=True):
+        calls.append(G)
+        return check(G, k, want_certificate)
+
+    monkeypatch.setattr(suitability, "is_semisaturated", counting)
+    result = mine_suitable(6, "k-suitable")
+    assert result.edge_count == 9
+    offered = sum(
+        g.is_connected()
+        for m in range(5, result.edge_count + 1)
+        for _, g in decoded(classes_with_edges(6, m))
+    )
+    assert len(calls) == offered + 1
 
 
 @pytest.mark.parametrize("budget", [float("nan"), -1.0])
