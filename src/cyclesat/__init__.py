@@ -55,7 +55,7 @@ from .oracle import (
     GenerationTimeout,
     OracleResult,
     append_golden,
-    classes_with_edges,
+    class_levels,
     exact_min,
     search_stratum,
 )

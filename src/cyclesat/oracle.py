@@ -6,10 +6,11 @@ and deduplicates the children on codes.  Levels are labeled by the
 refinement labeling of ``graphs._refined_code``, much cheaper than the
 minimal code on sparse graphs.  A level is the sorted refined codes of its
 classes; a code is its class's refined form, row by row, which
-``graphs._graph_from_code`` rebuilds to extend or scan the class.  Levels
-are cached per vertex count (and filter, below) for the session.  The
-minimal code (``canonical_form_and_code``) only picks and relabels the
-witness of a stratum, so results do not depend on the level labeling.
+``graphs._graph_from_code`` rebuilds to extend or scan the class.  A
+search builds its levels once, in order (``class_levels``), and frees them
+when it returns.  The minimal code (``canonical_form_and_code``) only picks
+and relabels the witness of a stratum, so results do not depend on the
+level labeling.
 
 Isomorphs are rejected before labeling by the canonical-deletion test of
 McKay's canonical augmentation (J. Algorithms 1998), done by invariant: a
@@ -55,8 +56,7 @@ Nothing is lost or changed:
 
 Completeness of the group only matters for speed: a smaller group leaves
 more orbits, and their children are merged on codes as before.  The
-generators are kept only for the top cached level of each cache key, the
-parents of the next level.
+generators are kept only for the level last built, the parents of the next.
 
 The same generator builds the levels of a hereditary class, the C_k-free
 graphs (``free_of=k``): a child g + uv whose top-edge test passes is then
@@ -77,8 +77,7 @@ and no C_k-free class is lost:
   either, so h is generated.
 
 The filtered levels are the unfiltered ones restricted to C_k-free classes,
-with the same codes.  Their cache key is (n, k); the unfiltered levels,
-which ``ssat`` and the miner scan, stay under (n, None).
+with the same codes; ``ssat`` and the miner scan the unfiltered levels.
 
 The search scans edge counts upward from the best applicable lower bound,
 verifying connected classes only (adding any non-edge between components
@@ -96,9 +95,10 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from .bounds import eval_bounds
 from .codec import graph6_encode
@@ -117,11 +117,6 @@ DEFAULT_CEILING = {"sat": 8, "ssat": 9}
 _T = TypeVar("_T")
 
 Level = list[bytes]
-
-# (n, free_of) -> (the levels built so far, the automorphism generators of
-# each class of the top level in level order: the parents' orbit data for
-# the next).
-_LEVELS: dict[tuple[int, int | None], tuple[list[Level], list[list[Permutation]]]] = {}
 
 
 class CeilingExceeded(ValueError):
@@ -206,33 +201,31 @@ def _orbit_representatives(
     return reps
 
 
-def classes_with_edges(
-    n: int, m: int, deadline: float | None = None, *, free_of: int | None = None
-) -> Level:
-    """The sorted refined codes of all n-vertex graphs with m edges, one per class.
+def class_levels(
+    n: int, deadline: float | None = None, *, free_of: int | None = None
+) -> Iterator[Level]:
+    """Yield the levels m = 0, 1, ..., C(n, 2) of n-vertex graphs, one class per code.
 
-    With ``free_of=k``, only the classes with no k-cycle.  A code decodes to
-    its class's refined form (``graphs._graph_from_code``).  Levels are built
-    on demand and cached per (n, free_of); a level interrupted by the
-    deadline is discarded whole, so the cache only ever holds complete
-    levels and the generators of the top one.
+    Each level is the sorted refined codes of the classes with m edges (with
+    ``free_of=k``, only those with no k-cycle), built from the one before;
+    a code decodes to its class's refined form (``graphs._graph_from_code``).
+    Only the current parents' automorphism generators are kept between
+    levels.  Raises GenerationTimeout(m) when the deadline passes while
+    level m is being built.
     """
     if free_of is not None and free_of < 3:
         raise ValueError(f"cycle length must be at least 3, got {free_of}")
-    if not 0 <= m <= comb(n, 2):
-        return []
-    key = (n, free_of)
-    if key not in _LEVELS:
-        code, generators = _refined_code([0] * n)
-        _LEVELS[key] = ([[code]], [generators])
-    levels, top_generators = _LEVELS[key]
-    while len(levels) <= m:
-        nxt: dict[bytes, list[Permutation]] = {}
-        for parent, generators in zip(levels[-1], top_generators):
+    code, generators = _refined_code([0] * n)
+    parents = {code: generators}
+    for m in range(1, comb(n, 2) + 1):
+        codes = sorted(parents)
+        yield codes
+        children: dict[bytes, list[Permutation]] = {}
+        for parent in codes:
             if deadline is not None and time.monotonic() > deadline:
-                raise GenerationTimeout(len(levels))
+                raise GenerationTimeout(m)
             g = _graph_from_code(parent)
-            for u, v in _orbit_representatives(g, generators):
+            for u, v in _orbit_representatives(g, parents[parent]):
                 adj = list(g.adj)
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
@@ -241,12 +234,9 @@ def classes_with_edges(
                     or exists_path_of_length(g, u, v, free_of - 1) is None
                 ):
                     code, child_generators = _refined_code(adj)
-                    nxt.setdefault(code, child_generators)
-        codes = sorted(nxt)
-        levels = levels + [codes]
-        top_generators = [nxt[code] for code in codes]
-        _LEVELS[key] = (levels, top_generators)
-    return list(levels[m])
+                    children.setdefault(code, child_generators)
+        parents = children
+    yield sorted(parents)
 
 
 @dataclass(frozen=True)
@@ -324,9 +314,9 @@ def scan_strata(
     """Scan edge counts upward to the first stratum with an accepted class.
 
     Returns (m, accepted, timed_out, stats).  Only connected classes are
-    offered to ``accept``, so the scan starts at max(n - 1, floor).  Each
-    stratum's level is built once, by ``classes_with_edges`` (holding only
-    the C_k-free classes when ``free_of=k``), and scanned by
+    offered to ``accept``, so the scan starts at max(n - 1, floor).  One
+    ``class_levels`` run builds the levels (only the C_k-free classes when
+    ``free_of=k``), and each stratum's level is scanned by
     ``search_stratum``; ``stats`` splits the time between the two.  A
     deadline hit in either stops the scan.  Every stratum below the
     returned m was scanned whole, so m is the minimum when something was
@@ -343,10 +333,12 @@ def scan_strata(
     examined_total = 0
     generate_s = verify_s = 0.0
     accepted, timed_out = None, False
-    for m in range(max(n - 1, floor), comb(n, 2) + 1):
+    first = max(n - 1, floor)
+    levels = islice(class_levels(n, deadline, free_of=free_of), first, None)
+    for m in range(first, comb(n, 2) + 1):
         start = time.monotonic()
         try:
-            level = classes_with_edges(n, m, deadline=deadline, free_of=free_of)
+            level = next(levels)
         except GenerationTimeout:
             timed_out = True
             break

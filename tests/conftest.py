@@ -7,6 +7,7 @@ canonical-labeling code they are used to check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from cyclesat.graphs import (
     _graph_from_code,
     canonical_form_and_code,
 )
+from cyclesat.oracle import Level, class_levels
 
 
 @st.composite
@@ -154,7 +156,7 @@ def naive_is_semisaturated(G: Graph, k: int) -> bool:
     return True
 
 
-def brute_classes_with_edges(n: int, m: int) -> list[tuple[bytes, Graph]]:
+def brute_level(n: int, m: int) -> list[tuple[bytes, Graph]]:
     """Isomorphism classes with m edges via raw bitmask enumeration (n <= 6)."""
     if n > 6:
         raise ValueError("brute enumeration limited to n <= 6")
@@ -169,8 +171,24 @@ def brute_classes_with_edges(n: int, m: int) -> list[tuple[bytes, Graph]]:
     return sorted(found.items())
 
 
-def decoded(level: list[bytes]) -> list[tuple[bytes, Graph]]:
-    """A level of ``classes_with_edges`` as (code, refined form) pairs."""
+def cached_levels(n: int, free_of: int | None = None) -> tuple[Level, ...]:
+    """The levels of ``class_levels(n, free_of=free_of)``, built once per session.
+
+    The search builds its levels afresh each time; the tests read the same
+    levels many times, so they share one run per (n, free_of).  Not a
+    reference: it returns the generator's own output.
+    """
+    # one positional key, so cached_levels(n) and cached_levels(n, None) share it
+    return _levels(n, free_of)
+
+
+@functools.cache
+def _levels(n: int, free_of: int | None) -> tuple[Level, ...]:
+    return tuple(class_levels(n, free_of=free_of))
+
+
+def decoded(level: Level) -> list[tuple[bytes, Graph]]:
+    """A level of ``class_levels`` as (code, refined form) pairs."""
     return [(code, _graph_from_code(code)) for code in level]
 
 

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    brute_classes_with_edges,
+    brute_level,
     brute_nonedge_orbits,
+    cached_levels,
     decoded,
     graphs,
     naive_is_top_edge,
@@ -32,7 +33,7 @@ from cyclesat.oracle import (
     _is_top_edge,
     _orbit_representatives,
     append_golden,
-    classes_with_edges,
+    class_levels,
     exact_min,
     search_stratum,
 )
@@ -59,20 +60,15 @@ def _minimal_codes(level):
 
 
 def test_level_generation_matches_known_counts():
-    for m, expect in enumerate(COUNTS_5):
-        assert len(classes_with_edges(5, m)) == expect
-    for m, expect in enumerate(COUNTS_6):
-        assert len(classes_with_edges(6, m)) == expect
-    for m, expect in enumerate(COUNTS_8):
-        assert len(classes_with_edges(8, m)) == expect
+    assert [len(level) for level in cached_levels(5)] == COUNTS_5
+    assert [len(level) for level in cached_levels(6)] == COUNTS_6
+    assert [len(level) for level in cached_levels(8)[: len(COUNTS_8)]] == COUNTS_8
 
 
 def test_level_generation_matches_brute_force():
     for n in (4, 5):
-        for m in range(n * (n - 1) // 2 + 1):
-            gen = classes_with_edges(n, m)
-            brute = brute_classes_with_edges(n, m)
-            assert _minimal_codes(gen) == [c for c, _ in brute]
+        for m, level in enumerate(cached_levels(n)):
+            assert _minimal_codes(level) == [c for c, _ in brute_level(n, m)]
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -80,18 +76,15 @@ def test_level_generation_matches_naive_levels(n):
     # the top-edge filter skips children before labeling; the naive
     # generator labels every child, so both must give the same levels
     levels = naive_levels(n)
-    for m, level in enumerate(levels):
-        assert _minimal_codes(classes_with_edges(n, m)) == [c for c, _ in level]
-    assert classes_with_edges(n, len(levels)) == []
+    built = cached_levels(n)
+    assert len(built) == len(levels) == comb(n, 2) + 1
+    for level, naive in zip(built, levels):
+        assert _minimal_codes(level) == [c for c, _ in naive]
 
 
 @pytest.mark.parametrize("n", range(8))
 def test_class_totals_match_oeis(n):
-    classes = [
-        g
-        for m in range(n * (n - 1) // 2 + 1)
-        for _, g in decoded(classes_with_edges(n, m))
-    ]
+    classes = [g for level in cached_levels(n) for _, g in decoded(level)]
     assert len(classes) == A000088[n]
     assert sum(g.is_connected() for g in classes) == A001349[n]
 
@@ -101,24 +94,21 @@ def test_free_levels_are_the_free_classes_of_the_full_levels(n):
     # the C_k-free filter runs inside the generator; the full levels,
     # filtered afterwards, must give the same codes and representatives
     for k in range(3, n + 1):
-        for m in range(comb(n, 2) + 1):
-            level = decoded(classes_with_edges(n, m))
-            free = [(c, g) for c, g in level if is_ck_free(g, k)]
-            assert decoded(classes_with_edges(n, m, free_of=k)) == free
+        for level, free_level in zip(cached_levels(n), cached_levels(n, k)):
+            free = [(c, g) for c, g in decoded(level) if is_ck_free(g, k)]
+            assert decoded(free_level) == free
+        assert len(cached_levels(n, k)) == comb(n, 2) + 1
 
 
 def test_triangle_free_totals_match_oeis():
-    totals = [
-        sum(len(classes_with_edges(n, m, free_of=3)) for m in range(comb(n, 2) + 1))
-        for n in range(1, 8)
-    ]
+    totals = [sum(len(level) for level in cached_levels(n, 3)) for n in range(1, 8)]
     assert totals == A006785
 
 
 @pytest.mark.parametrize("free_of", [0, 2, -3])
 def test_free_of_below_3_raises(free_of):
     with pytest.raises(ValueError, match="cycle length must be at least 3"):
-        classes_with_edges(5, 2, free_of=free_of)
+        next(class_levels(5, free_of=free_of))
 
 
 PARENTS = [0, 1, 7, 60, 400]
@@ -134,29 +124,30 @@ def levels7():
     [(p, None) for p in PARENTS] + [(p, 7) for p in PARENTS],
     ids=[str(p) for p in PARENTS] + [f"free7-{p}" for p in PARENTS],
 )
-def test_deadline_mid_level_leaves_cache_consistent(
+def test_deadline_stops_generation_at_the_level_being_built(
     monkeypatch, levels7, parents, free_of
 ):
-    # the deadline passes after ``parents`` parents have been extended, in
-    # whatever level that falls; the partial level and its generators are
-    # dropped, and generation resumes from the cache to the naive levels
-    # (for free_of=7, their 661 non-Hamiltonian classes)
-    cache: dict = {}
-    monkeypatch.setattr(oracle, "_LEVELS", cache)
+    # the deadline passes after ``parents`` parents have been extended, while
+    # level j + 1 is built from the level j that holds parent ``parents`` + 1;
+    # levels 0..j come out whole and as without a deadline (for free_of=7,
+    # the non-Hamiltonian classes), then the timeout names level j + 1
+    expect = [
+        [c for c, g in level if free_of is None or is_ck_free(g, free_of)]
+        for level in levels7
+    ]
+    extended, j = 0, 0
+    while extended + len(expect[j]) <= parents:
+        extended += len(expect[j])
+        j += 1
+    got = []
     checks = iter([0.0] * parents)
     with monkeypatch.context() as clock:
         clock.setattr(oracle.time, "monotonic", lambda: next(checks, 2.0))
-        with pytest.raises(GenerationTimeout):
-            classes_with_edges(7, 21, deadline=1.0, free_of=free_of)
-    # every parent below the top level was extended; the deadline hit
-    # while the top level's classes were being extended
-    levels, top_generators = cache[(7, free_of)]
-    extended = sum(len(level) for level in levels[:-1])
-    assert extended <= parents < extended + len(levels[-1])
-    assert len(top_generators) == len(levels[-1])
-    for m, level in enumerate(levels7):
-        expect = [c for c, g in level if free_of is None or is_ck_free(g, free_of)]
-        assert _minimal_codes(classes_with_edges(7, m, free_of=free_of)) == expect
+        with pytest.raises(GenerationTimeout) as raised:
+            for level in class_levels(7, deadline=1.0, free_of=free_of):
+                got.append(level)
+    assert raised.value.args == (j + 1,)
+    assert [_minimal_codes(level) for level in got] == expect[: j + 1]
 
 
 @pytest.mark.parametrize("n", range(7), ids=[f"refined-{n}" for n in range(7)])
@@ -167,7 +158,7 @@ def test_orbit_representatives_match_brute_force_orbits(n):
     # first leaf
     reverse = list(range(n))[::-1]
     for m in range(n * (n - 1) // 2 + 1):
-        for _, g in brute_classes_with_edges(n, m):
+        for _, g in brute_level(n, m):
             for start in (g, g.relabel(reverse)):
                 code, generators = _refined_code(start.adj)
                 form = _graph_from_code(code)
@@ -191,8 +182,8 @@ def _assert_top_edge_matches_naive(adj):
 def test_top_edge_cascade_matches_full_keys_on_every_child(n):
     # every child g + uv the level generator could meet, whichever non-edge
     # the orbits pick, and every edge of it, not only the new one
-    for m in range(n * (n - 1) // 2):
-        for _, g in decoded(classes_with_edges(n, m)):
+    for level in cached_levels(n)[:-1]:
+        for _, g in decoded(level):
             for u, v in g.non_edges():
                 adj = list(g.adj)
                 adj[u] |= 1 << v
@@ -220,11 +211,11 @@ def test_top_edges_map_onto_top_edges(G, data):
 def test_representatives_are_canonical():
     # each class is stored once, as its own refined form under its code,
     # and the level is sorted by that code
-    level = classes_with_edges(5, 5)
+    level = cached_levels(5)[5]
     for code, g in decoded(level):
         assert _refined_code(g.adj)[0] == code
     assert level == sorted(level)
-    assert _minimal_codes(level) == [c for c, _ in brute_classes_with_edges(5, 5)]
+    assert _minimal_codes(level) == [c for c, _ in brute_level(5, 5)]
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -236,8 +227,8 @@ def test_level_codes_are_their_forms(n):
     perm = list(range(n))
     random.Random(n).shuffle(perm)
     minimal = set()
-    for m in range(comb(n, 2) + 1):
-        for code, g in decoded(classes_with_edges(n, m)):
+    for level in cached_levels(n):
+        for code, g in decoded(level):
             assert _code_from_order(g.adj, range(n)) == code
             assert _refined_code(g.relabel(perm).adj)[0] == code
             minimal.add(canonical_code(g))
@@ -258,18 +249,10 @@ LEVEL_DIGESTS = {
 def test_level_codes_are_pinned(free_of):
     digest = hashlib.sha256()
     for n in range(9):
-        for m in range(comb(n, 2) + 1):
-            for code in classes_with_edges(n, m, free_of=free_of):
+        for level in cached_levels(n, free_of):
+            for code in level:
                 digest.update(code)
     assert digest.hexdigest() == LEVEL_DIGESTS[free_of]
-
-
-def test_level_cache_holds_codes_only():
-    classes_with_edges(6, 7)
-    classes_with_edges(6, 7, free_of=4)
-    assert oracle._LEVELS
-    for levels, _ in oracle._LEVELS.values():
-        assert all(type(code) is bytes for level in levels for code in level)
 
 
 def test_sat_c4_small_values():
@@ -313,7 +296,7 @@ def test_minimality_no_witness_one_below():
     def accept(g):
         return g if is_saturated(g, 4, want_certificate=False).holds else None
 
-    below, _, _ = search_stratum(classes_with_edges(7, result.value - 1), accept)
+    below, _, _ = search_stratum(cached_levels(7)[result.value - 1], accept)
     assert below is None
 
 
@@ -323,8 +306,8 @@ def test_no_disconnected_graph_is_semisaturated():
     # to verify connected classes only
     checks = 0
     for n in range(3, 8):
-        for m in range(comb(n, 2) + 1):
-            for _, g in decoded(classes_with_edges(n, m)):
+        for level in cached_levels(n):
+            for _, g in decoded(level):
                 if g.is_connected():
                     continue
                 for k in range(3, n + 1):
@@ -357,15 +340,14 @@ def test_search_result_is_pinned(n, k, mode, budget, status, value, witness, exa
         start = max(n - 1, eval_bounds(n, k).lower_floor(mode))
         assert examined == sum(
             mode == "ssat" or is_ck_free(g, k).holds
-            for m in range(start, value + 1)
-            for _, g in decoded(classes_with_edges(n, m))
+            for level in cached_levels(n)[start : value + 1]
+            for _, g in decoded(level)
         )
 
 
-def test_generation_deadline_stops_the_scan(monkeypatch):
-    # from a cold cache the level at the floor is not built in time, so the
-    # scan stops in generation, before any class is examined
-    monkeypatch.setattr(oracle, "_LEVELS", {})
+def test_generation_deadline_stops_the_scan():
+    # the level at the floor is not built in time, so the scan stops in
+    # generation, before any class is examined
     result = exact_min(8, 4, "sat", budget_seconds=0.0)
     assert (result.status, result.value, result.witness) == ("lower-bound-only", 7, None)
     assert result.stats.graphs_examined == 0
@@ -374,7 +356,7 @@ def test_generation_deadline_stops_the_scan(monkeypatch):
 def test_stratum_deadline_is_reported_not_raised():
     # a passed deadline stops the scan of a built level before its first class
     past = time.monotonic() - 1
-    level = classes_with_edges(6, 7)
+    level = cached_levels(6)[7]
     assert search_stratum(level, lambda g: g, deadline=past) == (None, 0, True)
 
 
@@ -384,11 +366,28 @@ def test_witness_is_least_code_connected_passer(n, k):
     result = exact_min(n, k, "sat")
     passers = [
         g
-        for _, g in decoded(classes_with_edges(n, result.value))
+        for _, g in decoded(cached_levels(n)[result.value])
         if g.is_connected() and is_saturated(g, k, want_certificate=False).holds
     ]
     least = min(passers, key=canonical_code)
     assert result.witness == canonical_form_and_code(least)[0]
+
+
+@pytest.mark.parametrize("mode", ["sat", "ssat"])
+def test_values_match_the_first_full_level_with_a_passer(mode):
+    # the least m whose full level (no free_of filter, no floor, disconnected
+    # classes included) holds a passing class: an independent check of the
+    # C_k-free filter and of bounds.lower_floor
+    check = is_saturated if mode == "sat" else is_semisaturated
+    for n in range(3, 8):
+        for k in range(3, n + 1):
+            least = next(
+                m
+                for m, level in enumerate(cached_levels(n))
+                for _, g in decoded(level)
+                if check(g, k, want_certificate=False).holds
+            )
+            assert exact_min(n, k, mode).value == least, (n, k)
 
 
 def test_values_respect_lower_bounds():

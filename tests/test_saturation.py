@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    cached_levels,
     complete_graph,
     cycle_graph,
     decoded,
@@ -19,7 +20,6 @@ from cyclesat.codec import graph6_decode
 from cyclesat.cycles import CycleWitness
 from cyclesat.families import build_h1, build_h3, build_wheel
 from cyclesat.graphs import Graph
-from cyclesat.oracle import classes_with_edges
 from cyclesat.saturation import (
     LEAF_CHECKS,
     Certificate,
@@ -90,6 +90,24 @@ def test_too_few_vertices_is_an_error():
         is_semisaturated(path_graph(4), 5)
     with pytest.raises(TooFewVertices):
         is_saturated(path_graph(4), 5)
+
+
+def test_adding_an_edge_keeps_semisaturation():
+    # a non-edge xy of g + e is a non-edge of g, so g's x-y path of k - 1
+    # edges is still there: every child of a semisaturated class is
+    # semisaturated, checked on every class with n <= 7 at every k = 3..n
+    children = 0
+    for n in range(3, 8):
+        for level in cached_levels(n):
+            for _, g in decoded(level):
+                for k in range(3, n + 1):
+                    if not is_semisaturated(g, k, want_certificate=False).holds:
+                        continue
+                    for u, v in g.non_edges():
+                        child = g.with_edge(u, v)
+                        assert is_semisaturated(child, k, want_certificate=False)
+                        children += 1
+    assert children == 18_953
 
 
 # -- saturation --------------------------------------------------------------
@@ -422,8 +440,8 @@ def test_leaf_checks_and_stripping_match_their_definitions():
     # every class with n <= 7 at every k = 3..n+1.
     reports = 0
     for n in range(8):
-        for m in range(n * (n - 1) // 2 + 1):
-            for _, g in decoded(classes_with_edges(n, m)):
+        for level in cached_levels(n):
+            for _, g in decoded(level):
                 core, removed = strip_leaves(g)
                 assert (core, removed) == _reference_strip(g), g.edges
                 assert (core is g) == (removed == 0)

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import decoded, path_graph
+from conftest import cached_levels, decoded, path_graph
 from cyclesat.codec import graph6_encode
 from cyclesat.families import build_wheel
 from cyclesat.graphs import (
@@ -10,7 +10,7 @@ from cyclesat.graphs import (
     canonical_form_and_code,
 )
 from cyclesat import suitability
-from cyclesat.oracle import CeilingExceeded, classes_with_edges
+from cyclesat.oracle import CeilingExceeded
 from cyclesat.suitability import (
     is_k_suitable,
     is_kk2_suitable,
@@ -204,9 +204,8 @@ def test_mine_witness_is_least_code_suitable_class(k, mode, full):
         ]
 
     def least_suitable_core() -> LabeledGraph | None:
-        for m in range(k - 1, k * (k - 1) // 2 + 1):
-            level = decoded(classes_with_edges(k, m))
-            classes = [g for _, g in level if g.is_connected()]
+        for level in cached_levels(k)[k - 1 :]:
+            classes = [g for _, g in decoded(level) if g.is_connected()]
             suitable = [g for g in classes if passing_pairs(g)]
             if suitable:
                 least = min(suitable, key=canonical_code)
@@ -237,8 +236,8 @@ def test_mine_checks_s1_once_per_class(monkeypatch):
     assert result.edge_count == 9
     offered = sum(
         g.is_connected()
-        for m in range(5, result.edge_count + 1)
-        for _, g in decoded(classes_with_edges(6, m))
+        for level in cached_levels(6)[5 : result.edge_count + 1]
+        for _, g in decoded(level)
     )
     assert len(calls) == offered + 1
 
