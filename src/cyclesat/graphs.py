@@ -2,7 +2,8 @@
 
 Vertices are 0..n-1.  Every graph is a hashable value: mutation-style
 operations (``with_edge``, ``induced``, ...) return new graphs, so
-verifiers and searches can snapshot and share them freely.
+verifiers and searches can snapshot and share them freely.  The refinement
+labeling also reports generators of each graph's whole automorphism group.
 """
 
 from __future__ import annotations
@@ -308,7 +309,9 @@ def _graph_from_code(code: bytes) -> Graph:
 
 
 def canonical_code(G: Graph) -> bytes:
-    """Relabeling-invariant byte code identifying the isomorphism class."""
+    """Relabeling-invariant byte code identifying the isomorphism class (n <= 255)."""
+    if G.n > 255:
+        raise GraphError(f"canonical codes hold at most 255 vertices, got {G.n}")
     return _code_from_order(G.adj, _canonical_search(G))
 
 
@@ -337,11 +340,18 @@ def canonical_form_and_code(G: Graph) -> tuple[Graph, bytes]:
 # each cell.  The root refines the one-cell partition; a child individualizes
 # one vertex v of the first non-singleton cell, placing {v} in front of the
 # rest of the cell, and refines again.  A leaf, a partition into singletons,
-# is a placement order.  A child is skipped when v has a twin below it in the
-# cell, or lies in the orbit of an explored sibling under the automorphisms
-# found so far that fix every individualized vertex: either way its subtree
-# is the image of an explored one under an automorphism fixing the node, and
-# holds the same codes.
+# is a placement order.  A child is skipped only when v has a twin u below it
+# in the cell: swapping u and v is an automorphism fixing the node that maps
+# v's subtree onto u's.  The rest of the tree is searched whole, so the
+# automorphisms reported generate the whole group, the form being the first
+# leaf of least code.  By induction on depth, a product t of twin swaps maps
+# each node of the full tree to a visited one: t maps its parent to a visited
+# node and the child on v to the child on t(v), and one more swap, fixing
+# that node, takes t(v) to the least twin in its cell.  An automorphism g
+# maps the first best leaf to a best leaf, some such t maps that to a visited
+# best leaf, and two leaves with equal codes differ by exactly one
+# automorphism, the one reported for the later leaf.  So t g is reported or
+# the identity, and g is a product of reported automorphisms.
 
 
 def _refine(adj: Sequence[int], cells: list[int], splitters: list[int]) -> list[int]:
@@ -390,67 +400,43 @@ def _refine(adj: Sequence[int], cells: list[int], splitters: list[int]) -> list[
 
 
 def _refined_code(adj: Sequence[int]) -> tuple[bytes, list[Permutation]]:
-    """The refinement labeling's code and automorphisms of its form.
+    """The refinement labeling's code and generators of its form's automorphisms.
 
-    Each automorphism maps vertex i of the form (``_graph_from_code`` of the
-    code) to ``p[i]``.  They are the ones that two leaves with equal codes
-    gave, plus the transposition of each vertex with its least twin
-    (``N(u) - v == N(v) - u``).  They usually generate the whole
-    automorphism group, but nothing relies on it.
+    Generator p maps vertex i of the form (``_graph_from_code`` of the code)
+    to p[i]: one per leaf of least code after the first, and one per vertex
+    swapping it with its least twin (``N(u) - v == N(v) - u``).  They span
+    the whole group; the cost is that the leaves visited grow with
+    |Aut| / |twin group| (the Petersen graph visits 120).
     """
     n = len(adj)
     lower = _lower_twins(adj)
-    best_code = b""
-    best_order: list[int] = []
-    found: list[Permutation] = []
+    leaves: list[tuple[bytes, list[int]]] = []
 
-    def rec(cells: list[int], prefix: list[int]) -> None:
-        nonlocal best_code, best_order
+    def rec(cells: list[int]) -> None:
         i = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
         if i is None:
             order = [c.bit_length() - 1 for c in cells]
-            code = _code_from_order(adj, order)
-            if not best_order or code < best_code:
-                best_code, best_order = code, order
-            elif code == best_code:
-                # Equal codes: best_order[j] -> order[j] preserves adjacency.
-                image = [0] * n
-                for b, p in zip(best_order, order):
-                    image[b] = p
-                found.append(tuple(image))
+            leaves.append((_code_from_order(adj, order), order))
             return
         target = cells[i]
-        explored = 0
         for v in _iter_bits(target):
-            if lower[v] & target or explored >> v & 1:
-                continue
+            if lower[v] & target:
+                continue  # twins are an equivalence; its least one branches
             bit = 1 << v
-            rec(
-                _refine(adj, cells[:i] + [bit, target ^ bit] + cells[i + 1 :], [bit]),
-                prefix + [v],
-            )
-            # Close the explored children under the automorphisms found so
-            # far that fix the prefix; later children in it are skipped.
-            fixing = [p for p in found if all(p[x] == x for x in prefix)]
-            explored |= bit
-            grow = explored
-            while grow:
-                image = 0
-                for p in fixing:
-                    for x in _iter_bits(grow):
-                        image |= 1 << p[x]
-                grow = image & ~explored
-                explored |= grow
+            rec(_refine(adj, cells[:i] + [bit, target ^ bit] + cells[i + 1 :], [bit]))
 
     full = (1 << n) - 1
-    rec(_refine(adj, [full], [full]) if n else [], [])
+    rec(_refine(adj, [full], [full]) if n else [])
+    best = min(code for code, _ in leaves)
+    first, *others = [order for code, order in leaves if code == best]
+    position = [0] * n
+    for pos, v in enumerate(first):
+        position[v] = pos
+    found = [tuple(position[v] for v in order) for order in others]
     for v, twins in enumerate(lower):
         if twins:
             u = (twins & -twins).bit_length() - 1
             swap = list(range(n))
-            swap[u], swap[v] = v, u
+            swap[position[u]], swap[position[v]] = position[v], position[u]
             found.append(tuple(swap))
-    position = [0] * n
-    for pos, v in enumerate(best_order):
-        position[v] = pos
-    return best_code, [tuple(position[p[v]] for v in best_order) for p in found]
+    return best, found

@@ -43,9 +43,9 @@ the larger degree of u and v:
   vertex coloured top has a larger (other colour, triangle count) pair.
 
 The other half of canonical augmentation prunes before the test: a parent P
-is extended by one non-edge per orbit of a group of automorphisms of P, the
-one generated by the automorphisms that P's own labeling search met.
-Nothing is lost or changed:
+is extended by one non-edge per orbit of Aut(P), generated by the
+automorphisms that P's own labeling reports (``graphs._refined_code``
+argues that they generate the whole group).  Nothing is lost or changed:
 
 - each generator is an automorphism, so the children P + e for the non-edges
   e of one orbit are isomorphic;
@@ -54,9 +54,9 @@ Nothing is lost or changed:
 - a class is stored as its refined code, so the levels and their order are
   the same whichever member is extended.
 
-Completeness of the group only matters for speed: a smaller group leaves
-more orbits, and their children are merged on codes as before.  The
-generators are kept only for the level last built, the parents of the next.
+The levels do not depend on the group being whole; that only matters for
+speed, as a smaller group would leave more orbits, whose children merge on codes.
+The generators are kept only for the level last built, the parents of the next.
 
 The same generator builds the levels of a hereditary class, the C_k-free
 graphs (``free_of=k``): a child g + uv whose top-edge test passes is then
@@ -209,9 +209,9 @@ def class_levels(
     Each level is the sorted refined codes of the classes with m edges (with
     ``free_of=k``, only those with no k-cycle), built from the one before;
     a code decodes to its class's refined form (``graphs._graph_from_code``).
-    Only the current parents' automorphism generators are kept between
-    levels.  Raises GenerationTimeout(m) when the deadline passes while
-    level m is being built.
+    A parent is extended once per orbit of its automorphism group on its
+    non-edges; only the current parents' generators are kept.  Raises
+    GenerationTimeout(m) when the deadline passes while level m is built.
     """
     if free_of is not None and free_of < 3:
         raise ValueError(f"cycle length must be at least 3, got {free_of}")

@@ -301,17 +301,20 @@ def brute_force_isomorphic(G: Graph, H: Graph) -> bool:
     return extend(0)
 
 
-def brute_nonedge_orbits(G: Graph) -> list[set[tuple[int, int]]]:
-    """Orbits of the non-edges under the full automorphism group (n <= 7).
-
-    The group is found by scanning all n! vertex permutations.
-    """
+def brute_automorphisms(G: Graph) -> list[tuple[int, ...]]:
+    """The full automorphism group, by scanning all n! vertex permutations (n <= 7)."""
     edges = set(G.edges)
-    group = [
+    return [
         p
         for p in itertools.permutations(range(G.n))
         if {tuple(sorted((p[u], p[v]))) for u, v in edges} == edges
     ]
+
+
+def brute_nonedge_orbits(
+    G: Graph, group: list[tuple[int, ...]]
+) -> list[set[tuple[int, int]]]:
+    """Orbits of the non-edges under ``group``, from ``brute_automorphisms``."""
     orbits: list[set[tuple[int, int]]] = []
     for u, v in G.non_edges():
         if not any((u, v) in orbit for orbit in orbits):

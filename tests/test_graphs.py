@@ -138,6 +138,16 @@ def test_canonical_c5_reversed_equal():
     assert canonical_code(c5) == canonical_code(rev)
 
 
+def test_canonical_code_holds_at_most_255_vertices():
+    # the code's first byte is n: 255 fits, 256 is a typed error, not a
+    # ValueError from writing the byte
+    assert canonical_code(Graph(255, []))[0] == 255
+    with pytest.raises(GraphError, match="at most 255 vertices, got 256"):
+        canonical_code(Graph(256, []))
+    with pytest.raises(GraphError, match="at most 255 vertices"):
+        canonical_form_and_code(Graph(256, []))
+
+
 @given(graphs(max_n=6), graphs(max_n=6))
 @settings(max_examples=200, deadline=None)
 def test_canonical_code_matches_brute_force_isomorphism(g, h):

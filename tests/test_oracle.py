@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    brute_automorphisms,
     brute_level,
     brute_nonedge_orbits,
     cached_levels,
@@ -19,7 +20,7 @@ from conftest import (
 )
 from cyclesat import oracle
 from cyclesat.bounds import Observation, check_consistency, eval_bounds
-from cyclesat.codec import graph6_encode
+from cyclesat.codec import graph6_decode, graph6_encode
 from cyclesat.graphs import (
     _code_from_order,
     _graph_from_code,
@@ -150,21 +151,52 @@ def test_deadline_stops_generation_at_the_level_being_built(
     assert [_minimal_codes(level) for level in got] == expect[: j + 1]
 
 
+def _group_closure(generators, n):
+    """Every product of ``generators``, by a search out of the identity."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        p = todo.pop()
+        for g in generators:
+            q = tuple(g[x] for x in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return group
+
+
+def _assert_generators_span_the_group(form, generators, order):
+    for p in generators:
+        assert form.relabel(p) == form
+    assert len(_group_closure(generators, form.n)) == order
+
+
 @pytest.mark.parametrize("n", range(7), ids=[f"refined-{n}" for n in range(7)])
 def test_orbit_representatives_match_brute_force_orbits(n):
-    # one representative per orbit of the whole automorphism group, so the
-    # generators met by the refinement labeling span the group on these
-    # classes; labeling a relabeled copy makes the search improve on its
-    # first leaf
+    # the refinement labeling's generators are automorphisms of its form and
+    # generate the whole group, so there is one representative per orbit of
+    # it; labeling a relabeled copy makes the search meet its best leaves in
+    # another order
     reverse = list(range(n))[::-1]
     for m in range(n * (n - 1) // 2 + 1):
         for _, g in brute_level(n, m):
             for start in (g, g.relabel(reverse)):
                 code, generators = _refined_code(start.adj)
                 form = _graph_from_code(code)
+                group = brute_automorphisms(form)
+                _assert_generators_span_the_group(form, generators, len(group))
                 reps = _orbit_representatives(form, generators)
-                orbits = brute_nonedge_orbits(form)
+                orbits = brute_nonedge_orbits(form, group)
                 assert reps == sorted(min(orbit) for orbit in orbits)
+
+
+def test_refined_generators_span_the_petersen_group():
+    # twin-free and vertex-transitive, with |Aut| = 120: every generator
+    # comes from a leaf of least code
+    petersen = graph6_decode("IheA@GUAo")
+    for start in (petersen, petersen.relabel(list(range(10))[::-1])):
+        code, generators = _refined_code(start.adj)
+        _assert_generators_span_the_group(_graph_from_code(code), generators, 120)
 
 
 def _top_edges(G):

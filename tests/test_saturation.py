@@ -16,12 +16,13 @@ from conftest import (
     path_graph,
     star_graph,
 )
-from cyclesat.codec import graph6_decode
+from cyclesat.codec import graph6_decode, graph6_encode
 from cyclesat.cycles import CycleWitness
 from cyclesat.families import build_h1, build_h3, build_wheel
-from cyclesat.graphs import Graph
+from cyclesat.graphs import Graph, canonical_form_and_code
 from cyclesat.saturation import (
     LEAF_CHECKS,
+    SATURATED_CHECKS,
     Certificate,
     CertificateError,
     TooFewVertices,
@@ -375,6 +376,44 @@ def test_claim_iii_needs_more_than_k_vertices(code, k):
     assert [(v.check, v.detail) for v in report.violations] == [
         ("iii", f"removing leaf 0 drops below {k} vertices")
     ]
+
+
+# Census of the connected 7-vertex classes per k: the C_k-semisaturated
+# classes with their least m, and the C_k-saturated ones with their m range.
+CENSUS_7 = {
+    5: (594, 9, 12, (9, 12)),
+    6: (410, 9, 8, (10, 13)),
+    7: (186, 11, 7, (12, 16)),
+}
+
+
+def test_census_of_7_vertex_classes_against_the_structural_claims():
+    # every connected class at every 5 <= k <= 7: saturation is freeness
+    # plus semisaturation, checks i-iii hold on the semisaturated classes
+    # and iv-vi on the saturated ones, but for claim iii at n = k
+    census = {}
+    violations = []
+    for k in CENSUS_7:
+        semi_m, sat_m = [], []
+        for level in cached_levels(7):
+            for _, g in decoded(level):
+                if not g.is_connected():
+                    continue
+                semi = is_semisaturated(g, k, want_certificate=False).holds
+                sat = is_saturated(g, k, want_certificate=False).holds
+                assert sat == (is_ck_free(g, k).holds and semi), (g.edges, k)
+                for holds, checks, found in (
+                    (semi, LEAF_CHECKS, semi_m),
+                    (sat, SATURATED_CHECKS, sat_m),
+                ):
+                    if holds:
+                        found.append(g.edge_count)
+                        report = check_structure(g, k, checks=checks)
+                        name = graph6_encode(canonical_form_and_code(g)[0])
+                        violations += [(name, k, v.check) for v in report.violations]
+        census[k] = (len(semi_m), min(semi_m), len(sat_m), (min(sat_m), max(sat_m)))
+    assert census == CENSUS_7
+    assert violations == [("FJ\\~w", 7, "iii")]
 
 
 @pytest.mark.parametrize("k", [2, 0])
