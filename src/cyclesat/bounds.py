@@ -26,6 +26,11 @@ KIND_UPPER_STRICT = "upper-strict"
 KIND_EXACT = "exact"
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in (SAT, SSAT):
+        raise ValueError(f"mode must be {SAT!r} or {SSAT!r}, got {mode!r}")
+
+
 @dataclass(frozen=True)
 class BoundEntry:
     name: str
@@ -56,6 +61,7 @@ class BoundTable:
         bound ``check_consistency`` applies to it; structural bounds
         (min-degree conditioned) are excluded.
         """
+        _check_mode(mode)
         floor = 0
         for e in self.entries:
             rel = _relation(e, mode, "exact")
@@ -241,6 +247,11 @@ class Observation:
     mode: str  # "sat" | "ssat"
     kind: str  # "exact" | "upper-witness"
     value: int
+
+    def __post_init__(self) -> None:
+        _check_mode(self.mode)
+        if self.kind not in ("exact", "upper-witness"):
+            raise ValueError(f"kind must be 'exact' or 'upper-witness', got {self.kind!r}")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Subcommands: construct, verify, certify, check-certificate, bounds, oracle,
-mine-suitable.
+Subcommands: construct, verify, check-certificate, bounds, oracle,
+mine-suitable.  ``verify --certificate PATH`` writes a certificate;
+``oracle --golden PATH`` appends an exact result to a CSV, and nothing is
+written unless it is given.  Time budgets come from ``--max-seconds`` only.
 Exit codes: 0 success / verdict true, 1 verdict false, 2 usage or input
 error, 3 budget exhausted.  Graph input is auto-detected (graph6 when the
 first byte is at or above '?', plain edge list otherwise).
@@ -10,7 +12,6 @@ first byte is at or above '?', plain edge list otherwise).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -41,8 +42,6 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-BUDGET_ENV = "CYCLESAT_BUDGET_SECONDS"
 
 
 class _UsageError(ValueError):
@@ -78,14 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--in", dest="infile", help="graph file (default: stdin)")
     v.add_argument("--certificate", help="write the certificate here on success")
 
-    cert = sub.add_parser("certify", help="verify and always write a certificate")
-    cert.add_argument("--k", type=int, required=True)
-    cert.add_argument("--mode", required=True, choices=["saturated", "semisaturated"])
-    cert.add_argument("--in", dest="infile", help="graph file (default: stdin)")
-    cert.add_argument(
-        "--out", dest="certificate", required=True, help="certificate output path"
-    )
-
     chk = sub.add_parser("check-certificate", help="validate a certificate against a graph")
     chk.add_argument("--in", dest="infile", required=True, help="graph file")
     chk.add_argument("--cert", required=True, help="certificate file")
@@ -102,8 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--mode", required=True, choices=["sat", "ssat"])
     o.add_argument("--max-seconds", type=float, default=None)
     o.add_argument("--ceiling", type=int, default=None)
-    o.add_argument("--golden", default="oracle_values.csv", help="golden CSV to append to")
-    o.add_argument("--no-golden", action="store_true", help="skip the golden file")
+    o.add_argument("--golden", help="append an exact result to this CSV")
 
     m = sub.add_parser("mine-suitable", help="minimum-size suitable core search")
     m.add_argument("--k", type=int, required=True)
@@ -135,22 +125,11 @@ def _write(text: str, path: str | None) -> None:
         Path(path).write_text(text)
 
 
-def _default_budget(flag_value: float | None) -> float | None:
-    if flag_value is not None:
-        source, value = "--max-seconds", flag_value
-    else:
-        env = os.environ.get(BUDGET_ENV)
-        if not env:
-            return None
-        source = BUDGET_ENV
-        try:
-            value = float(env)
-        except ValueError:
-            value = env
+def _budget(max_seconds: float | None) -> float | None:
     # NaN compares false with everything, so a NaN deadline would never pass.
-    if not (isinstance(value, float) and value >= 0):
-        raise _UsageError(f"{source} must be a non-negative number of seconds, got {value!r}")
-    return value
+    if max_seconds is not None and not max_seconds >= 0:
+        raise _UsageError(f"--max-seconds must be a non-negative number, got {max_seconds}")
+    return max_seconds
 
 
 # The family-specific flags (argparse destinations) each family reads.
@@ -300,7 +279,7 @@ def _stats_line(stats: oracle_mod.SearchStats) -> str:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    if not args.no_golden:
+    if args.golden is not None:
         # Fail before a search that may take minutes; the file itself is
         # opened only for an exact result, so none is left behind otherwise.
         golden = Path(args.golden)
@@ -313,7 +292,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         args.k,
         args.mode,
         ceiling=args.ceiling,
-        budget_seconds=_default_budget(args.max_seconds),
+        budget_seconds=_budget(args.max_seconds),
     )
     if result.status == "lower-bound-only":
         print(f"{args.mode}({args.n}, C{args.k}) >= {result.value}  [budget exhausted]")
@@ -321,14 +300,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     print(f"{args.mode}({args.n}, C{args.k}) = {result.value}")
     print(f"witness: {graph6_encode(result.witness)}")
     print(_stats_line(result.stats))
-    if not args.no_golden:
+    if args.golden is not None:
         oracle_mod.append_golden(args.golden, result)
     return EXIT_OK
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
     mode = "kk2-suitable" if args.plus else "k-suitable"
-    budget = _default_budget(args.max_seconds)
+    budget = _budget(args.max_seconds)
     result = mine_suitable(args.k, mode, ceiling=args.ceiling, budget_seconds=budget)
     if result.status == "budget-exhausted":
         print(f"mining {mode} at k={args.k}: budget exhausted "
@@ -344,11 +323,9 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# certify is verify with --out stored as the certificate path, which it requires.
 _COMMANDS = {
     "construct": _cmd_construct,
     "verify": _cmd_verify,
-    "certify": _cmd_verify,
     "check-certificate": _cmd_check_certificate,
     "bounds": _cmd_bounds,
     "oracle": _cmd_oracle,

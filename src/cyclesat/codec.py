@@ -1,8 +1,13 @@
-"""Text encodings: graph6 lines, plain edge lists, and label sidecars."""
+"""Text encodings: graph6 lines, plain edge lists, and label sidecars.
+
+A graph6 body (McKay, https://users.cecs.anu.edu.au/~bdm/data/formats.txt)
+holds the upper triangle column by column, x(0,1), x(0,2), x(1,2), ...: the
+bit order of ``graphs._code_from_order``, so it is the identity order's code.
+"""
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, _code_from_order, _graph_from_code
 
 _MAX_GRAPH6_N = 62
 
@@ -18,29 +23,18 @@ class EdgeListError(ValueError):
 def graph6_encode(G: Graph) -> str:
     """Standard graph6 line for a graph with at most 62 vertices.
 
-    Size byte is ``63 + n``; the upper triangle is read column by column
-    (x(0,1), x(0,2), x(1,2), x(0,3), ...) and packed into 6-bit groups,
-    each offset by 63 into the printable range.
+    Size byte is ``63 + n``; the code bits, zero-padded on the right to a
+    multiple of 6, follow in 6-bit groups, each offset by 63 into the
+    printable range.
     """
     n = G.n
     if n > _MAX_GRAPH6_N:
         raise Graph6Error(f"graph6 output limited to {_MAX_GRAPH6_N} vertices, got {n}")
-    out = [chr(63 + n)]
-    group = 0
-    nbits = 0
-    for j in range(1, n):
-        col = G.adj[j]
-        for i in range(j):
-            group = (group << 1) | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + group))
-                group = 0
-                nbits = 0
-    if nbits:
-        group <<= 6 - nbits
-        out.append(chr(63 + group))
-    return "".join(out)
+    nbits = n * (n - 1) // 2
+    groups = (nbits + 5) // 6
+    bits = int.from_bytes(_code_from_order(G.adj, range(n))[1:], "big") << (6 * groups - nbits)
+    body = (chr(63 + (bits >> 6 * i & 63)) for i in reversed(range(groups)))
+    return chr(63 + n) + "".join(body)
 
 
 def graph6_decode(text: str) -> Graph:
@@ -70,14 +64,7 @@ def graph6_decode(text: str) -> Graph:
     if pad and bits & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits in graph6 body")
     bits >>= pad
-    edges = []
-    pos = nbits
-    for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if bits >> pos & 1:
-                edges.append((i, j))
-    return Graph(n, edges)
+    return _graph_from_code(bytes([n]) + bits.to_bytes((nbits + 7) // 8, "big"))
 
 
 def edge_list_encode(G: Graph) -> str:

@@ -308,10 +308,14 @@ def _graph_from_code(code: bytes) -> Graph:
     return Graph(n, [p for b, p in enumerate(reversed(pairs)) if bits >> b & 1])
 
 
+def _check_codable(n: int) -> None:
+    if n > 255:  # a code's first byte is n
+        raise GraphError(f"canonical codes hold at most 255 vertices, got {n}")
+
+
 def canonical_code(G: Graph) -> bytes:
     """Relabeling-invariant byte code identifying the isomorphism class (n <= 255)."""
-    if G.n > 255:
-        raise GraphError(f"canonical codes hold at most 255 vertices, got {G.n}")
+    _check_codable(G.n)
     return _code_from_order(G.adj, _canonical_search(G))
 
 

@@ -98,7 +98,7 @@ from dataclasses import dataclass
 from itertools import islice
 from math import comb
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator
 
 from .bounds import eval_bounds
 from .codec import graph6_encode
@@ -106,6 +106,7 @@ from .cycles import exists_path_of_length
 from .graphs import (
     Graph,
     Permutation,
+    _check_codable,
     _graph_from_code,
     _refined_code,
     canonical_form_and_code,
@@ -113,8 +114,6 @@ from .graphs import (
 from .saturation import is_saturated, is_semisaturated
 
 DEFAULT_CEILING = {"sat": 8, "ssat": 9}
-
-_T = TypeVar("_T")
 
 Level = list[bytes]
 
@@ -211,8 +210,10 @@ def class_levels(
     a code decodes to its class's refined form (``graphs._graph_from_code``).
     A parent is extended once per orbit of its automorphism group on its
     non-edges; only the current parents' generators are kept.  Raises
-    GenerationTimeout(m) when the deadline passes while level m is built.
+    GenerationTimeout(m) when the deadline passes while level m is built,
+    and GraphError when n is above the 255 vertices a code holds.
     """
+    _check_codable(n)
     if free_of is not None and free_of < 3:
         raise ValueError(f"cycle length must be at least 3, got {free_of}")
     code, generators = _refined_code([0] * n)
@@ -276,17 +277,16 @@ def _deadline(t0: float, budget_seconds: float | None) -> float | None:
 
 
 def search_stratum(
-    level: Level, accept: Callable[[Graph], _T | None], deadline: float | None = None
-) -> tuple[_T | None, int, bool]:
-    """Scan one edge-count stratum; returns (accepted, examined, timed_out).
+    level: Level, passes: Callable[[Graph], object], deadline: float | None = None
+) -> tuple[Graph | None, int, bool]:
+    """Scan one edge-count stratum; returns (witness, examined, timed_out).
 
-    Every connected class of ``level`` is offered to ``accept``.  Among the
-    classes for which it returns something other than None, the one with
-    the least minimal code wins, and the result is ``accept`` applied to its
-    minimal-code form (``canonical_form_and_code``), so it does not depend
-    on how the levels are labeled.  ``examined`` counts the classes scanned,
-    the whole level unless the deadline hit, which is reported only through
-    ``timed_out``.
+    A connected class g of ``level`` passes when ``passes(g)`` is true.  The
+    witness is the minimal-code form (``canonical_form_and_code``) of the
+    passer with the least minimal code, so it does not depend on how the
+    levels are labeled, or None when none passes.  ``examined`` counts the
+    classes scanned, the whole level unless the deadline hit, which is
+    reported only through ``timed_out``.
     """
     examined = 0
     least: tuple[bytes, Graph] | None = None
@@ -295,33 +295,33 @@ def search_stratum(
             return None, examined, True
         examined += 1
         g = _graph_from_code(refined)
-        if g.is_connected() and accept(g) is not None:
+        if g.is_connected() and passes(g):
             form, code = canonical_form_and_code(g)
             if least is None or code < least[0]:
                 least = (code, form)
-    return (None if least is None else accept(least[1])), examined, False
+    return (None if least is None else least[1]), examined, False
 
 
 def scan_strata(
     n: int,
     floor: int,
-    accept: Callable[[Graph], _T | None],
+    passes: Callable[[Graph], object],
     ceiling: int,
     budget_seconds: float | None,
     *,
     free_of: int | None = None,
-) -> tuple[int, _T | None, bool, SearchStats]:
-    """Scan edge counts upward to the first stratum with an accepted class.
+) -> tuple[int, Graph | None, bool, SearchStats]:
+    """Scan edge counts upward to the first stratum with a passing class.
 
-    Returns (m, accepted, timed_out, stats).  Only connected classes are
-    offered to ``accept``, so the scan starts at max(n - 1, floor).  One
+    Returns (m, witness, timed_out, stats).  Only connected classes are
+    tested with ``passes``, so the scan starts at max(n - 1, floor).  One
     ``class_levels`` run builds the levels (only the C_k-free classes when
     ``free_of=k``), and each stratum's level is scanned by
     ``search_stratum``; ``stats`` splits the time between the two.  A
     deadline hit in either stops the scan.  Every stratum below the
-    returned m was scanned whole, so m is the minimum when something was
-    accepted and a proven floor when the budget ran out; when nothing is
-    accepted up to C(n, 2), accepted is None and timed_out False.  Raises
+    returned m was scanned whole, so m is the minimum when a class passed
+    and a proven floor when the budget ran out; when nothing passes up to
+    C(n, 2), the witness is None and timed_out False.  Raises
     CeilingExceeded when n is above ``ceiling``.
     """
     if n > ceiling:
@@ -332,7 +332,7 @@ def scan_strata(
     deadline = _deadline(t0, budget_seconds)
     examined_total = 0
     generate_s = verify_s = 0.0
-    accepted, timed_out = None, False
+    witness, timed_out = None, False
     first = max(n - 1, floor)
     levels = islice(class_levels(n, deadline, free_of=free_of), first, None)
     for m in range(first, comb(n, 2) + 1):
@@ -345,13 +345,13 @@ def scan_strata(
         finally:
             built = time.monotonic()
             generate_s += built - start
-        accepted, examined, timed_out = search_stratum(level, accept, deadline)
+        witness, examined, timed_out = search_stratum(level, passes, deadline)
         verify_s += time.monotonic() - built
         examined_total += examined
-        if timed_out or accepted is not None:
+        if timed_out or witness is not None:
             break
     stats = SearchStats(examined_total, time.monotonic() - t0, generate_s, verify_s)
-    return m, accepted, timed_out, stats
+    return m, witness, timed_out, stats
 
 
 def exact_min(
@@ -379,7 +379,7 @@ def exact_min(
     m, witness, timed_out, stats = scan_strata(
         n,
         eval_bounds(n, k).lower_floor(mode),
-        lambda g: g if passes(g) else None,
+        passes,
         cap,
         budget_seconds,
         free_of=k if mode == "sat" else None,

@@ -313,6 +313,8 @@ def check_structure(
     """
     if k < 3:
         raise ValueError(f"cycle length must be at least 3, got {k}")
+    if isinstance(checks, str):
+        raise ValueError(f"checks must be a sequence of check names, got the string {checks!r}")
     part = degree_partition(G)
     violations: list[Violation] = []
     x_sorted = sorted(part.x)

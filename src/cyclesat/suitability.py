@@ -176,22 +176,21 @@ def mine_suitable(
     pairs = split_pairs(k, mode)
     cap = DEFAULT_MINE_CEILING if ceiling is None else ceiling
 
-    def accept(G: Graph) -> LabeledGraph | None:
+    def suitable_pair(G: Graph) -> tuple[int, int] | None:
+        """G's first suitable special pair in ascending (a1, a2) order, if any."""
         semi = is_semisaturated(G, k, want_certificate=False)
-        if not semi.holds:
-            return None
-        for a1 in range(k):
-            for a2 in range(a1 + 1, k):
-                if _report(G, a1, a2, k, mode, pairs, semi).suitable:
-                    return LabeledGraph(G, {"a1": a1, "a2": a2})
+        if semi.holds:
+            for a1 in range(k):
+                for a2 in range(a1 + 1, k):
+                    if _report(G, a1, a2, k, mode, pairs, semi).suitable:
+                        return a1, a2
         return None
 
     # No floor of its own: the scan starts at k - 1, the size of a tree.
-    m, witness, timed_out, stats = scan_strata(k, 0, accept, cap, budget_seconds)
+    m, form, timed_out, stats = scan_strata(k, 0, suitable_pair, cap, budget_seconds)
     if timed_out:
-        status, m = "budget-exhausted", None
-    elif witness is None:
-        status, m = "not-found", None
-    else:
-        status = "exact"
-    return MiningResult(k, mode, status, m, witness, stats)
+        return MiningResult(k, mode, "budget-exhausted", None, None, stats)
+    if form is None:
+        return MiningResult(k, mode, "not-found", None, None, stats)
+    a1, a2 = suitable_pair(form)
+    return MiningResult(k, mode, "exact", m, LabeledGraph(form, {"a1": a1, "a2": a2}), stats)

@@ -129,6 +129,11 @@ def test_lower_floor_is_least_value_passing_lower_bounds():
                 assert floor == 0 or not passes(n, k, mode, floor - 1), (n, k, mode)
 
 
+def test_lower_floor_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="mode must be 'sat' or 'ssat', got 'bogus'"):
+        eval_bounds(9, 7).lower_floor("bogus")
+
+
 # -- consistency --------------------------------------------------------------
 
 
@@ -170,3 +175,17 @@ def test_eval_bounds_input_validation():
         eval_bounds(0, 7)
     with pytest.raises(ValueError):
         eval_bounds(9, 2)
+
+
+@pytest.mark.parametrize(
+    "mode,kind,message",
+    [
+        ("bogus", "exact", "mode must be 'sat' or 'ssat', got 'bogus'"),
+        ("sat", "bogus-kind", "kind must be 'exact' or 'upper-witness', got 'bogus-kind'"),
+    ],
+)
+def test_observation_rejects_unknown_mode_or_kind(mode, kind, message):
+    # an unknown mode used to be checked against both modes' bounds, and an
+    # unknown kind was taken for a construction witness
+    with pytest.raises(ValueError, match=message):
+        check_consistency(9, 7, [Observation("x", mode, kind, 3)])

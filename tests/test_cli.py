@@ -186,7 +186,7 @@ def test_certify_writes_validating_certificate(capsys, monkeypatch, tmp_path):
     cert_path = tmp_path / "cert.txt"
     feed_stdin(monkeypatch, graph6_encode(h.graph))
     code, out, _ = run(
-        capsys, "certify", "--k", "7", "--mode", "saturated", "--out", str(cert_path)
+        capsys, "verify", "--k", "7", "--mode", "saturated", "--certificate", str(cert_path)
     )
     assert code == 0
     cert = Certificate.from_text(cert_path.read_text())
@@ -262,14 +262,13 @@ def test_check_certificate_missing_file_exit_2(capsys, h1_files):
         ["check-certificate", "--in", "{graph}", "--cert", "{dir}"],
         ["construct", "--family", "wheel", "--k", "5", "--out", "{missing}"],
         ["construct", "--family", "wheel", "--k", "5", "--labels", "{missing}"],
-        ["certify", "--k", "7", "--mode", "saturated", "--in", "{graph}", "--out", "{missing}"],
         ["verify", "--k", "7", "--mode", "saturated", "--in", "{graph}",
          "--certificate", "{missing}"],
         ["oracle", "--k", "4", "--n", "5", "--mode", "sat", "--golden", "{missing}"],
     ],
     ids=[
         "verify-in-dir", "check-cert-dir", "construct-out", "construct-labels",
-        "certify-out", "verify-certificate", "oracle-golden",
+        "verify-certificate", "oracle-golden",
     ],
 )
 def test_file_system_errors_exit_2(capsys, h1_files, tmp_path, argv):
@@ -355,6 +354,15 @@ def test_oracle_rejects_golden_path_before_search(capsys, tmp_path, where):
     assert not (tmp_path / "missing").exists()
 
 
+def test_oracle_without_golden_writes_nothing(capsys, monkeypatch, tmp_path):
+    # the golden file is opt-in: an exact result writes no file unless asked
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "oracle", "--k", "4", "--n", "5", "--mode", "sat")
+    assert code == 0
+    assert "sat(5, C4) = 5" in out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_oracle_budget_exit_3(capsys, tmp_path):
     golden = tmp_path / "oracle_values.csv"
     code, out, _ = run(
@@ -403,21 +411,12 @@ def test_identical_invocations_identical_output(capsys):
     assert c == d
 
 
-def test_env_budget_default(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("CYCLESAT_BUDGET_SECONDS", "0")
-    code, out, _ = run(
-        capsys, "oracle", "--k", "4", "--n", "8", "--mode", "sat", "--no-golden"
-    )
-    assert code == 3
-
-
 @pytest.mark.parametrize("value", ["nan", "-1", "abc"])
 @pytest.mark.parametrize("command", [
-    ("oracle", "--k", "4", "--n", "8", "--mode", "sat", "--no-golden"),
+    ("oracle", "--k", "4", "--n", "8", "--mode", "sat"),
     ("mine-suitable", "--k", "6"),
 ])
-def test_bad_budget_rejected(capsys, monkeypatch, command, value):
-    monkeypatch.delenv("CYCLESAT_BUDGET_SECONDS", raising=False)
+def test_bad_budget_rejected(capsys, command, value):
     code, _, err = run(capsys, *command, "--max-seconds", value)
     assert code == 2
     if value == "abc":
@@ -425,10 +424,6 @@ def test_bad_budget_rejected(capsys, monkeypatch, command, value):
         assert "--max-seconds: invalid float value" in err
     else:
         assert "--max-seconds must be a non-negative number" in err
-    monkeypatch.setenv("CYCLESAT_BUDGET_SECONDS", value)
-    code, _, err = run(capsys, *command)
-    assert code == 2
-    assert "CYCLESAT_BUDGET_SECONDS must be a non-negative number" in err
 
 
 @pytest.mark.parametrize("unchecked", [False, True])

@@ -38,6 +38,18 @@ def test_graph6_round_trip(g):
     assert graph6_decode(graph6_encode(g)) == g
 
 
+@given(graphs(max_n=62))
+def test_graph6_matches_networkx(g):
+    # an independent encoder pins the bit order, not just the round trip
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    line = graph6_encode(g)
+    assert line == nx.to_graph6_bytes(h, header=False).decode().strip()
+    assert graph6_decode(line) == g
+
+
 def test_graph6_round_trip_random_large():
     rng = random.Random(3)
     for _ in range(100):

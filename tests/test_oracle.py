@@ -22,6 +22,7 @@ from cyclesat import oracle
 from cyclesat.bounds import Observation, check_consistency, eval_bounds
 from cyclesat.codec import graph6_decode, graph6_encode
 from cyclesat.graphs import (
+    GraphError,
     _code_from_order,
     _graph_from_code,
     _refined_code,
@@ -491,3 +492,9 @@ def test_golden_rejects_partial(tmp_path):
     partial = exact_min(8, 4, "sat", budget_seconds=0.0)
     with pytest.raises(ValueError):
         append_golden(tmp_path / "x.csv", partial)
+
+
+def test_class_levels_reject_more_vertices_than_a_code_holds():
+    # checked once, before any labeling, with the error canonical_code raises
+    with pytest.raises(GraphError, match="at most 255 vertices, got 256"):
+        next(class_levels(256))

@@ -424,6 +424,14 @@ def test_structure_rejects_k_below_3(g, k):
         check_structure(g, k)
 
 
+def test_structure_rejects_a_bare_string_of_checks():
+    # a str is a sequence of its letters: "iv" must not run checks i and v
+    g = build_h1(7, 12).graph
+    with pytest.raises(ValueError, match="the string 'iv'"):
+        check_structure(g, 7, checks="iv")
+    assert check_structure(g, 7, checks=("iv",)).checks_run == ("iv",)
+
+
 def _minus_vertex(g, v):
     return g.induced(u for u in range(g.n) if u != v)[0]
 
