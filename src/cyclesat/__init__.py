@@ -66,7 +66,6 @@ from .saturation import (
     SaturationVerdict,
     StructureReport,
     TooFewVertices,
-    all_pairs,
     check_structure,
     degree_partition,
     greedy_saturate,

@@ -46,6 +46,7 @@ from typing import Sequence
 
 from .graphs import Graph, _bfs_layers
 
+# The budget when a caller passes None; a budget of 0 allows no expansion.
 DEFAULT_EXPANSION_BUDGET = 10**8
 
 
@@ -96,19 +97,6 @@ class CycleWitness:
         return all(G.has_edge(a, b) or {a, b} == allowed for a, b in pairs)
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, limit: int | None):
-        # Only None means the default; 0 allows no expansion at all.
-        self.left = DEFAULT_EXPANSION_BUDGET if limit is None else limit
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise SearchBudgetExceeded("node expansion budget exhausted")
-
-
 def _usable(adj: Sequence[int], avail: int, cur: int, target: int, remaining: int):
     """Vertices usable by some completion of the current branch.
 
@@ -150,13 +138,20 @@ def _usable(adj: Sequence[int], avail: int, cur: int, target: int, remaining: in
 
 
 def _search_path(
-    adj: Sequence[int], n: int, u: int, v: int, length: int, budget: _Budget
-):
+    adj: Sequence[int], n: int, u: int, v: int, length: int, left: int
+) -> tuple[PathWitness | None, int]:
+    """The first u-v path of ``length`` edges (or None), and the expansions left.
+
+    Raises SearchBudgetExceeded when the search needs more than ``left``.
+    """
     tbit = 1 << v
     path = [u]
 
     def rec(cur: int, avail: int, remaining: int) -> bool:
-        budget.spend()
+        nonlocal left
+        left -= 1
+        if left < 0:
+            raise SearchBudgetExceeded("node expansion budget exhausted")
         if remaining == 1:
             if adj[cur] & tbit:
                 path.append(v)
@@ -196,9 +191,8 @@ def _search_path(
                     m ^= xbit
         return False
 
-    if rec(u, ((1 << n) - 1) ^ (1 << u), length):
-        return PathWitness(tuple(path))
-    return None
+    found = rec(u, ((1 << n) - 1) ^ (1 << u), length)
+    return (PathWitness(tuple(path)) if found else None), left
 
 
 def exists_path_of_length(
@@ -218,7 +212,8 @@ def exists_path_of_length(
         raise ValueError(f"path length must be positive, got {length}")
     if length > G.n - 1:
         return None
-    return _search_path(G.adj, G.n, u, v, length, _Budget(budget))
+    left = DEFAULT_EXPANSION_BUDGET if budget is None else budget
+    return _search_path(G.adj, G.n, u, v, length, left)[0]
 
 
 def has_cycle_of_length(G: Graph, k: int, budget: int | None = None) -> CycleWitness | None:
@@ -234,12 +229,12 @@ def has_cycle_of_length(G: Graph, k: int, budget: int | None = None) -> CycleWit
         raise ValueError(f"cycle length must be at least 3, got {k}")
     if k > G.n:
         return None
-    shared = _Budget(budget)
+    left = DEFAULT_EXPANSION_BUDGET if budget is None else budget  # shared by all edges
     adj = list(G.adj)
     for u, v in G.edges:
         adj[u] ^= 1 << v
         adj[v] ^= 1 << u
-        found = _search_path(adj, G.n, u, v, k - 1, shared)
+        found, left = _search_path(adj, G.n, u, v, k - 1, left)
         if found is not None:
             return CycleWitness(found.vertices)
     return None

@@ -1,9 +1,9 @@
 """Immutable simple undirected graphs with bitset adjacency, labels and canonical forms.
 
-Vertices are 0..n-1.  Every graph is a hashable value: mutation-style
-operations (``with_edge``, ``induced``, ...) return new graphs, so
-verifiers and searches can snapshot and share them freely.  The refinement
-labeling also reports generators of each graph's whole automorphism group.
+Vertices are 0..n-1.  Every graph is a hashable value: ``induced`` returns
+a new graph, so verifiers and searches can snapshot and share them freely.
+The refinement labeling also reports generators of each graph's whole
+automorphism group.
 """
 
 from __future__ import annotations
@@ -96,9 +96,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(m.bit_count() for m in self.adj)
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(_iter_bits(self.adj[v]))
 
@@ -125,17 +122,6 @@ class Graph:
 
     # -- derived graphs ------------------------------------------------
 
-    def with_edge(self, u: int, v: int) -> "Graph":
-        if self.has_edge(u, v):
-            raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
-        return Graph(self.n, self.edges + ((min(u, v), max(u, v)),))
-
-    def without_edge(self, u: int, v: int) -> "Graph":
-        pair = (min(u, v), max(u, v))
-        if pair not in self.edges:
-            raise GraphError(f"edge {pair} not present")
-        return Graph(self.n, tuple(e for e in self.edges if e != pair))
-
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph plus the old-vertex -> new-vertex mapping."""
         keep = sorted(set(vertices))
@@ -148,12 +134,6 @@ class Graph:
             if u in remap and v in remap
         ]
         return Graph(len(keep), edges), remap
-
-    def relabel(self, perm: list[int] | tuple[int, ...]) -> "Graph":
-        """Apply ``old -> perm[old]`` to every vertex."""
-        if sorted(perm) != list(range(self.n)):
-            raise GraphError("relabeling is not a permutation of the vertices")
-        return Graph(self.n, [(perm[u], perm[v]) for u, v in self.edges])
 
     # -- value semantics -------------------------------------------------
 
@@ -309,6 +289,8 @@ def _graph_from_code(code: bytes) -> Graph:
 
 
 def _check_codable(n: int) -> None:
+    if n < 0:
+        raise GraphError(f"vertex count must be non-negative, got {n}")
     if n > 255:  # a code's first byte is n
         raise GraphError(f"canonical codes hold at most 255 vertices, got {n}")
 

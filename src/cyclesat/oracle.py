@@ -211,7 +211,8 @@ def class_levels(
     A parent is extended once per orbit of its automorphism group on its
     non-edges; only the current parents' generators are kept.  Raises
     GenerationTimeout(m) when the deadline passes while level m is built,
-    and GraphError when n is above the 255 vertices a code holds.
+    and GraphError when n is negative or above the 255 vertices a code
+    holds.
     """
     _check_codable(n)
     if free_of is not None and free_of < 3:

@@ -7,6 +7,20 @@ uv must traverse uv, so semisaturation is equivalent to: every non-edge uv
 admits a u-v path of exactly k-1 edges.  That path criterion is what the
 checkers run; it is exponentially cheaper than counting cycle copies.
 
+Leaf lemma.  Let G be connected, k >= 4, L the leaves (degree-1 vertices)
+of G and H = G - L.  A leaf is interior to no path, so the paths between
+vertices of H are those of H.  Leaf rule: if G is C_k-semisaturated, no two
+leaves share a neighbour (their only path has 2 edges), and the neighbour w
+of a leaf has degree at least 3 (else the leaf reaches w's other neighbour
+only by a 2-edge path); so H is leafless and each carrier w (a neighbour of
+a leaf) carries one leaf.  Reduced test: when no two leaves share a
+neighbour, the non-edges of G are those of H, the pairs of a leaf and a
+vertex of H other than its carrier, and the pairs of leaves.  So G is
+C_k-semisaturated exactly when (a) H is, (b) every carrier has a path of
+k-2 edges in H to every other vertex of H, and (c) every two carriers have
+a path of k-3 edges in H between them.  An H with fewer than k vertices
+has no path of k-1 edges, so it passes (a) only when it is complete.
+
 Also here: the degree-one/degree-two vertex partition of a graph, the named
 structural checks that partition supports, and a greedy generator of
 saturated instances for property testing.
@@ -15,11 +29,12 @@ saturated instances for property testing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .cycles import (
+    DEFAULT_EXPANSION_BUDGET,
     CycleWitness,
-    _Budget,
     _search_path,
     exists_path_of_length,
     has_cycle_of_length,
@@ -244,10 +259,6 @@ class DegreePartition:
     def y(self) -> frozenset[int]:
         return self.y3 | self.y4plus | self.y_low
 
-    @property
-    def five_parts(self) -> bool:
-        return not self.y_low and not self.z_low
-
 
 def degree_partition(G: Graph) -> DegreePartition:
     x = frozenset(v for v in range(G.n) if G.degree(v) == 1)
@@ -302,9 +313,12 @@ def check_structure(
     either the claim or the implementation.
 
     Claim iii needs n > k: G - v has n - 1 vertices, and no graph on fewer
-    than k vertices is C_k-semisaturated.  At n = k it fails on saturated
-    graphs, for example ``FJ\\~w`` (k = 7) and ``GJ\\z~{`` (k = 8), a leaf on
-    a dense graph, which report "removing leaf 0 drops below k vertices".
+    than k vertices is C_k-semisaturated.  At n = k the C_k-semisaturated
+    graphs with a leaf are K_{k-1} plus one leaf, such as ``FJ\\~w`` (k = 7)
+    and ``GJ\\z~{`` (k = 8), by the leaf lemma (module docstring): H passes
+    (a) only when complete, and (b) then allows one leaf.  They report
+    "removing leaf 0 drops below k vertices"; if a complete graph counts as
+    vacuously semisaturated, claim iii holds there too.
 
     Check iii reads G itself.  A degree-1 vertex v is interior to no path,
     so for x, y != v the x-y paths of G - v are exactly those of G.  Hence
@@ -422,10 +436,6 @@ def strip_leaves(G: Graph) -> tuple[Graph, int]:
 # -- generators --------------------------------------------------------------
 
 
-def all_pairs(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
 def greedy_saturate(n: int, k: int, edge_order: Iterable[tuple[int, int]]) -> Graph:
     """Scan vertex pairs in the given order, keeping the graph C_k-free.
 
@@ -434,15 +444,17 @@ def greedy_saturate(n: int, k: int, edge_order: Iterable[tuple[int, int]]) -> Gr
     one adjacency list that the path kernel reads directly; the ``Graph`` is
     built once, at the end.
     """
+    if k < 3:
+        raise ValueError(f"cycle length must be at least 3, got {k}")
     if n < k:
         raise TooFewVertices(f"need at least {k} vertices, got {n}")
     order = list(edge_order)
-    if sorted(order) != all_pairs(n):
+    if sorted(order) != list(combinations(range(n), 2)):
         raise ValueError("edge_order must be a permutation of all vertex pairs")
     adj = [0] * n
     kept = []
     for u, v in order:
-        if _search_path(adj, n, u, v, k - 1, _Budget(None)) is None:
+        if _search_path(adj, n, u, v, k - 1, DEFAULT_EXPANSION_BUDGET)[0] is None:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             kept.append((u, v))

@@ -21,6 +21,24 @@ from cyclesat.graphs import (
 from cyclesat.oracle import Level, class_levels
 
 
+def with_edge(G: Graph, u: int, v: int) -> Graph:
+    """``G`` plus the edge uv."""
+    return Graph(G.n, G.edges + ((u, v),))
+
+
+def without_edge(G: Graph, u: int, v: int) -> Graph:
+    """``G`` minus its edge uv."""
+    pair = (min(u, v), max(u, v))
+    assert pair in G.edges, f"edge {pair} not present"
+    return Graph(G.n, [e for e in G.edges if e != pair])
+
+
+def relabel(G: Graph, perm) -> Graph:
+    """``G`` with every vertex ``old`` renamed ``perm[old]``."""
+    assert sorted(perm) == list(range(G.n)), "not a permutation of the vertices"
+    return Graph(G.n, [(perm[u], perm[v]) for u, v in G.edges])
+
+
 @st.composite
 def graphs(draw, min_n: int = 0, max_n: int = 8) -> Graph:
     n = draw(st.integers(min_n, max_n))
@@ -77,7 +95,7 @@ def naive_first_path(G: Graph, u: int, v: int, length: int) -> tuple[int, ...] |
 def naive_first_cycle(G: Graph, k: int) -> tuple[int, ...] | None:
     """The first edge uv of ``G.edges`` on a k-cycle, closing the least u-v path of G - uv."""
     for u, v in G.edges:
-        seq = naive_first_path(G.without_edge(u, v), u, v, k - 1)
+        seq = naive_first_path(without_edge(G, u, v), u, v, k - 1)
         if seq is not None:
             return seq
     return None
@@ -143,7 +161,7 @@ def naive_is_saturated(G: Graph, k: int) -> bool:
         return False
     base = naive_count_cycles(G, k)
     for u, v in G.non_edges():
-        if naive_count_cycles(G.with_edge(u, v), k) <= base:
+        if naive_count_cycles(with_edge(G, u, v), k) <= base:
             return False
     return True
 
@@ -151,7 +169,7 @@ def naive_is_saturated(G: Graph, k: int) -> bool:
 def naive_is_semisaturated(G: Graph, k: int) -> bool:
     base = naive_count_cycles(G, k)
     for u, v in G.non_edges():
-        if naive_count_cycles(G.with_edge(u, v), k) <= base:
+        if naive_count_cycles(with_edge(G, u, v), k) <= base:
             return False
     return True
 
@@ -204,7 +222,7 @@ def naive_levels(n: int) -> list[list[tuple[bytes, Graph]]]:
         nxt: dict[bytes, Graph] = {}
         for _, g in levels[-1]:
             for u, v in g.non_edges():
-                h, code = canonical_form_and_code(g.with_edge(u, v))
+                h, code = canonical_form_and_code(with_edge(g, u, v))
                 nxt.setdefault(code, h)
         levels.append(sorted(nxt.items()))
     return levels
@@ -269,9 +287,9 @@ def brute_force_isomorphic(G: Graph, H: Graph) -> bool:
     """
     if G.n != H.n or len(G.edges) != len(H.edges):
         return False
-    if sorted(G.degree_sequence()) != sorted(H.degree_sequence()):
-        return False
     n = G.n
+    if sorted(map(G.degree, range(n))) != sorted(map(H.degree, range(n))):
+        return False
     if n == 0:
         return True
     mapping = [-1] * n

@@ -16,6 +16,7 @@ from conftest import (
     graphs,
     naive_is_top_edge,
     naive_levels,
+    relabel,
     twin_rich_graphs,
 )
 from cyclesat import oracle
@@ -168,7 +169,7 @@ def _group_closure(generators, n):
 
 def _assert_generators_span_the_group(form, generators, order):
     for p in generators:
-        assert form.relabel(p) == form
+        assert relabel(form, p) == form
     assert len(_group_closure(generators, form.n)) == order
 
 
@@ -181,7 +182,7 @@ def test_orbit_representatives_match_brute_force_orbits(n):
     reverse = list(range(n))[::-1]
     for m in range(n * (n - 1) // 2 + 1):
         for _, g in brute_level(n, m):
-            for start in (g, g.relabel(reverse)):
+            for start in (g, relabel(g, reverse)):
                 code, generators = _refined_code(start.adj)
                 form = _graph_from_code(code)
                 group = brute_automorphisms(form)
@@ -195,7 +196,7 @@ def test_refined_generators_span_the_petersen_group():
     # twin-free and vertex-transitive, with |Aut| = 120: every generator
     # comes from a leaf of least code
     petersen = graph6_decode("IheA@GUAo")
-    for start in (petersen, petersen.relabel(list(range(10))[::-1])):
+    for start in (petersen, relabel(petersen, list(range(10))[::-1])):
         code, generators = _refined_code(start.adj)
         _assert_generators_span_the_group(_graph_from_code(code), generators, 120)
 
@@ -237,7 +238,7 @@ def test_top_edges_map_onto_top_edges(G, data):
     # under relabeling, and every graph with an edge has a top edge
     perm = data.draw(st.permutations(range(G.n)))
     image = {tuple(sorted((perm[u], perm[v]))) for u, v in _top_edges(G)}
-    assert _top_edges(G.relabel(perm)) == image
+    assert _top_edges(relabel(G, perm)) == image
     assert bool(image) == bool(G.edges)
 
 
@@ -263,7 +264,7 @@ def test_level_codes_are_their_forms(n):
     for level in cached_levels(n):
         for code, g in decoded(level):
             assert _code_from_order(g.adj, range(n)) == code
-            assert _refined_code(g.relabel(perm).adj)[0] == code
+            assert _refined_code(relabel(g, perm).adj)[0] == code
             minimal.add(canonical_code(g))
     assert len(minimal) == A000088[n]
 
@@ -498,3 +499,9 @@ def test_class_levels_reject_more_vertices_than_a_code_holds():
     # checked once, before any labeling, with the error canonical_code raises
     with pytest.raises(GraphError, match="at most 255 vertices, got 256"):
         next(class_levels(256))
+
+
+def test_class_levels_reject_a_negative_vertex_count():
+    # checked before any labeling, in the wording of Graph(-1, [])
+    with pytest.raises(GraphError, match="vertex count must be non-negative, got -1"):
+        next(class_levels(-1))

@@ -4,10 +4,84 @@ from pathlib import Path
 
 import cyclesat
 
+# The package's public names; a name joins or leaves the API only by an
+# edit here.
+PUBLIC_NAMES = [
+    "BoundEntry",
+    "BoundTable",
+    "CeilingExceeded",
+    "Certificate",
+    "CertificateError",
+    "ConsistencyReport",
+    "ConstructionParamError",
+    "ConstructionPostconditionError",
+    "CycleWitness",
+    "DegreePartition",
+    "DuplicateEdgeError",
+    "EdgeListError",
+    "GenerationTimeout",
+    "Graph",
+    "Graph6Error",
+    "GraphError",
+    "LabeledGraph",
+    "LoopEdgeError",
+    "MiningResult",
+    "Observation",
+    "OracleResult",
+    "PathWitness",
+    "SaturationVerdict",
+    "SearchBudgetExceeded",
+    "StructureReport",
+    "SuitabilityReport",
+    "TooFewVertices",
+    "UnsuitableCoreError",
+    "VertexRangeError",
+    "append_golden",
+    "build_h1",
+    "build_h2",
+    "build_h3",
+    "build_wheel",
+    "canonical_code",
+    "canonical_form_and_code",
+    "check_consistency",
+    "check_structure",
+    "class_levels",
+    "degree_partition",
+    "detect_and_decode",
+    "edge_list_decode",
+    "edge_list_encode",
+    "eval_bounds",
+    "exact_min",
+    "exists_path_of_length",
+    "graph6_decode",
+    "graph6_encode",
+    "greedy_saturate",
+    "h1_decompose",
+    "has_cycle_of_length",
+    "is_ck_free",
+    "is_k_suitable",
+    "is_kk2_suitable",
+    "is_saturated",
+    "is_semisaturated",
+    "known_exact",
+    "labels_decode",
+    "labels_encode",
+    "mine_suitable",
+    "search_stratum",
+    "shortest_cycle_through",
+    "split_pairs",
+    "strip_leaves",
+]
+
 
 def test_all_lists_names_not_modules():
     assert not [n for n in cyclesat.__all__ if inspect.ismodule(getattr(cyclesat, n))]
     assert {"exact_min", "search_stratum", "mine_suitable", "Graph"} <= set(cyclesat.__all__)
+
+
+def test_public_names_are_pinned():
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert cyclesat.__all__ == PUBLIC_NAMES
 
 
 def test_no_import_inside_a_function():

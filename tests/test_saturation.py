@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from dataclasses import replace
@@ -15,9 +16,10 @@ from conftest import (
     naive_is_semisaturated,
     path_graph,
     star_graph,
+    with_edge,
 )
 from cyclesat.codec import graph6_decode, graph6_encode
-from cyclesat.cycles import CycleWitness
+from cyclesat.cycles import CycleWitness, exists_path_of_length
 from cyclesat.families import build_h1, build_h3, build_wheel
 from cyclesat.graphs import Graph, canonical_form_and_code
 from cyclesat.saturation import (
@@ -26,7 +28,6 @@ from cyclesat.saturation import (
     Certificate,
     CertificateError,
     TooFewVertices,
-    all_pairs,
     check_structure,
     degree_partition,
     greedy_saturate,
@@ -105,7 +106,7 @@ def test_adding_an_edge_keeps_semisaturation():
                     if not is_semisaturated(g, k, want_certificate=False).holds:
                         continue
                     for u, v in g.non_edges():
-                        child = g.with_edge(u, v)
+                        child = with_edge(g, u, v)
                         assert is_semisaturated(child, k, want_certificate=False)
                         children += 1
     assert children == 18_953
@@ -267,7 +268,7 @@ def test_partition_star():
     assert part.x == frozenset({1, 2, 3, 4, 5})
     assert part.y4plus == frozenset({0})
     assert not part.y3 and not part.z2 and not part.z3plus
-    assert part.five_parts
+    assert not part.y_low and not part.z_low
 
 
 def test_partition_c6():
@@ -288,7 +289,7 @@ def test_partition_identity_with_leaves():
     assert len(h.labels["D"]) == 2
     part = degree_partition(h.graph)
     assert len(part.x) == 2 and len(part.y) == 2
-    assert part.five_parts
+    assert not part.y_low and not part.z_low
     assert h.graph.n == part.a + 2 * part.b + part.c + 2 * part.d
 
 
@@ -318,7 +319,7 @@ def test_greedy_graphs_pass_structure_checks():
     for trial in range(8):
         k = (5, 6, 7)[trial % 3]
         n = rng.randint(max(k, 9), 13)
-        order = all_pairs(n)
+        order = list(itertools.combinations(range(n), 2))
         rng.shuffle(order)
         g = greedy_saturate(n, k, order)
         report = check_structure(g, k, checks=("i", "ii", "iv", "v", "vi"))
@@ -329,7 +330,7 @@ def test_greedy_graph_with_leaves_passes_all_structure_checks():
     # the acceptance generator at seed 1: leaves and degree-3 leaf
     # neighbours, so the loops of checks iii and v run
     rng = random.Random(1)
-    order = all_pairs(9)
+    order = list(itertools.combinations(range(9), 2))
     rng.shuffle(order)
     g = greedy_saturate(9, 6, order)
     part = degree_partition(g)
@@ -414,6 +415,50 @@ def test_census_of_7_vertex_classes_against_the_structural_claims():
         census[k] = (len(semi_m), min(semi_m), len(sat_m), (min(sat_m), max(sat_m)))
     assert census == CENSUS_7
     assert violations == [("FJ\\~w", 7, "iii")]
+
+
+def reduced_test(G: Graph, k: int) -> bool:
+    """The leaf lemma's test of C_k-semisaturation on H = G - leaves (k >= 4)."""
+    leaves = [v for v in range(G.n) if G.degree(v) == 1]
+    carriers = [G.neighbors(v)[0] for v in leaves]
+    if len(set(carriers)) < len(carriers):
+        return False
+    H, remap = G.induced(set(range(G.n)) - set(leaves))
+    ws = [remap[w] for w in carriers]
+    # an H with fewer than k vertices has no path of k - 1 edges
+    a = is_semisaturated(H, k, False).holds if H.n >= k else not H.non_edges()
+    b = all(
+        exists_path_of_length(H, w, y, k - 2) is not None
+        for w in ws
+        for y in range(H.n)
+        if y != w
+    )
+    c = all(
+        exists_path_of_length(H, w, x, k - 3) is not None
+        for w, x in itertools.combinations(ws, 2)
+    )
+    return a and b and c
+
+
+def test_leaf_lemma_on_every_connected_class_up_to_7_vertices():
+    # the module docstring's leaf lemma, at every 4 <= k <= n: a
+    # semisaturated class has leaves with distinct neighbours of degree at
+    # least 3, and the reduced test on H = G - leaves gives its verdict
+    semisaturated = {}
+    for n in range(4, 8):
+        for level in cached_levels(n):
+            for _, g in decoded(level):
+                if not g.is_connected():
+                    continue
+                for k in range(4, n + 1):
+                    semi = is_semisaturated(g, k, want_certificate=False).holds
+                    assert reduced_test(g, k) == semi, (g.edges, k)
+                    if semi:
+                        semisaturated[n] = semisaturated.get(n, 0) + 1
+                        ws = [g.neighbors(v)[0] for v in range(n) if g.degree(v) == 1]
+                        assert len(set(ws)) == len(ws), (g.edges, k)
+                        assert all(g.degree(w) >= 3 for w in ws), (g.edges, k)
+    assert semisaturated == {4: 3, 5: 22, 6: 155, 7: 1767}
 
 
 @pytest.mark.parametrize("k", [2, 0])
@@ -508,7 +553,7 @@ def test_strip_leaves_reaches_min_degree_two():
     h = build_h1(8, 21).graph
     core, removed = strip_leaves(h)
     assert removed == 2
-    assert min(core.degree_sequence()) >= 2
+    assert min(map(core.degree, range(core.n))) >= 2
     assert core.edge_count == h.edge_count - removed
 
 
@@ -521,7 +566,7 @@ def test_strip_leaves_consumes_trees_entirely():
 
 
 def test_greedy_is_maximal_and_saturated():
-    order = all_pairs(6)
+    order = list(itertools.combinations(range(6), 2))
     g = greedy_saturate(6, 3, order)
     assert is_saturated(g, 3, want_certificate=False).holds
     assert is_ck_free(g, 3).holds
@@ -529,7 +574,7 @@ def test_greedy_is_maximal_and_saturated():
 
 def test_greedy_order_producing_k33():
     cross_first = [(u, v) for u in range(3) for v in range(3, 6)]
-    rest = [p for p in all_pairs(6) if p not in cross_first]
+    rest = [p for p in itertools.combinations(range(6), 2) if p not in cross_first]
     g = greedy_saturate(6, 3, cross_first + rest)
     assert g.edge_count == 9
     assert sorted(g.edges) == sorted(cross_first)
@@ -538,7 +583,7 @@ def test_greedy_order_producing_k33():
 def test_greedy_random_orders_all_saturated():
     rng = random.Random(4)
     for _ in range(20):
-        order = all_pairs(10)
+        order = list(itertools.combinations(range(10), 2))
         rng.shuffle(order)
         g = greedy_saturate(10, 5, order)
         assert is_saturated(g, 5, want_certificate=False).holds
@@ -549,12 +594,19 @@ def test_greedy_rejects_partial_order():
         greedy_saturate(5, 3, [(0, 1)])
 
 
+@pytest.mark.parametrize("k", [2, 1, 0, -3])
+def test_greedy_rejects_a_cycle_length_below_3(k):
+    # with no such cycle to avoid, every pair would be kept: K_n
+    with pytest.raises(ValueError, match="cycle length must be at least 3"):
+        greedy_saturate(5, k, list(itertools.combinations(range(5), 2)))
+
+
 @pytest.mark.parametrize("repeat", [(0, 1), (1, 2)])
 def test_greedy_rejects_repeated_pair(repeat):
     # (0, 1) is added first, so a repeat would re-add it; (1, 2) closes a
     # triangle and is skipped, so a repeat would pass unnoticed
     with pytest.raises(ValueError, match="permutation of all vertex pairs"):
-        greedy_saturate(5, 3, all_pairs(5) + [repeat])
+        greedy_saturate(5, 3, list(itertools.combinations(range(5), 2)) + [repeat])
 
 
 def test_leaf_removal_keeps_semisaturation():
@@ -564,7 +616,7 @@ def test_leaf_removal_keeps_semisaturation():
     for trial in range(6):
         k = (5, 6, 7)[trial % 3]
         n = rng.randint(max(k, 9), 12)
-        order = all_pairs(n)
+        order = list(itertools.combinations(range(n), 2))
         rng.shuffle(order)
         g = greedy_saturate(n, k, order)
         for v in range(g.n):

@@ -221,9 +221,9 @@ def test_mine_witness_is_least_code_suitable_class(k, mode, full):
 
 
 def test_mine_checks_s1_once_per_class(monkeypatch):
-    # accept checks S1 once for each connected class it is offered, and
-    # the special pairs reuse that verdict; search_stratum offers the
-    # winner's minimal-code form once more
+    # suitable_pair checks S1 once for each connected class the scan
+    # offers it, and the special pairs reuse that verdict; mine_suitable
+    # calls suitable_pair once more on the winner's minimal-code form
     calls = []
     check = suitability.is_semisaturated
 
