@@ -23,8 +23,6 @@ from .codec import (
     labels_encode,
 )
 from .cycles import (
-    CycleWitness,
-    PathWitness,
     SearchBudgetExceeded,
     exists_path_of_length,
     has_cycle_of_length,

@@ -44,10 +44,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-class _UsageError(ValueError):
-    pass
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclesat",
@@ -106,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_file(path: str) -> str:
     p = Path(path)
     if not p.exists():
-        raise _UsageError(f"input file not found: {path}")
+        raise ValueError(f"input file not found: {path}")
     return p.read_text()
 
 
@@ -115,7 +111,7 @@ def _read_graph(path: str | None) -> Graph:
     try:
         return detect_and_decode(text)
     except (Graph6Error, EdgeListError, GraphError) as exc:
-        raise _UsageError(f"malformed graph input: {exc}") from exc
+        raise ValueError(f"malformed graph input: {exc}") from exc
 
 
 def _write(text: str, path: str | None) -> None:
@@ -128,7 +124,7 @@ def _write(text: str, path: str | None) -> None:
 def _budget(max_seconds: float | None) -> float | None:
     # NaN compares false with everything, so a NaN deadline would never pass.
     if max_seconds is not None and not max_seconds >= 0:
-        raise _UsageError(f"--max-seconds must be a non-negative number, got {max_seconds}")
+        raise ValueError(f"--max-seconds must be a non-negative number, got {max_seconds}")
     return max_seconds
 
 
@@ -146,20 +142,20 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     for dest in sorted(specific - set(_FAMILY_FLAGS[args.family])):
         if getattr(args, dest) not in (None, False):
             flag = "--" + dest.replace("_", "-")
-            raise _UsageError(f"construct --family {args.family} does not read {flag}")
+            raise ValueError(f"construct --family {args.family} does not read {flag}")
     if bool(args.core) != bool(args.core_labels):
-        raise _UsageError("--core and --core-labels (the a1, a2 roles) go together")
+        raise ValueError("--core and --core-labels (the a1, a2 roles) go together")
     if args.core and args.core_r is not None:
-        raise _UsageError("--core-r builds a wheel core and cannot be combined with --core")
+        raise ValueError("--core-r builds a wheel core and cannot be combined with --core")
     if args.family == "h1":
         if args.n is None:
-            raise _UsageError("construct --family h1 requires --n")
+            raise ValueError("construct --family h1 requires --n")
         built = build_h1(args.k, args.n)
     elif args.family == "wheel":
         built = build_wheel(args.k, args.r or 0)
     else:
         if args.t is None:
-            raise _UsageError(f"construct --family {args.family} requires --t")
+            raise ValueError(f"construct --family {args.family} requires --t")
         if args.core:
             graph = _read_graph(args.core)
             labels = labels_decode(_read_file(args.core_labels))
@@ -182,7 +178,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.mode == "free" and args.certificate:
-        raise _UsageError("certificates need --mode saturated or --mode semisaturated")
+        raise ValueError("certificates need --mode saturated or --mode semisaturated")
     G = _read_graph(args.infile)
     if args.mode == "free":
         res = is_ck_free(G, args.k)
@@ -190,7 +186,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print("FREE")
             return EXIT_OK
         print("NOT FREE")
-        print(f"cycle found: {' '.join(str(v) for v in res.cycle.vertices)}", file=sys.stderr)
+        print(f"cycle found: {' '.join(str(v) for v in res.cycle)}", file=sys.stderr)
         return EXIT_FALSE
     checker = is_saturated if args.mode == "saturated" else is_semisaturated
     verdict = checker(G, args.k, want_certificate=bool(args.certificate))
@@ -205,7 +201,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         u, v = verdict.failing_nonedge
         print(f"non-edge ({u}, {v}) creates no {args.k}-cycle", file=sys.stderr)
     if verdict.cycle is not None:
-        vs = " ".join(str(x) for x in verdict.cycle.vertices)
+        vs = " ".join(str(x) for x in verdict.cycle)
         print(f"graph already contains a {args.k}-cycle: {vs}", file=sys.stderr)
     return EXIT_FALSE
 
@@ -224,15 +220,15 @@ def _cmd_check_certificate(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if (args.n is None) == (args.nrange is None):
-        raise _UsageError("bounds needs exactly one of --n or --range A..B")
+        raise ValueError("bounds needs exactly one of --n or --range A..B")
     if args.nrange is not None:
         lo, _, hi = args.nrange.partition("..")
         try:
             ns = range(int(lo), int(hi) + 1)
         except ValueError as exc:
-            raise _UsageError(f"bad --range {args.nrange!r}; expected A..B") from exc
+            raise ValueError(f"bad --range {args.nrange!r}; expected A..B") from exc
         if not ns:
-            raise _UsageError(f"empty --range {args.nrange!r}; B must not be below A")
+            raise ValueError(f"empty --range {args.nrange!r}; B must not be below A")
     else:
         ns = range(args.n, args.n + 1)
     multi = len(ns) > 1
@@ -284,9 +280,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         # opened only for an exact result, so none is left behind otherwise.
         golden = Path(args.golden)
         if golden.is_dir():
-            raise _UsageError(f"--golden is a directory: {args.golden}")
+            raise ValueError(f"--golden is a directory: {args.golden}")
         if not golden.parent.is_dir():
-            raise _UsageError(f"--golden directory not found: {golden.parent}")
+            raise ValueError(f"--golden directory not found: {golden.parent}")
     result = oracle_mod.exact_min(
         args.n,
         args.k,

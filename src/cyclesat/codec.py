@@ -135,6 +135,8 @@ def labels_decode(text: str) -> dict[str, int | tuple[int, ...]]:
         if not sep:
             raise EdgeListError(f"bad label line {ln!r}")
         role = role.strip()
+        if not role:
+            raise EdgeListError(f"bad label line {ln!r}")
         if role in labels:
             raise EdgeListError(f"repeated role {role!r}")
         try:

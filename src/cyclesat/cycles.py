@@ -34,6 +34,10 @@ target.  The predecessor of a usable vertex on a shortest path from cur is
 usable too, so every usable vertex is still reached at its true distance,
 and no other vertex passes the filter.
 
+Witnesses are plain vertex tuples: a path lists its vertices from one end
+to the other, and a k-cycle lists its k vertices in cyclic order with the
+closing edge implied.
+
 Exact-length path search is NP-hard in general, so a configurable node
 expansion budget turns pathological inputs into an explicit error instead
 of a hang.
@@ -41,7 +45,6 @@ of a hang.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import Graph, _bfs_layers
@@ -52,49 +55,6 @@ DEFAULT_EXPANSION_BUDGET = 10**8
 
 class SearchBudgetExceeded(RuntimeError):
     """The expansion budget ran out before the search finished."""
-
-
-@dataclass(frozen=True)
-class PathWitness:
-    """A simple path, listed from one endpoint to the other."""
-
-    vertices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-    def is_valid_in(self, G: Graph) -> bool:
-        vs = self.vertices
-        if len(set(vs)) != len(vs):
-            return False
-        return all(G.has_edge(a, b) for a, b in zip(vs, vs[1:]))
-
-
-@dataclass(frozen=True)
-class CycleWitness:
-    """A simple cycle, listed in cyclic order (closing edge implied)."""
-
-    vertices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
-
-    def is_valid_in(self, G: Graph, missing_edge: tuple[int, int] | None = None) -> bool:
-        """Check the cycle exists in ``G``.
-
-        When ``missing_edge`` is given, that one (unordered) pair may be
-        absent from ``G``; this validates certificate cycles that use a
-        newly added non-edge.
-        """
-        vs = self.vertices
-        if len(vs) < 3 or len(set(vs)) != len(vs):
-            return False
-        # A simple cycle passes each vertex pair at most once.
-        allowed = None if missing_edge is None else set(missing_edge)
-        pairs = zip(vs, vs[1:] + vs[:1])
-        return all(G.has_edge(a, b) or {a, b} == allowed for a, b in pairs)
 
 
 def _usable(adj: Sequence[int], avail: int, cur: int, target: int, remaining: int):
@@ -139,7 +99,7 @@ def _usable(adj: Sequence[int], avail: int, cur: int, target: int, remaining: in
 
 def _search_path(
     adj: Sequence[int], n: int, u: int, v: int, length: int, left: int
-) -> tuple[PathWitness | None, int]:
+) -> tuple[tuple[int, ...] | None, int]:
     """The first u-v path of ``length`` edges (or None), and the expansions left.
 
     Raises SearchBudgetExceeded when the search needs more than ``left``.
@@ -192,17 +152,17 @@ def _search_path(
         return False
 
     found = rec(u, ((1 << n) - 1) ^ (1 << u), length)
-    return (PathWitness(tuple(path)) if found else None), left
+    return (tuple(path) if found else None), left
 
 
 def exists_path_of_length(
     G: Graph, u: int, v: int, length: int, budget: int | None = None
-) -> PathWitness | None:
+) -> tuple[int, ...] | None:
     """A simple path with exactly ``length`` edges from ``u`` to ``v``.
 
-    Neighbors are explored in ascending vertex order, so the returned
-    witness is the lexicographically first such path.  Returns None when
-    no such path exists.
+    Returns the path's ``length + 1`` vertices in order from ``u`` to ``v``,
+    or None when no such path exists.  Neighbors are explored in ascending
+    vertex order, so the path is the lexicographically first one.
     """
     if u == v:
         raise ValueError("path endpoints must be distinct")
@@ -216,8 +176,11 @@ def exists_path_of_length(
     return _search_path(G.adj, G.n, u, v, length, left)[0]
 
 
-def has_cycle_of_length(G: Graph, k: int, budget: int | None = None) -> CycleWitness | None:
+def has_cycle_of_length(G: Graph, k: int, budget: int | None = None) -> tuple[int, ...] | None:
     """A simple cycle on exactly ``k`` vertices, if any exists.
+
+    Returns the cycle's ``k`` vertices in cyclic order, as a u-v path whose
+    closing edge uv is implied, or None when G has no k-cycle.
 
     Scans edges in sorted order; for each edge uv, looks for a u-v path of
     length k-1 in the graph with uv removed (cleared in the working
@@ -236,7 +199,7 @@ def has_cycle_of_length(G: Graph, k: int, budget: int | None = None) -> CycleWit
         adj[v] ^= 1 << u
         found, left = _search_path(adj, G.n, u, v, k - 1, left)
         if found is not None:
-            return CycleWitness(found.vertices)
+            return found
     return None
 
 

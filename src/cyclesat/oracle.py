@@ -8,9 +8,9 @@ minimal code on sparse graphs.  A level is the sorted refined codes of its
 classes; a code is its class's refined form, row by row, which
 ``graphs._graph_from_code`` rebuilds to extend or scan the class.  A
 search builds its levels once, in order (``class_levels``), and frees them
-when it returns.  The minimal code (``canonical_form_and_code``) only picks
-and relabels the witness of a stratum, so results do not depend on the
-level labeling.
+when it returns.  The minimal code (``canonical_code``) only picks and
+relabels the witness of a stratum, so results do not depend on the level
+labeling.
 
 Isomorphs are rejected before labeling by the canonical-deletion test of
 McKay's canonical augmentation (J. Algorithms 1998), done by invariant: a
@@ -109,7 +109,7 @@ from .graphs import (
     _check_codable,
     _graph_from_code,
     _refined_code,
-    canonical_form_and_code,
+    canonical_code,
 )
 from .saturation import is_saturated, is_semisaturated
 
@@ -283,24 +283,24 @@ def search_stratum(
     """Scan one edge-count stratum; returns (witness, examined, timed_out).
 
     A connected class g of ``level`` passes when ``passes(g)`` is true.  The
-    witness is the minimal-code form (``canonical_form_and_code``) of the
-    passer with the least minimal code, so it does not depend on how the
-    levels are labeled, or None when none passes.  ``examined`` counts the
-    classes scanned, the whole level unless the deadline hit, which is
-    reported only through ``timed_out``.
+    witness is the form written as the least minimal code (``canonical_code``)
+    of any passer, so it does not depend on how the levels are labeled, or
+    None when none passes.  ``examined`` counts the classes scanned, the
+    whole level unless the deadline hit, which is reported only through
+    ``timed_out``.
     """
     examined = 0
-    least: tuple[bytes, Graph] | None = None
+    least: bytes | None = None
     for refined in level:
         if deadline is not None and time.monotonic() > deadline:
             return None, examined, True
         examined += 1
         g = _graph_from_code(refined)
         if g.is_connected() and passes(g):
-            form, code = canonical_form_and_code(g)
-            if least is None or code < least[0]:
-                least = (code, form)
-    return (None if least is None else least[1]), examined, False
+            code = canonical_code(g)
+            if least is None or code < least:
+                least = code
+    return (None if least is None else _graph_from_code(least)), examined, False
 
 
 def scan_strata(

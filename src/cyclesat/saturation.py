@@ -34,7 +34,6 @@ from typing import Iterable, Sequence
 
 from .cycles import (
     DEFAULT_EXPANSION_BUDGET,
-    CycleWitness,
     _search_path,
     exists_path_of_length,
     has_cycle_of_length,
@@ -75,7 +74,7 @@ class Certificate:
     k: int
     mode: str  # "saturated" | "semisaturated"
     freeness: bool | None
-    per_nonedge: dict[tuple[int, int], CycleWitness]
+    per_nonedge: dict[tuple[int, int], tuple[int, ...]]
 
     def validate(self, G: Graph) -> list[str]:
         """Re-check every claim against ``G``; returns problem descriptions."""
@@ -83,27 +82,34 @@ class Certificate:
         if self.n != G.n:
             problems.append(f"certificate is for n={self.n}, graph has n={G.n}")
             return problems
+        if self.k < 3 or G.n < self.k:
+            problems.append(f"no {self.k}-cycle fits in a graph on {G.n} vertices")
+            return problems
         non_edges = G.non_edges()
         if sorted(self.per_nonedge) != non_edges:
             problems.append("non-edge set of certificate differs from graph")
         for (u, v), cyc in self.per_nonedge.items():
-            if not all(0 <= x < G.n for x in (u, v, *cyc.vertices)):
+            if not all(0 <= x < G.n for x in (u, v, *cyc)):
                 problems.append(f"line for ({u}, {v}) names a vertex outside 0..{G.n - 1}")
                 continue
             if G.has_edge(u, v):
                 problems.append(f"({u}, {v}) is an edge, not a non-edge")
                 continue
-            if cyc.length != self.k:
-                problems.append(f"witness for ({u}, {v}) has length {cyc.length}")
+            if len(cyc) != self.k:
+                problems.append(f"witness for ({u}, {v}) has length {len(cyc)}")
                 continue
-            if u not in cyc.vertices or v not in cyc.vertices:
+            if u not in cyc or v not in cyc:
                 problems.append(f"witness for ({u}, {v}) misses an endpoint")
                 continue
-            i, j = cyc.vertices.index(u), cyc.vertices.index(v)
+            i, j = cyc.index(u), cyc.index(v)
             if (j - i) % self.k not in (1, self.k - 1):
                 problems.append(f"witness for ({u}, {v}) does not use the non-edge")
                 continue
-            if not cyc.is_valid_in(G, missing_edge=(u, v)):
+            # k >= 3 vertices, all distinct, each cyclic step an edge of G or uv.
+            steps = zip(cyc, cyc[1:] + cyc[:1])
+            if len(set(cyc)) != len(cyc) or not all(
+                G.has_edge(a, b) or {a, b} == {u, v} for a, b in steps
+            ):
                 problems.append(f"witness for ({u}, {v}) is not a cycle of G+uv")
         if self.mode == "saturated":
             if self.freeness is not True:
@@ -117,14 +123,14 @@ class Certificate:
         if self.freeness is not None:
             lines.append(f"freeness {'confirmed' if self.freeness else 'failed'}")
         for (u, v), cyc in sorted(self.per_nonedge.items()):
-            lines.append(f"{u} {v} : {' '.join(str(c) for c in cyc.vertices)}")
+            lines.append(f"{u} {v} : {' '.join(str(c) for c in cyc)}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Certificate":
         """Parse ``to_text`` output; raises CertificateError naming the line."""
         header: dict[str, int | str] = {}
-        per: dict[tuple[int, int], CycleWitness] = {}
+        per: dict[tuple[int, int], tuple[int, ...]] = {}
         for lineno, ln in enumerate(text.splitlines(), 1):
             ln = ln.strip()
             try:
@@ -133,7 +139,7 @@ class Certificate:
                     u, v = (int(x) for x in pair.split())
                     if (u, v) in per:
                         raise ValueError(f"repeated non-edge ({u}, {v})")
-                    per[(u, v)] = CycleWitness(tuple(int(x) for x in cyc.split()))
+                    per[(u, v)] = tuple(int(x) for x in cyc.split())
                 elif ln:
                     key, _, val = ln.partition(" ")
                     val = val.strip()
@@ -162,7 +168,7 @@ class SaturationVerdict:
     holds: bool
     certificate: Certificate | None = None
     failing_nonedge: tuple[int, int] | None = None
-    cycle: CycleWitness | None = None  # set when a freeness check failed
+    cycle: tuple[int, ...] | None = None  # set when a freeness check failed
 
     def __bool__(self) -> bool:
         return self.holds
@@ -184,13 +190,13 @@ def is_semisaturated(G: Graph, k: int, want_certificate: bool = True) -> Saturat
         raise ValueError(f"cycle length must be at least 3, got {k}")
     if G.n < k:
         raise TooFewVertices(f"impossible: {G.n} vertices cannot host a {k}-cycle")
-    per: dict[tuple[int, int], CycleWitness] = {}
+    per: dict[tuple[int, int], tuple[int, ...]] = {}
     for u, v in G.non_edges():
         path = exists_path_of_length(G, u, v, k - 1)
         if path is None:
             return SaturationVerdict(False, failing_nonedge=(u, v))
         if want_certificate:
-            per[(u, v)] = CycleWitness(path.vertices)
+            per[(u, v)] = path
     cert = (
         Certificate(G.n, k, "semisaturated", None, per) if want_certificate else None
     )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cycles import PathWitness, exists_path_of_length
+from .cycles import exists_path_of_length
 from .graphs import Graph, LabeledGraph
 from .oracle import SearchStats, scan_strata
 from .saturation import SaturationVerdict, is_semisaturated
@@ -38,11 +38,11 @@ class SuitabilityReport:
     s1: bool
     s1_failing_nonedge: tuple[int, int] | None
     s2: bool
-    s2_witnesses: dict[int, PathWitness]
+    s2_witnesses: dict[int, tuple[int, ...]]
     s2_missing: tuple[int, ...]
     s3: bool
     s3_failures: tuple[tuple[int, int, int], ...]
-    s3_witnesses: dict[tuple[int, int, int], tuple[int, PathWitness]]
+    s3_witnesses: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]]
 
     @property
     def suitable(self) -> bool:
@@ -90,7 +90,7 @@ def _report(
     semi: SaturationVerdict,
 ) -> SuitabilityReport:
     """Evaluate S2 and S3 for the special pair (a1, a2); ``semi`` is G's S1 verdict."""
-    s2_witnesses: dict[int, PathWitness] = {}
+    s2_witnesses: dict[int, tuple[int, ...]] = {}
     s2_missing: list[int] = []
     for ell in range(1, k - 1):
         w = exists_path_of_length(G, a1, a2, ell)
@@ -100,7 +100,7 @@ def _report(
             s2_witnesses[ell] = w
 
     s3_failures: list[tuple[int, int, int]] = []
-    s3_witnesses: dict[tuple[int, int, int], tuple[int, PathWitness]] = {}
+    s3_witnesses: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]] = {}
     for q in range(G.n):
         if q in (a1, a2):
             continue

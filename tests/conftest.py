@@ -39,6 +39,18 @@ def relabel(G: Graph, perm) -> Graph:
     return Graph(G.n, [(perm[u], perm[v]) for u, v in G.edges])
 
 
+def is_path_in(G: Graph, path: tuple[int, ...]) -> bool:
+    """``path`` lists distinct vertices, each adjacent in ``G`` to the next."""
+    return len(set(path)) == len(path) and all(
+        G.has_edge(a, b) for a, b in zip(path, path[1:])
+    )
+
+
+def is_cycle_in(G: Graph, cycle: tuple[int, ...]) -> bool:
+    """``cycle`` lists at least 3 distinct vertices in cyclic order in ``G``."""
+    return len(cycle) >= 3 and is_path_in(G, cycle) and G.has_edge(cycle[-1], cycle[0])
+
+
 @st.composite
 def graphs(draw, min_n: int = 0, max_n: int = 8) -> Graph:
     n = draw(st.integers(min_n, max_n))

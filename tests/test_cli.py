@@ -216,7 +216,7 @@ def test_check_certificate_problems_exit_1(capsys, h1_files):
     graph_path, cert, cert_path = h1_files
     (ne, wit), *_ = sorted(cert.per_nonedge.items())
     bad = dict(cert.per_nonedge)
-    bad[ne] = type(wit)(wit.vertices[:-1] + (wit.vertices[0],))
+    bad[ne] = wit[:-1] + (wit[0],)
     cert_path.write_text(Certificate(cert.n, cert.k, cert.mode, cert.freeness, bad).to_text())
     code, out, err = run(
         capsys, "check-certificate", "--in", str(graph_path), "--cert", str(cert_path)
@@ -244,6 +244,18 @@ def test_check_certificate_bad_input_exit_2(capsys, h1_files, graph_text, cert_t
     )
     assert (code, out) == (2, "")
     assert message in err
+
+
+def test_check_certificate_with_no_room_for_a_k_cycle_exit_1(capsys, tmp_path):
+    graph_path = tmp_path / "k3.g6"
+    graph_path.write_text("Bw\n")
+    cert_path = tmp_path / "k3.cert"
+    cert_path.write_text("n 3\nk 5\nmode semisaturated\n")
+    code, out, err = run(
+        capsys, "check-certificate", "--in", str(graph_path), "--cert", str(cert_path)
+    )
+    assert (code, out.strip()) == (1, "INVALID")
+    assert "no 5-cycle fits in a graph on 3 vertices" in err
 
 
 def test_check_certificate_missing_file_exit_2(capsys, h1_files):
@@ -434,6 +446,7 @@ def test_bad_budget_rejected(capsys, command, value):
         ("a1=1\na2=1\n", "special pair (1, 1)"),
         ("a1=x\na2=1\n", "bad label line 'a1=x'"),
         ("a1=0\na2=1\na1=3\n", "repeated role 'a1'"),
+        ("a1=0\na2=1\n=1 2\n", "bad label line '=1 2'"),
     ],
 )
 def test_construct_bad_special_pair_exit_2(capsys, tmp_path, labels, message, unchecked):

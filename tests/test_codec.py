@@ -129,7 +129,9 @@ def test_labels_round_trip():
     assert labels_decode(labels_encode(labels)) == labels
 
 
-@pytest.mark.parametrize("text", ["a1=x\na2=1\n", "C=4 five\n", "a1\n", "a1=1 2\n"])
+@pytest.mark.parametrize(
+    "text", ["a1=x\na2=1\n", "C=4 five\n", "a1\n", "a1=1 2\n", "=1 2\n", " = 1\n"]
+)
 def test_labels_decode_rejects_bad_lines(text):
     with pytest.raises(EdgeListError):
         labels_decode(text)

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import cyclesat
@@ -15,7 +16,6 @@ PUBLIC_NAMES = [
     "ConsistencyReport",
     "ConstructionParamError",
     "ConstructionPostconditionError",
-    "CycleWitness",
     "DegreePartition",
     "DuplicateEdgeError",
     "EdgeListError",
@@ -28,7 +28,6 @@ PUBLIC_NAMES = [
     "MiningResult",
     "Observation",
     "OracleResult",
-    "PathWitness",
     "SaturationVerdict",
     "SearchBudgetExceeded",
     "StructureReport",
@@ -82,6 +81,18 @@ def test_all_lists_names_not_modules():
 def test_public_names_are_pinned():
     assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert cyclesat.__all__ == PUBLIC_NAMES
+
+
+def test_readme_quick_tour_runs():
+    # The README's one Python block, run as written, with the figures its
+    # comments state.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (block,) = re.findall(r"```python\n(.*?)```", readme.read_text(), re.DOTALL)
+    tour: dict = {}
+    exec(block, tour)
+    assert (tour["h"].graph.n, tour["h"].graph.edge_count) == (9, 14)
+    assert (tour["wide"].graph.n, tour["wide"].graph.edge_count) == (16, 22)
+    assert (tour["result"].status, tour["result"].value) == ("exact", 5)
 
 
 def test_no_import_inside_a_function():

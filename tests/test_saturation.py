@@ -12,6 +12,7 @@ from conftest import (
     cycle_graph,
     decoded,
     graphs,
+    is_cycle_in,
     naive_is_saturated,
     naive_is_semisaturated,
     path_graph,
@@ -19,7 +20,7 @@ from conftest import (
     with_edge,
 )
 from cyclesat.codec import graph6_decode, graph6_encode
-from cyclesat.cycles import CycleWitness, exists_path_of_length
+from cyclesat.cycles import exists_path_of_length
 from cyclesat.families import build_h1, build_h3, build_wheel
 from cyclesat.graphs import Graph, canonical_form_and_code
 from cyclesat.saturation import (
@@ -44,7 +45,7 @@ from cyclesat.saturation import (
 def test_c6_is_not_c6_free():
     res = is_ck_free(cycle_graph(6), 6)
     assert not res.holds
-    assert res.cycle is not None and res.cycle.is_valid_in(cycle_graph(6))
+    assert res.cycle is not None and is_cycle_in(cycle_graph(6), res.cycle)
 
 
 def test_star_is_triangle_free():
@@ -209,13 +210,13 @@ def test_certificate_validation_catches_tampering():
     cert = is_semisaturated(g, 6).certificate
     (ne, wit), *_ = sorted(cert.per_nonedge.items())
     bad = dict(cert.per_nonedge)
-    bad[ne] = type(wit)(wit.vertices[:-1] + (wit.vertices[0],))
+    bad[ne] = wit[:-1] + (wit[0],)
     tampered = Certificate(cert.n, cert.k, cert.mode, cert.freeness, bad)
     assert tampered.validate(g) != []
 
 
 def _with_line(cert: Certificate, pair: tuple[int, int], cycle: tuple[int, ...]):
-    return replace(cert, per_nonedge={**cert.per_nonedge, pair: CycleWitness(cycle)})
+    return replace(cert, per_nonedge={**cert.per_nonedge, pair: cycle})
 
 
 # Edits of the build_h1(7, 9) certificate, whose line for the non-edge
@@ -241,16 +242,41 @@ def _with_line(cert: Certificate, pair: tuple[int, int], cycle: tuple[int, ...])
             lambda c: _with_line(c, (0, 4), (0, 7, 6, 8, 1, 2, 4)),
             r"witness for \(0, 4\) is not a cycle of G\+uv",
         ),
+        (
+            lambda c: _with_line(c, (0, 4), (0, 6, 7, 6, 1, 2, 4)),
+            r"witness for \(0, 4\) is not a cycle of G\+uv",
+        ),
+        (
+            # a closed walk: every step is an edge or uv, but vertex 1 repeats
+            lambda c: _with_line(c, (0, 4), (0, 1, 2, 1, 3, 5, 4)),
+            r"witness for \(0, 4\) is not a cycle of G\+uv",
+        ),
         (lambda c: replace(c, freeness=None), "lacks freeness confirmation"),
     ],
 )
 def test_certificate_validation_reports_each_problem(edit, message):
     h = build_h1(7, 9)
     cert = is_saturated(h.graph, 7).certificate
-    assert cert.per_nonedge[(0, 4)] == CycleWitness((0, 6, 7, 8, 1, 2, 4))
+    assert cert.per_nonedge[(0, 4)] == (0, 6, 7, 8, 1, 2, 4)
     assert cert.validate(h.graph) == []
     problems = edit(cert).validate(h.graph)
     assert any(re.search(message, p) for p in problems), problems
+
+
+@pytest.mark.parametrize(
+    "k,mode", [(5, "semisaturated"), (1, "semisaturated"), (2, "semisaturated"), (2, "saturated")]
+)
+def test_certificate_with_no_room_for_a_k_cycle_is_a_problem(k, mode):
+    # no verifier issues these (TooFewVertices or ValueError), so they are invalid
+    freeness = "freeness confirmed\n" if mode == "saturated" else ""
+    cert = Certificate.from_text(f"n 3\nk {k}\nmode {mode}\n{freeness}")
+    assert cert.validate(complete_graph(3)) == [f"no {k}-cycle fits in a graph on 3 vertices"]
+
+
+def test_certificate_two_vertex_cycle_is_a_problem():
+    # both steps of the "cycle" (0, 2) are the non-edge itself
+    cert = Certificate.from_text("n 3\nk 2\nmode semisaturated\n0 2 : 0 2\n")
+    assert cert.validate(path_graph(3)) == ["no 2-cycle fits in a graph on 3 vertices"]
 
 
 def test_certificate_freeness_claim_on_graph_with_k_cycle():

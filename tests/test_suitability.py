@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import cached_levels, decoded, path_graph
+from conftest import cached_levels, decoded, is_path_in, path_graph
 from cyclesat.codec import graph6_encode
 from cyclesat.families import build_wheel
 from cyclesat.graphs import (
@@ -70,13 +70,13 @@ def test_report_witnesses_revalidate():
     assert report.suitable
     a1, a2 = core.special_pair()
     for ell, w in report.s2_witnesses.items():
-        assert w.is_valid_in(core.graph) and w.length == ell
-        assert {w.vertices[0], w.vertices[-1]} == {a1, a2}
+        assert is_path_in(core.graph, w) and len(w) - 1 == ell
+        assert {w[0], w[-1]} == {a1, a2}
     for (q, m1, m2), (side, w) in report.s3_witnesses.items():
-        assert w.is_valid_in(core.graph)
+        assert is_path_in(core.graph, w)
         src, m = (a1, m1) if side == 1 else (a2, m2)
-        assert w.length == m
-        assert {w.vertices[0], w.vertices[-1]} == {src, q}
+        assert len(w) - 1 == m
+        assert {w[0], w[-1]} == {src, q}
 
 
 def test_missing_labels_rejected():
