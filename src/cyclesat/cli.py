@@ -121,13 +121,6 @@ def _write(text: str, path: str | None) -> None:
         Path(path).write_text(text)
 
 
-def _budget(max_seconds: float | None) -> float | None:
-    # NaN compares false with everything, so a NaN deadline would never pass.
-    if max_seconds is not None and not max_seconds >= 0:
-        raise ValueError(f"--max-seconds must be a non-negative number, got {max_seconds}")
-    return max_seconds
-
-
 # The family-specific flags (argparse destinations) each family reads.
 _FAMILY_FLAGS = {
     "h1": ("n",),
@@ -278,17 +271,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.golden is not None:
         # Fail before a search that may take minutes; the file itself is
         # opened only for an exact result, so none is left behind otherwise.
-        golden = Path(args.golden)
-        if golden.is_dir():
-            raise ValueError(f"--golden is a directory: {args.golden}")
-        if not golden.parent.is_dir():
-            raise ValueError(f"--golden directory not found: {golden.parent}")
+        oracle_mod._check_golden(args.golden)
     result = oracle_mod.exact_min(
         args.n,
         args.k,
         args.mode,
         ceiling=args.ceiling,
-        budget_seconds=_budget(args.max_seconds),
+        budget_seconds=args.max_seconds,
     )
     if result.status == "lower-bound-only":
         print(f"{args.mode}({args.n}, C{args.k}) >= {result.value}  [budget exhausted]")
@@ -303,16 +292,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_mine(args: argparse.Namespace) -> int:
     mode = "kk2-suitable" if args.plus else "k-suitable"
-    budget = _budget(args.max_seconds)
-    result = mine_suitable(args.k, mode, ceiling=args.ceiling, budget_seconds=budget)
-    if result.status == "budget-exhausted":
-        print(f"mining {mode} at k={args.k}: budget exhausted "
-              f"after {result.stats.graphs_examined} classes")
+    result = mine_suitable(args.k, mode, ceiling=args.ceiling, budget_seconds=args.max_seconds)
+    size = f"minimum size of a {args.k}-vertex {mode} core"
+    if result.status == "lower-bound-only":
+        print(f"{size} >= {result.edge_count}  [budget exhausted]")
         return EXIT_BUDGET
-    if result.status == "not-found":
-        print(f"no {mode} graph on {args.k} vertices")
-        return EXIT_OK
-    print(f"minimum size of a {args.k}-vertex {mode} core: {result.edge_count}")
+    print(f"{size}: {result.edge_count}")
     print(f"witness: {graph6_encode(result.witness.graph)}")
     sys.stdout.write(labels_encode(result.witness.labels))
     print(_stats_line(result.stats))

@@ -7,6 +7,8 @@ bit order of ``graphs._code_from_order``, so it is the identity order's code.
 
 from __future__ import annotations
 
+import re
+
 from .graphs import Graph, _code_from_order, _graph_from_code
 
 _MAX_GRAPH6_N = 62
@@ -123,9 +125,11 @@ def labels_encode(labels: dict[str, int | tuple[int, ...]]) -> str:
 
 
 _SCALAR_ROLES = frozenset({"a1", "a2", "hub"})
+_ROLE = re.compile(r"a1|a2|hub|[ABCDQ]|R[1-9][0-9]*")
 
 
 def labels_decode(text: str) -> dict[str, int | tuple[int, ...]]:
+    """Parse a role sidecar; a line whose role no family builder writes is bad."""
     labels: dict[str, int | tuple[int, ...]] = {}
     for ln in text.splitlines():
         ln = ln.strip()
@@ -135,7 +139,7 @@ def labels_decode(text: str) -> dict[str, int | tuple[int, ...]]:
         if not sep:
             raise EdgeListError(f"bad label line {ln!r}")
         role = role.strip()
-        if not role:
+        if not _ROLE.fullmatch(role):
             raise EdgeListError(f"bad label line {ln!r}")
         if role in labels:
             raise EdgeListError(f"repeated role {role!r}")

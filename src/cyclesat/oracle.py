@@ -272,7 +272,7 @@ def _deadline(t0: float, budget_seconds: float | None) -> float | None:
     # NaN compares false with everything, so a NaN deadline would never pass.
     if not budget_seconds >= 0:
         raise ValueError(
-            f"budget_seconds must be a non-negative number, got {budget_seconds}"
+            f"time budget must be a non-negative number of seconds, got {budget_seconds}"
         )
     return t0 + budget_seconds
 
@@ -311,19 +311,19 @@ def scan_strata(
     budget_seconds: float | None,
     *,
     free_of: int | None = None,
-) -> tuple[int, Graph | None, bool, SearchStats]:
+) -> tuple[str, int, Graph | None, SearchStats]:
     """Scan edge counts upward to the first stratum with a passing class.
 
-    Returns (m, witness, timed_out, stats).  Only connected classes are
-    tested with ``passes``, so the scan starts at max(n - 1, floor).  One
+    Returns (status, m, witness, stats).  Only connected classes are tested
+    with ``passes``, so the scan starts at max(n - 1, floor).  One
     ``class_levels`` run builds the levels (only the C_k-free classes when
     ``free_of=k``), and each stratum's level is scanned by
-    ``search_stratum``; ``stats`` splits the time between the two.  A
-    deadline hit in either stops the scan.  Every stratum below the
-    returned m was scanned whole, so m is the minimum when a class passed
-    and a proven floor when the budget ran out; when nothing passes up to
-    C(n, 2), the witness is None and timed_out False.  Raises
-    CeilingExceeded when n is above ``ceiling``.
+    ``search_stratum``; ``stats`` splits the time between the two.  Every
+    stratum below the returned m was scanned whole, so with status
+    ``"exact"`` m is the minimum and the witness a passer; a deadline hit in
+    either part stops the scan with status ``"lower-bound-only"``, m a
+    proven floor and no witness.  Raises CeilingExceeded when n is above
+    ``ceiling``, and AssertionError when nothing passes up to C(n, 2).
     """
     if n > ceiling:
         raise CeilingExceeded(
@@ -333,7 +333,7 @@ def scan_strata(
     deadline = _deadline(t0, budget_seconds)
     examined_total = 0
     generate_s = verify_s = 0.0
-    witness, timed_out = None, False
+    witness = None
     first = max(n - 1, floor)
     levels = islice(class_levels(n, deadline, free_of=free_of), first, None)
     for m in range(first, comb(n, 2) + 1):
@@ -351,8 +351,10 @@ def scan_strata(
         examined_total += examined
         if timed_out or witness is not None:
             break
+    else:
+        raise AssertionError("edge-count scan exhausted without a passing graph")
     stats = SearchStats(examined_total, time.monotonic() - t0, generate_s, verify_s)
-    return m, witness, timed_out, stats
+    return ("lower-bound-only" if timed_out else "exact"), m, witness, stats
 
 
 def exact_min(
@@ -377,7 +379,7 @@ def exact_min(
         raise ValueError(f"need n >= k >= 3, got n={n}, k={k}")
     cap = DEFAULT_CEILING[mode] if ceiling is None else ceiling
     passes = _verifier(mode, k)
-    m, witness, timed_out, stats = scan_strata(
+    status, m, witness, stats = scan_strata(
         n,
         eval_bounds(n, k).lower_floor(mode),
         passes,
@@ -385,12 +387,8 @@ def exact_min(
         budget_seconds,
         free_of=k if mode == "sat" else None,
     )
-    if timed_out:
-        return OracleResult(n, k, mode, "lower-bound-only", m, None, stats)
-    if witness is None:
-        raise AssertionError("edge-count scan exhausted without a passing graph")
-    assert passes(witness)
-    return OracleResult(n, k, mode, "exact", m, witness, stats)
+    assert witness is None or passes(witness)
+    return OracleResult(n, k, mode, status, m, witness, stats)
 
 
 # -- golden file -------------------------------------------------------------
@@ -398,12 +396,26 @@ def exact_min(
 GOLDEN_HEADER = ("n", "k", "mode", "value", "witness_graph6")
 
 
+def _check_golden(path: str | Path) -> Path:
+    """``path`` as a Path; ValueError unless it is a new, empty or golden file."""
+    p = Path(path)
+    if p.is_dir():
+        raise ValueError(f"golden path is a directory: {p}")
+    if not p.parent.is_dir():
+        raise ValueError(f"golden file's directory not found: {p.parent}")
+    if p.exists():
+        with p.open(newline="") as fh:
+            first = next(csv.reader(fh), None)
+        if first is not None and tuple(first) != GOLDEN_HEADER:
+            raise ValueError(f"golden file {p} starts with a foreign header {first}")
+    return p
+
+
 def append_golden(path: str | Path, result: OracleResult) -> None:
     """Append an exact oracle result to the golden CSV (header if new or empty)."""
     if result.status != "exact" or result.witness is None:
         raise ValueError("only exact results belong in the golden file")
-    p = Path(path)
-    with p.open("a", newline="") as fh:
+    with _check_golden(path).open("a", newline="") as fh:
         writer = csv.writer(fh)
         # Append mode opens at the end, so position 0 means a new or empty file.
         if fh.tell() == 0:

@@ -58,7 +58,7 @@ _HEADER_VALUES = {
     "n": None,
     "k": None,
     "mode": ("saturated", "semisaturated"),
-    "freeness": ("confirmed", "failed"),
+    "freeness": ("confirmed",),
 }
 
 
@@ -66,14 +66,14 @@ _HEADER_VALUES = {
 class Certificate:
     """Machine-checkable evidence of (semi)saturation.
 
-    One witness k-cycle per non-edge, each using its non-edge, plus (in
-    saturated mode) a confirmation that the graph itself is k-cycle-free.
+    One witness k-cycle per non-edge, each using its non-edge.  The mode is
+    the claim: a saturated certificate also claims that the graph itself is
+    k-cycle-free, and its text carries the header ``freeness confirmed``.
     """
 
     n: int
     k: int
     mode: str  # "saturated" | "semisaturated"
-    freeness: bool | None
     per_nonedge: dict[tuple[int, int], tuple[int, ...]]
 
     def validate(self, G: Graph) -> list[str]:
@@ -111,17 +111,14 @@ class Certificate:
                 G.has_edge(a, b) or {a, b} == {u, v} for a, b in steps
             ):
                 problems.append(f"witness for ({u}, {v}) is not a cycle of G+uv")
-        if self.mode == "saturated":
-            if self.freeness is not True:
-                problems.append("saturated certificate lacks freeness confirmation")
-            elif has_cycle_of_length(G, self.k) is not None:
-                problems.append("graph contains a k-cycle despite freeness claim")
+        if self.mode == "saturated" and has_cycle_of_length(G, self.k) is not None:
+            problems.append("graph contains a k-cycle despite freeness claim")
         return problems
 
     def to_text(self) -> str:
         lines = [f"n {self.n}", f"k {self.k}", f"mode {self.mode}"]
-        if self.freeness is not None:
-            lines.append(f"freeness {'confirmed' if self.freeness else 'failed'}")
+        if self.mode == "saturated":
+            lines.append("freeness confirmed")
         for (u, v), cyc in sorted(self.per_nonedge.items()):
             lines.append(f"{u} {v} : {' '.join(str(c) for c in cyc)}")
         return "\n".join(lines) + "\n"
@@ -156,8 +153,10 @@ class Certificate:
         for key in ("n", "k", "mode"):
             if key not in header:
                 raise CertificateError(f"missing header {key!r}")
-        freeness = header["freeness"] == "confirmed" if "freeness" in header else None
-        return cls(header["n"], header["k"], header["mode"], freeness, per)
+        if ("freeness" in header) != (header["mode"] == "saturated"):
+            need = "needs" if header["mode"] == "saturated" else "takes no"
+            raise CertificateError(f"mode {header['mode']} {need} header 'freeness confirmed'")
+        return cls(header["n"], header["k"], header["mode"], per)
 
 
 # -- verdicts --------------------------------------------------------------
@@ -197,9 +196,7 @@ def is_semisaturated(G: Graph, k: int, want_certificate: bool = True) -> Saturat
             return SaturationVerdict(False, failing_nonedge=(u, v))
         if want_certificate:
             per[(u, v)] = path
-    cert = (
-        Certificate(G.n, k, "semisaturated", None, per) if want_certificate else None
-    )
+    cert = Certificate(G.n, k, "semisaturated", per) if want_certificate else None
     return SaturationVerdict(True, certificate=cert)
 
 
@@ -218,7 +215,7 @@ def is_saturated(G: Graph, k: int, want_certificate: bool = True) -> SaturationV
     cert = None
     if want_certificate:
         assert semi.certificate is not None
-        cert = Certificate(G.n, k, "saturated", True, semi.certificate.per_nonedge)
+        cert = Certificate(G.n, k, "saturated", semi.certificate.per_nonedge)
     return SaturationVerdict(True, certificate=cert)
 
 
@@ -244,22 +241,6 @@ class DegreePartition:
     z3plus: frozenset[int]
     y_low: frozenset[int]
     z_low: frozenset[int]
-
-    @property
-    def a(self) -> int:
-        return len(self.z2)
-
-    @property
-    def b(self) -> int:
-        return len(self.y3)
-
-    @property
-    def c(self) -> int:
-        return len(self.z3plus)
-
-    @property
-    def d(self) -> int:
-        return len(self.y4plus)
 
     @property
     def y(self) -> frozenset[int]:

@@ -35,26 +35,23 @@ from .saturation import SaturationVerdict, is_semisaturated
 class SuitabilityReport:
     mode: str  # "k-suitable" | "kk2-suitable"
     k: int
-    s1: bool
-    s1_failing_nonedge: tuple[int, int] | None
-    s2: bool
+    s1_failing_nonedge: tuple[int, int] | None  # None exactly when S1 holds
     s2_witnesses: dict[int, tuple[int, ...]]
     s2_missing: tuple[int, ...]
-    s3: bool
     s3_failures: tuple[tuple[int, int, int], ...]
     s3_witnesses: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]]
 
     @property
     def suitable(self) -> bool:
-        return self.s1 and self.s2 and self.s3
+        return self.s1_failing_nonedge is None and not self.s2_missing and not self.s3_failures
 
     def summary(self) -> str:
         parts = []
-        if not self.s1:
+        if self.s1_failing_nonedge is not None:
             parts.append(f"S1 fails at non-edge {self.s1_failing_nonedge}")
-        if not self.s2:
+        if self.s2_missing:
             parts.append(f"S2 misses lengths {list(self.s2_missing)}")
-        if not self.s3:
+        if self.s3_failures:
             parts.append(f"S3 fails on {len(self.s3_failures)} (q, m1, m2) triples")
         return "; ".join(parts) if parts else "suitable"
 
@@ -118,12 +115,9 @@ def _report(
     return SuitabilityReport(
         mode=mode,
         k=k,
-        s1=semi.holds,
         s1_failing_nonedge=semi.failing_nonedge,
-        s2=not s2_missing,
         s2_witnesses=s2_witnesses,
         s2_missing=tuple(s2_missing),
-        s3=not s3_failures,
         s3_failures=tuple(s3_failures),
         s3_witnesses=s3_witnesses,
     )
@@ -149,8 +143,8 @@ def is_kk2_suitable(core: LabeledGraph, k: int) -> SuitabilityReport:
 class MiningResult:
     k: int
     mode: str
-    status: str  # "exact" | "budget-exhausted" | "not-found"
-    edge_count: int | None
+    status: str  # "exact" | "lower-bound-only"
+    edge_count: int  # exact minimum, or the proven floor when budget ran out
     witness: LabeledGraph | None
     stats: SearchStats
 
@@ -171,7 +165,8 @@ def mine_suitable(
     with a suitable class gives the minimum.  The witness is the suitable
     class of that stratum with the least minimal code, in its minimal-code
     form, with its first suitable pair in ascending (a1, a2) order.
-    ``budget_seconds=None`` sets no time limit.
+    ``budget_seconds=None`` sets no time limit; a blown budget yields
+    ``status="lower-bound-only"`` with no witness.
     """
     pairs = split_pairs(k, mode)
     cap = DEFAULT_MINE_CEILING if ceiling is None else ceiling
@@ -187,10 +182,9 @@ def mine_suitable(
         return None
 
     # No floor of its own: the scan starts at k - 1, the size of a tree.
-    m, form, timed_out, stats = scan_strata(k, 0, suitable_pair, cap, budget_seconds)
-    if timed_out:
-        return MiningResult(k, mode, "budget-exhausted", None, None, stats)
-    if form is None:
-        return MiningResult(k, mode, "not-found", None, None, stats)
-    a1, a2 = suitable_pair(form)
-    return MiningResult(k, mode, "exact", m, LabeledGraph(form, {"a1": a1, "a2": a2}), stats)
+    status, m, form, stats = scan_strata(k, 0, suitable_pair, cap, budget_seconds)
+    witness = None
+    if form is not None:
+        a1, a2 = suitable_pair(form)
+        witness = LabeledGraph(form, {"a1": a1, "a2": a2})
+    return MiningResult(k, mode, status, m, witness, stats)

@@ -123,6 +123,27 @@ def test_verify_failure_exit_1(capsys, monkeypatch):
     assert out.strip().startswith("NOT SATURATED")
 
 
+def test_verify_saturated_on_a_graph_with_a_k_cycle_exit_1(capsys, monkeypatch):
+    feed_stdin(monkeypatch, "F~~~w\n")  # K7
+    code, out, err = run(capsys, "verify", "--k", "7", "--mode", "saturated")
+    assert (code, out) == (1, "NOT SATURATED\n")
+    assert err == "graph already contains a 7-cycle: 0 2 3 4 5 6 1\n"
+
+
+def test_construct_unchecked_core_that_fails_verification_exit_1(capsys, tmp_path):
+    # the path P8 is no suitable core; --unchecked skips the core checks, and
+    # the built graph's own check then fails
+    core, sidecar = tmp_path / "p8.g6", tmp_path / "p8.lab"
+    core.write_text("GhCGGC\n")
+    sidecar.write_text("a1=0\na2=7\n")
+    code, out, err = run(
+        capsys, "construct", "--family", "h3", "--k", "8", "--t", "2", "--unchecked",
+        "--core", str(core), "--core-labels", str(sidecar),
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("construction failed verification: ")
+
+
 def test_verify_free_mode(capsys, monkeypatch):
     feed_stdin(monkeypatch, graph6_encode(build_h1(7, 9).graph))
     code, out, _ = run(capsys, "verify", "--k", "7", "--mode", "free")
@@ -217,7 +238,7 @@ def test_check_certificate_problems_exit_1(capsys, h1_files):
     (ne, wit), *_ = sorted(cert.per_nonedge.items())
     bad = dict(cert.per_nonedge)
     bad[ne] = wit[:-1] + (wit[0],)
-    cert_path.write_text(Certificate(cert.n, cert.k, cert.mode, cert.freeness, bad).to_text())
+    cert_path.write_text(Certificate(cert.n, cert.k, cert.mode, bad).to_text())
     code, out, err = run(
         capsys, "check-certificate", "--in", str(graph_path), "--cert", str(cert_path)
     )
@@ -256,6 +277,26 @@ def test_check_certificate_with_no_room_for_a_k_cycle_exit_1(capsys, tmp_path):
     )
     assert (code, out.strip()) == (1, "INVALID")
     assert "no 5-cycle fits in a graph on 3 vertices" in err
+
+
+def test_check_certificate_freeness_header_on_semisaturated_exit_2(capsys, tmp_path):
+    # the 6-wheel has a 6-cycle, so a semisaturated certificate of it cannot
+    # be read as a freeness claim
+    graph_path, cert_path = tmp_path / "w6.g6", tmp_path / "w6.cert"
+    graph_path.write_text(graph6_encode(build_wheel(6, 0).graph) + "\n")
+    code, out, _ = run(
+        capsys, "verify", "--k", "6", "--mode", "semisaturated", "--in", str(graph_path),
+        "--certificate", str(cert_path),
+    )
+    assert (code, out) == (0, "SEMISATURATED\n")
+    cert_path.write_text(cert_path.read_text() + "freeness confirmed\n")
+    code, out, err = run(
+        capsys, "check-certificate", "--in", str(graph_path), "--cert", str(cert_path)
+    )
+    assert (code, out) == (2, "")
+    assert "mode semisaturated takes no header 'freeness confirmed'" in err
+    code, out, _ = run(capsys, "verify", "--k", "6", "--mode", "free", "--in", str(graph_path))
+    assert (code, out) == (1, "NOT FREE\n")
 
 
 def test_check_certificate_missing_file_exit_2(capsys, h1_files):
@@ -366,6 +407,18 @@ def test_oracle_rejects_golden_path_before_search(capsys, tmp_path, where):
     assert not (tmp_path / "missing").exists()
 
 
+def test_oracle_rejects_a_foreign_golden_header_before_search(capsys, tmp_path):
+    golden = tmp_path / "other.csv"
+    golden.write_text("foo,bar\n1,2\n")
+    code, out, err = run(
+        capsys,
+        "oracle", "--k", "4", "--n", "5", "--mode", "sat", "--golden", str(golden),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "foreign header" in err
+    assert golden.read_text() == "foo,bar\n1,2\n"
+
+
 def test_oracle_without_golden_writes_nothing(capsys, monkeypatch, tmp_path):
     # the golden file is opt-in: an exact result writes no file unless asked
     monkeypatch.chdir(tmp_path)
@@ -399,6 +452,14 @@ def test_mine_suitable_cli(capsys):
         lines[4],
     )
     assert len(lines) == 5
+
+
+def test_mine_suitable_budget_exit_3(capsys):
+    # a spent budget leaves the floor proven so far, as oracle reports it
+    code, out, err = run(capsys, "mine-suitable", "--k", "7", "--max-seconds", "0")
+    assert (code, out, err) == (
+        3, "minimum size of a 7-vertex k-suitable core >= 6  [budget exhausted]\n", ""
+    )
 
 
 def test_mine_suitable_above_ceiling_exit_2(capsys):
@@ -435,7 +496,7 @@ def test_bad_budget_rejected(capsys, command, value):
         # argparse refuses a flag value that is not a float, naming the flag
         assert "--max-seconds: invalid float value" in err
     else:
-        assert "--max-seconds must be a non-negative number" in err
+        assert f"time budget must be a non-negative number of seconds, got {float(value)}" in err
 
 
 @pytest.mark.parametrize("unchecked", [False, True])
@@ -447,6 +508,7 @@ def test_bad_budget_rejected(capsys, command, value):
         ("a1=x\na2=1\n", "bad label line 'a1=x'"),
         ("a1=0\na2=1\na1=3\n", "repeated role 'a1'"),
         ("a1=0\na2=1\n=1 2\n", "bad label line '=1 2'"),
+        ("a1=0\na2=1\nbogus=3\n", "bad label line 'bogus=3'"),
     ],
 )
 def test_construct_bad_special_pair_exit_2(capsys, tmp_path, labels, message, unchecked):

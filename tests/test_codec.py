@@ -16,6 +16,7 @@ from cyclesat.codec import (
     labels_decode,
     labels_encode,
 )
+from cyclesat.families import build_h1, build_h2, build_h3, build_wheel
 from cyclesat.graphs import Graph
 
 
@@ -124,13 +125,27 @@ def test_autodetect_rejects_a_second_graph6_line():
         detect_and_decode("Bw\n\nBw\n")
 
 
+def test_labels_of_every_family_decode():
+    # together the builders write every role the sidecar accepts
+    wheel = build_wheel(6, 2)
+    built = [wheel, build_h1(7, 15), build_h2(wheel, 6, 1), build_h3(wheel, 6, 2, 1)]
+    for member in built:
+        assert labels_decode(labels_encode(member.labels)) == member.labels
+    roles = {role for member in built for role in member.labels}
+    assert roles == {"a1", "a2", "hub", "A", "B", "C", "D", "Q", "R1", "R2", "R3"}
+
+
 def test_labels_round_trip():
     labels = {"a1": 0, "a2": 1, "A": (0, 1), "C": (4, 5, 6), "D": ()}
     assert labels_decode(labels_encode(labels)) == labels
 
 
 @pytest.mark.parametrize(
-    "text", ["a1=x\na2=1\n", "C=4 five\n", "a1\n", "a1=1 2\n", "=1 2\n", " = 1\n"]
+    "text",
+    [
+        "a1=x\na2=1\n", "C=4 five\n", "a1\n", "a1=1 2\n", "=1 2\n", " = 1\n",
+        "a1=0\na2=1\nbogus=3\n", "R0=1 2\n", "R=1\n", "r1=1\n",
+    ],
 )
 def test_labels_decode_rejects_bad_lines(text):
     with pytest.raises(EdgeListError):

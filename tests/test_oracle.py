@@ -38,6 +38,7 @@ from cyclesat.oracle import (
     append_golden,
     class_levels,
     exact_min,
+    scan_strata,
     search_stratum,
 )
 from cyclesat.saturation import is_ck_free, is_saturated, is_semisaturated
@@ -452,7 +453,7 @@ def test_parameter_validation():
 @pytest.mark.parametrize("budget", [float("nan"), -1.0])
 def test_bad_budget_raises(budget):
     # NaN would never pass a deadline, so it is refused like a negative budget
-    with pytest.raises(ValueError, match="budget_seconds"):
+    with pytest.raises(ValueError, match="time budget must be a non-negative number of seconds"):
         exact_min(6, 4, "sat", budget_seconds=budget)
 
 
@@ -493,6 +494,38 @@ def test_golden_rejects_partial(tmp_path):
     partial = exact_min(8, 4, "sat", budget_seconds=0.0)
     with pytest.raises(ValueError):
         append_golden(tmp_path / "x.csv", partial)
+
+
+@pytest.mark.parametrize("text", ["foo,bar\n1,2\n", "\n", "n,k,mode\n5,4,sat\n"])
+def test_golden_refuses_a_foreign_header(tmp_path, text):
+    # a non-empty file takes rows only under GOLDEN_HEADER, and is left as it was
+    path = tmp_path / "other.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="foreign header"):
+        append_golden(path, exact_min(5, 4, "sat"))
+    assert path.read_text() == text
+
+
+def test_golden_refuses_a_directory_or_a_missing_one(tmp_path):
+    result = exact_min(5, 4, "sat")
+    with pytest.raises(ValueError, match="is a directory"):
+        append_golden(tmp_path, result)
+    with pytest.raises(ValueError, match="directory not found"):
+        append_golden(tmp_path / "missing" / "x.csv", result)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scan_with_no_passer_raises():
+    # every stratum up to C(n, 2) scanned whole with no passer is a bug, not a result
+    with pytest.raises(AssertionError, match="exhausted without a passing graph"):
+        scan_strata(4, 0, lambda g: False, 8, None)
+
+
+def test_scan_reports_one_status():
+    status, m, witness, stats = scan_strata(5, 0, lambda g: g.edge_count >= 5, 8, None)
+    assert (status, m, witness is not None) == ("exact", 5, True)
+    status, m, witness, stats = scan_strata(5, 0, lambda g: True, 8, 0.0)
+    assert (status, m, witness, stats.graphs_examined) == ("lower-bound-only", 4, None, 0)
 
 
 def test_class_levels_reject_more_vertices_than_a_code_holds():

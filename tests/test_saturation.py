@@ -121,7 +121,8 @@ def test_h1_is_saturated_with_sound_certificate():
     verdict = is_saturated(h.graph, 7)
     assert verdict.holds
     cert = verdict.certificate
-    assert cert is not None and cert.mode == "saturated" and cert.freeness
+    assert cert is not None and cert.mode == "saturated"
+    assert "freeness confirmed" in cert.to_text()
     assert cert.validate(h.graph) == []
 
 
@@ -189,6 +190,13 @@ def test_certificate_text_round_trip():
         ("n 5\nn 6\nk 6\nmode semisaturated\n", "line 2.*repeated header 'n'"),
         ("n 6\nk 6\nbogus 7\nmode semisaturated\n", "line 3.*unknown header 'bogus'"),
         ("n 6\nk 6\nmode saturated\nfreeness maybe\n", "line 4.*unknown freeness 'maybe'"),
+        # the mode is the freeness claim, so the header goes with it exactly
+        ("n 6\nk 6\nmode saturated\nfreeness failed\n", "line 4.*unknown freeness 'failed'"),
+        ("n 6\nk 6\nmode saturated\n", "mode saturated needs header 'freeness confirmed'"),
+        (
+            "n 6\nk 6\nmode semisaturated\nfreeness confirmed\n",
+            "mode semisaturated takes no header 'freeness confirmed'",
+        ),
     ],
 )
 def test_certificate_parse_errors_are_typed(text, message):
@@ -211,7 +219,7 @@ def test_certificate_validation_catches_tampering():
     (ne, wit), *_ = sorted(cert.per_nonedge.items())
     bad = dict(cert.per_nonedge)
     bad[ne] = wit[:-1] + (wit[0],)
-    tampered = Certificate(cert.n, cert.k, cert.mode, cert.freeness, bad)
+    tampered = Certificate(cert.n, cert.k, cert.mode, bad)
     assert tampered.validate(g) != []
 
 
@@ -251,7 +259,6 @@ def _with_line(cert: Certificate, pair: tuple[int, int], cycle: tuple[int, ...])
             lambda c: _with_line(c, (0, 4), (0, 1, 2, 1, 3, 5, 4)),
             r"witness for \(0, 4\) is not a cycle of G\+uv",
         ),
-        (lambda c: replace(c, freeness=None), "lacks freeness confirmation"),
     ],
 )
 def test_certificate_validation_reports_each_problem(edit, message):
@@ -280,7 +287,7 @@ def test_certificate_two_vertex_cycle_is_a_problem():
 
 
 def test_certificate_freeness_claim_on_graph_with_k_cycle():
-    claim = Certificate(5, 5, "saturated", True, {})
+    claim = Certificate(5, 5, "saturated", {})
     assert claim.validate(complete_graph(5)) == [
         "graph contains a k-cycle despite freeness claim"
     ]
@@ -316,7 +323,9 @@ def test_partition_identity_with_leaves():
     part = degree_partition(h.graph)
     assert len(part.x) == 2 and len(part.y) == 2
     assert not part.y_low and not part.z_low
-    assert h.graph.n == part.a + 2 * part.b + part.c + 2 * part.d
+    assert h.graph.n == (
+        len(part.z2) + 2 * len(part.y3) + len(part.z3plus) + 2 * len(part.y4plus)
+    )
 
 
 # -- structural checks -----------------------------------------------------------

@@ -36,7 +36,7 @@ def test_split_pairs_extended():
 def test_spiked_wheel_is_suitable():
     report = is_k_suitable(build_wheel(6, 4), 6)
     assert report.suitable
-    assert report.s1 and report.s2 and report.s3
+    assert report.s1_failing_nonedge is None and not report.s2_missing and not report.s3_failures
 
 
 def test_path_endpoints_not_suitable():
@@ -61,7 +61,7 @@ def test_fully_spiked_w6_extended_suitable():
 def test_edgeless_graph_fails_s1():
     core = as_core(Graph(6, []), 0, 1)
     report = is_k_suitable(core, 6)
-    assert not report.s1 and not report.suitable
+    assert report.s1_failing_nonedge is not None and not report.suitable
 
 
 def test_report_witnesses_revalidate():
@@ -167,7 +167,7 @@ def test_mine_ceiling_guard():
         (6, "k-suitable", None, "exact", 9, "EJew", {"a1": 0, "a2": 4}, 105),
         (7, "k-suitable", None, "exact", 11, "FBYmg", {"a1": 1, "a2": 3}, 630),
         (6, "kk2-suitable", None, "exact", 9, "EJew", {"a1": 0, "a2": 4}, 105),
-        (7, "k-suitable", 0.0, "budget-exhausted", None, None, None, 0),
+        (7, "k-suitable", 0.0, "lower-bound-only", 6, None, None, 0),
     ],
 )
 def test_mine_result_is_pinned(k, mode, budget, status, value, witness, pair, examined):
@@ -244,11 +244,11 @@ def test_mine_checks_s1_once_per_class(monkeypatch):
 
 @pytest.mark.parametrize("budget", [float("nan"), -1.0])
 def test_mine_bad_budget_raises(budget):
-    with pytest.raises(ValueError, match="budget_seconds"):
+    with pytest.raises(ValueError, match="time budget must be a non-negative number of seconds"):
         mine_suitable(5, budget_seconds=budget)
 
 
 def test_mine_budget_exhaustion():
     result = mine_suitable(7, "k-suitable", budget_seconds=0.0)
-    assert result.status == "budget-exhausted"
+    assert result.status == "lower-bound-only"
     assert result.witness is None
