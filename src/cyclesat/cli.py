@@ -5,13 +5,15 @@ mine-suitable.  ``verify --certificate PATH`` writes a certificate;
 ``oracle --golden PATH`` appends an exact result to a CSV, and nothing is
 written unless it is given.  Time budgets come from ``--max-seconds`` only.
 Exit codes: 0 success / verdict true, 1 verdict false, 2 usage or input
-error, 3 budget exhausted.  Graph input is auto-detected (graph6 when the
-first byte is at or above '?', plain edge list otherwise).
+error, 3 budget exhausted, 141 stdout closed by its reader.  Graph input is
+auto-detected (graph6 when the first byte is at or above '?', plain edge
+list otherwise).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -42,6 +44,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -322,6 +325,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): exit as a shell reports a
+        # SIGPIPE kill, with stdout on devnull so the final flush is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ValueError, OSError) as exc:
         # Typed input errors subclass ValueError; OSError is an unusable file.
         print(f"error: {exc}", file=sys.stderr)

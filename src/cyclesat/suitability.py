@@ -13,7 +13,9 @@ The extended variant keeps S1-S2 and replaces S3 by splits m1 + m2 = k
 (3 <= m_i <= k-3) and m1 + m2 = k + 2 (4 <= m_i <= k-4); empty ranges are
 vacuously satisfied.  For each fixed (q, m1, m2) the disjunction over the
 two special vertices is what is required; the satisfying side may differ
-from triple to triple.
+from triple to triple.  A report carries verdicts, not paths: the failing
+S1 non-edge, the S2 lengths with no a1-a2 path and the S3 triples neither
+special vertex serves.
 
 S1 belongs to the core and S2-S3 to the pair, so the miner checks S1 once
 per class and skips the pairs of a class that fails it: none can pass.  It
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from .cycles import exists_path_of_length
 from .graphs import Graph, LabeledGraph
 from .oracle import SearchStats, scan_strata
-from .saturation import SaturationVerdict, is_semisaturated
+from .saturation import is_semisaturated
 
 
 @dataclass(frozen=True)
@@ -36,10 +38,8 @@ class SuitabilityReport:
     mode: str  # "k-suitable" | "kk2-suitable"
     k: int
     s1_failing_nonedge: tuple[int, int] | None  # None exactly when S1 holds
-    s2_witnesses: dict[int, tuple[int, ...]]
-    s2_missing: tuple[int, ...]
-    s3_failures: tuple[tuple[int, int, int], ...]
-    s3_witnesses: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]]
+    s2_missing: tuple[int, ...]  # lengths with no a1-a2 path
+    s3_failures: tuple[tuple[int, int, int], ...]  # (q, m1, m2) neither side serves
 
     @property
     def suitable(self) -> bool:
@@ -84,59 +84,37 @@ def _report(
     k: int,
     mode: str,
     pairs: list[tuple[int, int]],
-    semi: SaturationVerdict,
+    s1_failing_nonedge: tuple[int, int] | None,
 ) -> SuitabilityReport:
-    """Evaluate S2 and S3 for the special pair (a1, a2); ``semi`` is G's S1 verdict."""
-    s2_witnesses: dict[int, tuple[int, ...]] = {}
-    s2_missing: list[int] = []
-    for ell in range(1, k - 1):
-        w = exists_path_of_length(G, a1, a2, ell)
-        if w is None:
-            s2_missing.append(ell)
-        else:
-            s2_witnesses[ell] = w
+    """Evaluate S2 and S3 for the special pair (a1, a2), given G's S1 outcome."""
+    s2_missing = [ell for ell in range(1, k - 1) if exists_path_of_length(G, a1, a2, ell) is None]
+    s3_failures = [
+        (q, m1, m2)
+        for q in range(G.n)
+        if q not in (a1, a2)
+        for m1, m2 in pairs
+        if exists_path_of_length(G, a1, q, m1) is None
+        and exists_path_of_length(G, a2, q, m2) is None
+    ]
+    return SuitabilityReport(mode, k, s1_failing_nonedge, tuple(s2_missing), tuple(s3_failures))
 
-    s3_failures: list[tuple[int, int, int]] = []
-    s3_witnesses: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]] = {}
-    for q in range(G.n):
-        if q in (a1, a2):
-            continue
-        for m1, m2 in pairs:
-            w = exists_path_of_length(G, a1, q, m1)
-            if w is not None:
-                s3_witnesses[(q, m1, m2)] = (1, w)
-                continue
-            w = exists_path_of_length(G, a2, q, m2)
-            if w is not None:
-                s3_witnesses[(q, m1, m2)] = (2, w)
-                continue
-            s3_failures.append((q, m1, m2))
 
-    return SuitabilityReport(
-        mode=mode,
-        k=k,
-        s1_failing_nonedge=semi.failing_nonedge,
-        s2_witnesses=s2_witnesses,
-        s2_missing=tuple(s2_missing),
-        s3_failures=tuple(s3_failures),
-        s3_witnesses=s3_witnesses,
-    )
+def _core_report(core: LabeledGraph, k: int, mode: str) -> SuitabilityReport:
+    """Check mode and k, then the special pair, then S1, then S2-S3."""
+    pairs = split_pairs(k, mode)
+    a1, a2 = core.special_pair()
+    semi = is_semisaturated(core.graph, k, want_certificate=False)
+    return _report(core.graph, a1, a2, k, mode, pairs, semi.failing_nonedge)
 
 
 def is_k_suitable(core: LabeledGraph, k: int) -> SuitabilityReport:
-    """Full report for the plain suitability conditions S1-S3."""
-    pairs = split_pairs(k, "k-suitable")
-    a1, a2 = core.special_pair()
-    semi = is_semisaturated(core.graph, k, want_certificate=False)
-    return _report(core.graph, a1, a2, k, "k-suitable", pairs, semi)
+    """Verdicts for the plain suitability conditions S1-S3."""
+    return _core_report(core, k, "k-suitable")
 
 
 def is_kk2_suitable(core: LabeledGraph, k: int) -> SuitabilityReport:
-    """Full report for the extended conditions S1, S2, and the two-split S3."""
-    pairs = split_pairs(k, "kk2-suitable")
-    a1, a2 = core.special_pair()
-    semi = is_semisaturated(core.graph, k, want_certificate=False)
-    return _report(core.graph, a1, a2, k, "kk2-suitable", pairs, semi)
+    """Verdicts for the extended conditions S1, S2, and the two-split S3."""
+    return _core_report(core, k, "kk2-suitable")
 
 
 @dataclass(frozen=True)
@@ -173,11 +151,10 @@ def mine_suitable(
 
     def suitable_pair(G: Graph) -> tuple[int, int] | None:
         """G's first suitable special pair in ascending (a1, a2) order, if any."""
-        semi = is_semisaturated(G, k, want_certificate=False)
-        if semi.holds:
+        if is_semisaturated(G, k, want_certificate=False).holds:
             for a1 in range(k):
                 for a2 in range(a1 + 1, k):
-                    if _report(G, a1, a2, k, mode, pairs, semi).suitable:
+                    if _report(G, a1, a2, k, mode, pairs, None).suitable:
                         return a1, a2
         return None
 

@@ -170,6 +170,11 @@ def test_exact_value_respects_upper_bounds():
     assert not report.consistent
 
 
+def test_bound_table_lookup_of_an_unknown_name_raises():
+    with pytest.raises(KeyError, match="nope"):
+        eval_bounds(9, 7)["nope"]
+
+
 def test_eval_bounds_input_validation():
     with pytest.raises(ValueError):
         eval_bounds(0, 7)

@@ -1,5 +1,9 @@
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +112,18 @@ def test_construct_flag_its_family_does_not_read_exit_2(capsys, flags, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (("--family", "h1", "--k", "7"), "construct --family h1 requires --n"),
+        (("--family", "h2", "--k", "6"), "construct --family h2 requires --t"),
+    ],
+)
+def test_construct_without_its_size_flag_exit_2(capsys, flags, message):
+    code, out, err = run(capsys, "construct", *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_saturated_from_stdin(capsys, monkeypatch):
     feed_stdin(monkeypatch, graph6_encode(build_h1(7, 9).graph) + "\n")
     code, out, _ = run(capsys, "verify", "--k", "7", "--mode", "saturated")
@@ -190,6 +206,19 @@ def test_verify_malformed_input_exit_2(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--k", "6", "--mode", "free")
     assert code == 2
     assert "malformed" in err
+
+
+def test_verify_empty_input_exit_2(capsys, monkeypatch):
+    feed_stdin(monkeypatch, "")
+    code, out, err = run(capsys, "verify", "--k", "3", "--mode", "free")
+    assert (code, out, err) == (2, "", "error: malformed graph input: empty graph input\n")
+
+
+def test_verify_search_budget_exhausted_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr("cyclesat.cycles.DEFAULT_EXPANSION_BUDGET", 0)
+    feed_stdin(monkeypatch, graph6_encode(build_h1(7, 9).graph))
+    code, out, err = run(capsys, "verify", "--k", "7", "--mode", "saturated")
+    assert (code, out, err) == (3, "", "budget exhausted: node expansion budget exhausted\n")
 
 
 def test_verify_two_graph6_lines_exit_2(capsys, tmp_path):
@@ -361,6 +390,37 @@ def test_bounds_range_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("n,name,kind")
     assert any(ln.startswith("12,") for ln in lines)
+
+
+def test_bounds_range_table_separates_each_n_by_one_blank_line(capsys):
+    code, out, _ = run(capsys, "bounds", "--k", "6", "--range", "10..11")
+    assert code == 0
+    tables = out.split("\n\n")
+    assert len(tables) == 2
+    assert tables[0].startswith("bounds for n=10, k=6\n")
+    assert tables[1].startswith("bounds for n=11, k=6\n")
+    assert not out.endswith("\n\n")
+
+
+def test_bounds_bad_range_exit_2(capsys):
+    code, out, err = run(capsys, "bounds", "--k", "6", "--range", "10-12")
+    assert (code, out, err) == (2, "", "error: bad --range '10-12'; expected A..B\n")
+
+
+def test_bounds_into_a_closed_pipe_exit_141():
+    # the reader takes one line and closes the pipe, as ``| head -1`` does
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["bounds", "--k", "6", "--range", "10..2000", "--csv"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cyclesat.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.readline() == b"n,name,kind,numerator,denominator,applicable\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def test_bounds_requires_n_or_range(capsys):

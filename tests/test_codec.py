@@ -39,10 +39,15 @@ def test_graph6_round_trip(g):
     assert graph6_decode(graph6_encode(g)) == g
 
 
+@pytest.fixture(scope="module")
+def nx():
+    # imported outside the timed test body, whose first example would pay for it
+    return pytest.importorskip("networkx")
+
+
 @given(graphs(max_n=62))
-def test_graph6_matches_networkx(g):
+def test_graph6_matches_networkx(nx, g):
     # an independent encoder pins the bit order, not just the round trip
-    nx = pytest.importorskip("networkx")
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges)
@@ -70,6 +75,16 @@ def test_graph6_rejects_trailing_garbage():
     line = graph6_encode(complete_graph(5))
     with pytest.raises(Graph6Error, match="trailing"):
         graph6_decode(line + "A")
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [("", "empty graph6 line"), ("Bx", "nonzero padding bits")],
+)
+def test_graph6_decode_rejects(line, message):
+    # 'x' carries the triangle bits 111 and a stray padding bit 001
+    with pytest.raises(Graph6Error, match=message):
+        graph6_decode(line)
 
 
 def test_graph6_rejects_nonprintable():
@@ -108,6 +123,8 @@ def test_edge_list_rejects_garbage():
         edge_list_decode("3\n0 1 2\n")
     with pytest.raises(EdgeListError):
         edge_list_decode("")
+    with pytest.raises(EdgeListError, match="bad edge line '0 x'"):
+        edge_list_decode("3\n0 x\n")
 
 
 def test_autodetect():
@@ -138,6 +155,10 @@ def test_labels_of_every_family_decode():
 def test_labels_round_trip():
     labels = {"a1": 0, "a2": 1, "A": (0, 1), "C": (4, 5, 6), "D": ()}
     assert labels_decode(labels_encode(labels)) == labels
+
+
+def test_labels_decode_skips_blank_lines():
+    assert labels_decode("a1=0\n\n  \na2=3\n") == {"a1": 0, "a2": 3}
 
 
 @pytest.mark.parametrize(

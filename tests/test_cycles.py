@@ -49,6 +49,22 @@ def test_rejects_equal_endpoints():
         exists_path_of_length(complete_graph(3), 1, 1, 2)
 
 
+K3 = complete_graph(3)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: exists_path_of_length(K3, 0, 3, 1), r"endpoints \(0, 3\) outside 0..2"),
+        (lambda: has_cycle_of_length(K3, 2), "cycle length must be at least 3, got 2"),
+        (lambda: shortest_cycle_through(K3, 99), "vertex 99 outside 0..2"),
+    ],
+)
+def test_bad_query_arguments_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_rejects_nonpositive_length():
     with pytest.raises(ValueError):
         exists_path_of_length(complete_graph(3), 0, 1, 0)

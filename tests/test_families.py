@@ -150,6 +150,15 @@ def test_h2_w7_three_blocks():
     assert is_semisaturated(h.graph, 7, want_certificate=False).holds
 
 
+@pytest.mark.parametrize(
+    "k,t,message",
+    [(3, 1, "family h2 needs k >= 4, got k=3"), (6, -1, "family h2 needs t >= 0, got t=-1")],
+)
+def test_h2_rejects_bad_params(k, t, message):
+    with pytest.raises(ConstructionParamError, match=message):
+        build_h2(build_wheel(6, 0), k, t)
+
+
 def test_h2_rejects_unsuitable_core():
     bad_core = build_wheel(6, 0)
     # declaring a2 to be the hub's antipode breaks S2 (no a1-a2 edge)

@@ -59,6 +59,18 @@ def test_build_rejects_out_of_range():
         Graph(3, [(-1, 2)])
 
 
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: Graph(-1, []), GraphError, "vertex count must be non-negative, got -1"),
+        (lambda: Graph(3, [(0, 1)]).induced([0, 99]), VertexRangeError, "outside range"),
+    ],
+)
+def test_construction_errors_are_typed(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_build_rejects_duplicates():
     with pytest.raises(DuplicateEdgeError):
         Graph(3, [(0, 1), (1, 0)])

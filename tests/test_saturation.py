@@ -93,6 +93,13 @@ def test_too_few_vertices_is_an_error():
         is_semisaturated(path_graph(4), 5)
     with pytest.raises(TooFewVertices):
         is_saturated(path_graph(4), 5)
+    with pytest.raises(TooFewVertices, match="need at least 5 vertices, got 3"):
+        greedy_saturate(3, 5, list(itertools.combinations(range(3), 2)))
+
+
+def test_semisaturation_rejects_a_cycle_length_below_3():
+    with pytest.raises(ValueError, match="cycle length must be at least 3, got 2"):
+        is_semisaturated(path_graph(4), 2)
 
 
 def test_adding_an_edge_keeps_semisaturation():

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import cached_levels, decoded, is_path_in, path_graph
+from conftest import cached_levels, decoded, naive_path_exists, path_graph
 from cyclesat.codec import graph6_encode
 from cyclesat.families import build_wheel
 from cyclesat.graphs import (
@@ -64,19 +64,38 @@ def test_edgeless_graph_fails_s1():
     assert report.s1_failing_nonedge is not None and not report.suitable
 
 
-def test_report_witnesses_revalidate():
-    core = build_wheel(7, 3)
-    report = is_k_suitable(core, 7)
-    assert report.suitable
+def naive_verdicts(core: LabeledGraph, k: int, mode: str) -> tuple[tuple, tuple]:
+    """(s2_missing, s3_failures) by definition, from exhaustive path scans."""
+    g = core.graph
     a1, a2 = core.special_pair()
-    for ell, w in report.s2_witnesses.items():
-        assert is_path_in(core.graph, w) and len(w) - 1 == ell
-        assert {w[0], w[-1]} == {a1, a2}
-    for (q, m1, m2), (side, w) in report.s3_witnesses.items():
-        assert is_path_in(core.graph, w)
-        src, m = (a1, m1) if side == 1 else (a2, m2)
-        assert len(w) - 1 == m
-        assert {w[0], w[-1]} == {src, q}
+    s2_missing = tuple(ell for ell in range(1, k - 1) if not naive_path_exists(g, a1, a2, ell))
+    s3_failures = tuple(
+        (q, m1, m2)
+        for q in range(g.n)
+        if q not in (a1, a2)
+        for m1, m2 in split_pairs(k, mode)
+        if not naive_path_exists(g, a1, q, m1) and not naive_path_exists(g, a2, q, m2)
+    )
+    return s2_missing, s3_failures
+
+
+def test_report_verdicts_match_naive_path_scan():
+    cases = [
+        (as_core(g, a1, a2), 6, "k-suitable", is_k_suitable)
+        for level in cached_levels(6)
+        for _, g in decoded(level)
+        if g.is_connected()
+        for a1 in range(6)
+        for a2 in range(a1 + 1, 6)
+    ]
+    cases += [
+        (build_wheel(7, 3), 7, "k-suitable", is_k_suitable),
+        (build_wheel(8, 0), 8, "kk2-suitable", is_kk2_suitable),
+    ]
+    assert len(cases) == 112 * 15 + 2  # OEIS A001349: 112 connected 6-vertex classes
+    for core, k, mode, full in cases:
+        report = full(core, k)
+        assert (report.s2_missing, report.s3_failures) == naive_verdicts(core, k, mode)
 
 
 def test_missing_labels_rejected():
