@@ -5,10 +5,13 @@ depth-first backtracking over simple paths, taking candidates in ascending
 vertex order, within the vertices a completion may still use, and four
 prunings on per-vertex bitmasks:
 
-* distance: a branch dies when the target is farther (through available
-  vertices) than the remaining edge budget;
-* supply: a branch dies when the usable vertices (reachable from both ends
-  within the budget) cannot fill the path;
+* distance: each query starts with one BFS out of the target v in G - u,
+  and a node with r edges left takes only candidates within r - 1 edges of
+  v there.  Every available set of the search lies inside V - u, so a
+  distance in G - u is a lower bound on any distance a completion can use,
+  and the filter drops only candidates with no completion;
+* supply: at a node with r >= 8, a branch dies when the usable vertices
+  (reachable from both ends within the budget) cannot fill the path;
 * twin skipping: once candidate w fails, a later candidate x at the same
   node with N(x) - {w} = N(w) - {x} is dropped.  Swapping w and x is an
   automorphism of the graph that fixes the current vertex, the target and
@@ -25,7 +28,7 @@ retirement.  So the witnesses do not depend on which prunings run.
 
 Two more steps make the usable set U, the vertices y with d(cur, y) +
 d(y, target) <= r for budget r, cheap and change no answer.  Scope
-narrowing: a node with r >= 4 hands each child w only U - {w}.  A vertex on
+narrowing: a node with r >= 8 hands each child w only U - {w}.  A vertex on
 a valid completion through w meets that bound, and so does one on a
 shortest path from w, or from the target, to a vertex usable at w; so the
 child's completions, usable set and target distance stay the same.
@@ -33,6 +36,15 @@ Target-first BFS: the BFS out of cur keeps layer d only within r - d of the
 target.  The predecessor of a usable vertex on a shortest path from cur is
 usable too, so every usable vertex is still reached at its true distance,
 and no other vertex passes the filter.
+
+U costs two BFS passes per node, and on shallow branches the distance
+filter prunes nearly as much for one AND.  On the ``h1`` sweep for
+k = 7..12, computing U from r >= 8 instead of r >= 4 takes a quarter off
+the time.  From r >= 9 the sweep is a sixth slower than from 8, because the
+deep branches of the k = 11, 12 queries need U.  From r >= 7 it is a few
+percent faster, but certifying random greedy C_k-saturated graphs for
+k = 5, 6, 8 takes a fifth longer, as every k = 8 cycle search then
+computes U at its root.
 
 Witnesses are plain vertex tuples: a path lists its vertices from one end
 to the other, and a k-cycle lists its k vertices in cyclic order with the
@@ -57,19 +69,25 @@ class SearchBudgetExceeded(RuntimeError):
     """The expansion budget ran out before the search finished."""
 
 
-def _usable(adj: Sequence[int], avail: int, cur: int, target: int, remaining: int):
-    """Vertices usable by some completion of the current branch.
+def _expansions(budget: int | None) -> int:
+    """The expansion budget a query may spend: None selects the default."""
+    if budget is None:
+        return DEFAULT_EXPANSION_BUDGET
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        raise ValueError(f"budget must be a non-negative int or None, got {budget!r}")
+    return budget
 
-    Returns the mask of the vertices whose distances from ``cur`` and to
-    ``target`` through ``avail`` (which holds ``target`` but not ``cur``)
-    sum to at most ``remaining``; 0 means the target is farther than that.
+
+def _within(adj: Sequence[int], start: int, avail: int, depth: int) -> list[int]:
+    """Cumulative BFS layers out of the vertex set ``start`` inside ``avail``.
+
+    Entry j (j = 0..depth) holds the vertices within j edges of ``start``.
+    Not _bfs_layers: the kernel calls this per query and per search node,
+    where a generator measurably slows.
     """
-    # Inlined, not _bfs_layers: per search node, a generator measurably slows.
-    # BFS out of target: within[j] holds the vertices at distance <= j.
-    tbit = 1 << target
-    within = [tbit]
-    seen = frontier = tbit
-    for _ in range(remaining - 1):
+    within = [start]
+    seen = frontier = start
+    for _ in range(depth):
         nxt = 0
         m = frontier
         while m:
@@ -79,6 +97,17 @@ def _usable(adj: Sequence[int], avail: int, cur: int, target: int, remaining: in
         frontier = nxt & avail & ~seen
         seen |= frontier
         within.append(seen)
+    return within
+
+
+def _usable(adj: Sequence[int], avail: int, cur: int, target: int, remaining: int):
+    """Vertices usable by some completion of the current branch.
+
+    Returns the mask of the vertices whose distances from ``cur`` and to
+    ``target`` through ``avail`` (which holds ``target`` but not ``cur``)
+    sum to at most ``remaining``; 0 means the target is farther than that.
+    """
+    within = _within(adj, 1 << target, avail, remaining - 1)
     # BFS out of cur keeping layer d inside within[remaining - d]; within[j] never
     # holds cur, so seen ends as the usable set (empty: the target is too far).
     seen = 0
@@ -106,6 +135,10 @@ def _search_path(
     """
     tbit = 1 << v
     path = [u]
+    full = ((1 << n) - 1) ^ (1 << u)
+    # near[j]: the vertices within j edges of v in G - u.  Every avail below
+    # lies inside V - u, so these distances bound those a completion can use.
+    near = _within(adj, tbit, full, length - 1)
 
     def rec(cur: int, avail: int, remaining: int) -> bool:
         nonlocal left
@@ -126,13 +159,14 @@ def _search_path(
                 path.append(v)
                 return True
             return False
-        if remaining >= 4:
-            # Two short BFS passes pay off only above the closed-form floor.
-            # The children search inside the usable set.
+        if remaining >= 8:
+            # Two BFS passes pay off only on deep branches (the module
+            # docstring has the measurements); the children search inside
+            # the usable set.
             avail = _usable(adj, avail, cur, v, remaining)
             if avail.bit_count() < remaining:
                 return False
-        m = adj[cur] & avail & ~tbit
+        m = adj[cur] & avail & near[remaining - 1] & ~tbit
         while m:
             low = m & -m
             m ^= low
@@ -151,7 +185,7 @@ def _search_path(
                     m ^= xbit
         return False
 
-    found = rec(u, ((1 << n) - 1) ^ (1 << u), length)
+    found = rec(u, full, length)
     return (tuple(path) if found else None), left
 
 
@@ -163,7 +197,12 @@ def exists_path_of_length(
     Returns the path's ``length + 1`` vertices in order from ``u`` to ``v``,
     or None when no such path exists.  Neighbors are explored in ascending
     vertex order, so the path is the lexicographically first one.
+
+    ``budget`` caps the node expansions (None selects the default).  A bool,
+    a non-int or a negative budget raises ValueError before anything else
+    is looked at; running out raises SearchBudgetExceeded.
     """
+    left = _expansions(budget)
     if u == v:
         raise ValueError("path endpoints must be distinct")
     if not (0 <= u < G.n and 0 <= v < G.n):
@@ -172,7 +211,6 @@ def exists_path_of_length(
         raise ValueError(f"path length must be positive, got {length}")
     if length > G.n - 1:
         return None
-    left = DEFAULT_EXPANSION_BUDGET if budget is None else budget
     return _search_path(G.adj, G.n, u, v, length, left)[0]
 
 
@@ -186,13 +224,14 @@ def has_cycle_of_length(G: Graph, k: int, budget: int | None = None) -> tuple[in
     length k-1 in the graph with uv removed (cleared in the working
     adjacency lists, not rebuilt).  The first hit, closed by uv, is the
     witness.  A miss proves uv lies on no k-cycle, so uv stays cleared and
-    the later searches run on a sparser graph.
+    the later searches run on a sparser graph.  All edges share one
+    ``budget``, checked as in ``exists_path_of_length``.
     """
+    left = _expansions(budget)  # shared by all edges
     if k < 3:
         raise ValueError(f"cycle length must be at least 3, got {k}")
     if k > G.n:
         return None
-    left = DEFAULT_EXPANSION_BUDGET if budget is None else budget  # shared by all edges
     adj = list(G.adj)
     for u, v in G.edges:
         adj[u] ^= 1 << v

@@ -33,6 +33,11 @@ def without_edge(G: Graph, u: int, v: int) -> Graph:
     return Graph(G.n, [e for e in G.edges if e != pair])
 
 
+def complement(G: Graph) -> Graph:
+    """The graph on ``G``'s vertices whose edges are ``G``'s non-edges."""
+    return Graph(G.n, G.non_edges())
+
+
 def relabel(G: Graph, perm) -> Graph:
     """``G`` with every vertex ``old`` renamed ``perm[old]``."""
     assert sorted(perm) == list(range(G.n)), "not a permutation of the vertices"
@@ -60,7 +65,7 @@ def graphs(draw, min_n: int = 0, max_n: int = 8) -> Graph:
 
 
 @st.composite
-def twin_rich_graphs(draw, max_n: int = 8) -> Graph:
+def twin_rich_graphs(draw, max_n: int = 8, min_n: int = 0) -> Graph:
     """Graphs rich in twin classes and pendant vertices.
 
     A random base graph on at most 4 vertices has each vertex blown up into
@@ -68,6 +73,7 @@ def twin_rich_graphs(draw, max_n: int = 8) -> Graph:
     joined completely), then pendants hang off random vertices, and the
     result is relabeled at random so twins do not sit next to each other.
     This covers cliques with spikes, wheels and complete bipartite graphs.
+    Pendants make up any shortfall below ``min_n``.
     """
     b = draw(st.integers(1, 4))
     base_pairs = list(itertools.combinations(range(b), 2))
@@ -84,7 +90,7 @@ def twin_rich_graphs(draw, max_n: int = 8) -> Graph:
         n += size
     for i, j in base:
         edges.extend((x, y) for x in blobs[i] for y in blobs[j])
-    for _ in range(draw(st.integers(0, max_n - n))):
+    for _ in range(draw(st.integers(max(0, min_n - n), max_n - n))):
         edges.append((draw(st.integers(0, n - 1)), n))
         n += 1
     perm = draw(st.permutations(range(n)))

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    complement,
     complete_graph,
     cycle_graph,
     graphs,
@@ -58,6 +59,16 @@ K3 = complete_graph(3)
         (lambda: exists_path_of_length(K3, 0, 3, 1), r"endpoints \(0, 3\) outside 0..2"),
         (lambda: has_cycle_of_length(K3, 2), "cycle length must be at least 3, got 2"),
         (lambda: shortest_cycle_through(K3, 99), "vertex 99 outside 0..2"),
+        # a budget is a non-negative int or None, checked before the early
+        # return for a query longer than the graph allows
+        (lambda: exists_path_of_length(K3, 0, 1, 2, budget=-1), "budget .* got -1"),
+        (lambda: exists_path_of_length(K3, 0, 1, 2, budget=2.5), "budget .* got 2.5"),
+        (lambda: exists_path_of_length(K3, 0, 1, 2, budget=True), "budget .* got True"),
+        (lambda: exists_path_of_length(cycle_graph(5), 0, 2, 10, budget=-1), "budget .* got -1"),
+        (lambda: has_cycle_of_length(K3, 3, budget=-1), "budget .* got -1"),
+        (lambda: has_cycle_of_length(K3, 3, budget=2.5), "budget .* got 2.5"),
+        (lambda: has_cycle_of_length(K3, 3, budget=False), "budget .* got False"),
+        (lambda: has_cycle_of_length(K3, 4, budget=-1), "budget .* got -1"),
     ],
 )
 def test_bad_query_arguments_raise(call, message):
@@ -223,6 +234,36 @@ def test_witnesses_are_lexicographically_first(g):
     _assert_naive_witnesses(g)
 
 
+def _assert_deep_witnesses(g, data):
+    # lengths >= 8 reach the nodes that narrow to the exact usable set
+    for _ in range(2):
+        u = data.draw(st.integers(0, g.n - 1))
+        v = data.draw(st.integers(0, g.n - 1).filter(lambda x: x != u))
+        length = data.draw(st.integers(8, g.n - 1))
+        assert exists_path_of_length(g, u, v, length) == naive_first_path(g, u, v, length)
+    k = data.draw(st.integers(9, g.n))
+    assert has_cycle_of_length(g, k) == naive_first_cycle(g, k)
+
+
+# The drawn graphs run sparse, so their complements, in which twins stay
+# twins, supply the dense cases where deep paths exist.
+@given(
+    st.one_of(
+        twin_rich_graphs(min_n=9, max_n=10), twin_rich_graphs(min_n=9, max_n=10).map(complement)
+    ),
+    st.data(),
+)
+@settings(max_examples=20, deadline=None)
+def test_twin_rich_deep_witnesses_are_lexicographically_first(g, data):
+    _assert_deep_witnesses(g, data)
+
+
+@given(st.one_of(graphs(min_n=9, max_n=10), graphs(min_n=9, max_n=10).map(complement)), st.data())
+@settings(max_examples=20, deadline=None)
+def test_deep_witnesses_are_lexicographically_first(g, data):
+    _assert_deep_witnesses(g, data)
+
+
 @given(twin_rich_graphs(max_n=9))
 @settings(max_examples=60, deadline=None)
 def test_cycle_detection_agrees_with_networkx(g):
@@ -280,9 +321,15 @@ def test_budget_is_exact(g, data):
     v = data.draw(st.integers(0, g.n - 1).filter(lambda x: x != u))
     length = data.draw(st.integers(1, g.n - 1))
     k = data.draw(st.integers(3, max(3, g.n)))
+    # one query deep enough to narrow to the exact usable set
+    big = data.draw(twin_rich_graphs(min_n=9, max_n=10))
+    bu = data.draw(st.integers(0, big.n - 1))
+    bv = data.draw(st.integers(0, big.n - 1).filter(lambda x: x != bu))
+    blength = data.draw(st.integers(8, big.n - 1))
     queries = [
         lambda b: exists_path_of_length(g, u, v, length, budget=b),
         lambda b: has_cycle_of_length(g, k, budget=b),
+        lambda b: exists_path_of_length(big, bu, bv, blength, budget=b),
     ]
     leasts = []
     for search in queries:
@@ -295,3 +342,4 @@ def test_budget_is_exact(g, data):
         leasts.append(least)
     # only a query that runs no search at all gets by on budget 0
     assert leasts[0] >= 1 and (leasts[1] == 0) == (k > g.n or not g.edges)
+    assert leasts[2] >= 1

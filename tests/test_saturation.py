@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -184,6 +185,18 @@ def test_certificate_text_round_trip():
     parsed = Certificate.from_text(cert.to_text())
     assert parsed == cert
     assert parsed.validate(h.graph) == []
+
+
+def test_h1_certificates_at_k_11_12_are_pinned():
+    # certificates are promised bit for bit; these queries are the k = 11, 12
+    # paths deep enough for the kernel's exact usable sets
+    texts = [
+        is_saturated(build_h1(k, n).graph, k).certificate.to_text()
+        for k, n in ((11, 17), (12, 19), (12, 30))
+    ]
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+        "57011e85c581f4d674697f41d3ccc57f2e103969f6d816569a02b323175c4f08"
+    )
 
 
 @pytest.mark.parametrize(
