@@ -1,41 +1,59 @@
 """Exact-length simple path and cycle search.
 
 This is the single search kernel behind every verifier in the package:
-depth-first backtracking over simple paths, taking candidates in ascending
-vertex order, within the vertices a completion may still use, and four
-prunings on per-vertex bitmasks:
+depth-first backtracking over simple paths out of a source u, taking
+candidates in ascending vertex order, within the vertices a completion may
+still use.  One search looks for a whole target set T at once.  A path of
+the asked length that ends at a target of T records that target's witness,
+the target leaves T, and the search stops when T is empty.  A one-target
+search is a plain u-v query.  Four prunings act on per-vertex bitmasks:
 
-* distance: each query starts with one BFS out of the target v in G - u,
-  and a node with r edges left takes only candidates within r - 1 edges of
-  v there.  Every available set of the search lies inside V - u, so a
-  distance in G - u is a lower bound on any distance a completion can use,
-  and the filter drops only candidates with no completion;
+* distance: the search keeps one BFS out of the set T in G - u, rebuilt
+  only when T shrinks.  Its layer j is the union of the balls of radius j
+  around the targets, so a node with r edges left takes only candidates
+  within r - 1 edges of some target.  Every available set of the search
+  lies inside V - u, so a distance in G - u is a lower bound on any
+  distance a completion can use, and the filter drops only candidates with
+  no completion to an unfound target;
 * supply: at a node with r >= 8, a branch dies when the usable vertices
-  (reachable from both ends within the budget) cannot fill the path;
-* twin skipping: once candidate w fails, a later candidate x at the same
-  node with N(x) - {w} = N(w) - {x} is dropped.  Swapping w and x is an
-  automorphism of the graph that fixes the current vertex, the target and
-  the available set, so it maps any completion through x onto one through w;
+  (reachable from the current vertex and from the nearest available target
+  within the budget, found by one BFS out of the target mask) cannot fill
+  the path;
+* twin skipping: once candidate w fails (T did not change while its
+  subtree ran), a later candidate x at the same node with
+  N(x) - {w} = N(w) - {x} is dropped when w and x are both in T or both
+  out of it.  Swapping w and x is then an automorphism of the graph that
+  fixes the current vertex, the available set and T as a set, so it maps
+  any completion through x to a target of T onto one through w;
 * edge retirement: when ``has_cycle_of_length`` finds no path closing the
   edge uv, no k-cycle passes through uv in this graph or any subgraph of
   it, so uv stays out of the graph for the later edges.
 
-Each pruning removes only branches without a valid completion, and a DFS
-that takes candidates in ascending order and prunes only such branches
-returns the lexicographically first valid path.  Likewise the first edge
-in ``G.edges`` order that closes a k-cycle is the same with or without
-retirement.  So the witnesses do not depend on which prunings run.
+A target may be interior to a path to another target, except that the
+only target of T still available on a branch is never taken as a
+candidate there.  At r = 1 and r = 2 each target still in T and available
+is tested in closed form: an adjacent target, or the least available
+common neighbour.
+
+Each pruning removes only branches without a completion to a target still
+in T, and T only shrinks.  The DFS lists paths in lexicographic order, so
+the first path it reaches a target by is that target's lexicographically
+first path, whatever the other targets are.  Likewise the first edge in
+``G.edges`` order that closes a k-cycle is the same with or without
+retirement.  So the witnesses do not depend on which prunings run.  With
+one target every step above is that of a plain u-v query, expansion for
+expansion.
 
 Two more steps make the usable set U, the vertices y with d(cur, y) +
-d(y, target) <= r for budget r, cheap and change no answer.  Scope
-narrowing: a node with r >= 8 hands each child w only U - {w}.  A vertex on
-a valid completion through w meets that bound, and so does one on a
-shortest path from w, or from the target, to a vertex usable at w; so the
-child's completions, usable set and target distance stay the same.
-Target-first BFS: the BFS out of cur keeps layer d only within r - d of the
-target.  The predecessor of a usable vertex on a shortest path from cur is
-usable too, so every usable vertex is still reached at its true distance,
-and no other vertex passes the filter.
+d(y, T) <= r for budget r, cheap and change no answer.  Scope narrowing: a
+node with r >= 8 hands each child w only U - {w}.  A vertex on a valid
+completion through w meets that bound, and so does one on a shortest path
+from w, or from T, to a vertex usable at w; so the child's completions,
+usable set and target distances stay the same.  Target-first BFS: the BFS
+out of cur keeps layer d only within r - d of T.  The predecessor of a
+usable vertex on a shortest path from cur is usable too, so every usable
+vertex is still reached at its true distance, and no other vertex passes
+the filter.
 
 U costs two BFS passes per node, and on shallow branches the distance
 filter prunes nearly as much for one AND.  On the ``h1`` sweep for
@@ -45,6 +63,12 @@ deep branches of the k = 11, 12 queries need U.  From r >= 7 it is a few
 percent faster, but certifying random greedy C_k-saturated graphs for
 k = 5, 6, 8 takes a fifth longer, as every k = 8 cycle search then
 computes U at its root.
+
+The distance filter starts at length 4.  Lengths 1 and 2 answer at the
+root and never read it.  At length 3 the BFS out of T costs more than the
+closed-form children it saves: on the 801 length-3 queries of
+``exact_min(8, 4, "sat")`` skipping it spends 1,785 expansions instead of
+1,397, yet runs those queries about 15% faster (CPython 3.11).
 
 Witnesses are plain vertex tuples: a path lists its vertices from one end
 to the other, and a k-cycle lists its k vertices in cyclic order with the
@@ -63,6 +87,9 @@ from .graphs import Graph, _bfs_layers
 
 # The budget when a caller passes None; a budget of 0 allows no expansion.
 DEFAULT_EXPANSION_BUDGET = 10**8
+
+# The least query length whose search builds the target-distance filter.
+_NEAR_FROM = 4
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -95,21 +122,25 @@ def _within(adj: Sequence[int], start: int, avail: int, depth: int) -> list[int]
             nxt |= adj[low.bit_length() - 1]
             m ^= low
         frontier = nxt & avail & ~seen
+        if not frontier:
+            within += [seen] * (depth + 1 - len(within))
+            break
         seen |= frontier
         within.append(seen)
     return within
 
 
-def _usable(adj: Sequence[int], avail: int, cur: int, target: int, remaining: int):
+def _usable(adj: Sequence[int], avail: int, cur: int, targets: int, remaining: int):
     """Vertices usable by some completion of the current branch.
 
     Returns the mask of the vertices whose distances from ``cur`` and to
-    ``target`` through ``avail`` (which holds ``target`` but not ``cur``)
-    sum to at most ``remaining``; 0 means the target is farther than that.
+    the nearest of ``targets`` through ``avail`` (which holds ``targets``
+    but not ``cur``) sum to at most ``remaining``; 0 means every target is
+    farther than that.
     """
-    within = _within(adj, 1 << target, avail, remaining - 1)
+    within = _within(adj, targets, avail, remaining - 1)
     # BFS out of cur keeping layer d inside within[remaining - d]; within[j] never
-    # holds cur, so seen ends as the usable set (empty: the target is too far).
+    # holds cur, so seen ends as the usable set (empty: the targets are too far).
     seen = 0
     frontier = 1 << cur
     for j in range(remaining - 1, -1, -1):
@@ -126,67 +157,128 @@ def _usable(adj: Sequence[int], avail: int, cur: int, target: int, remaining: in
     return seen
 
 
-def _search_path(
-    adj: Sequence[int], n: int, u: int, v: int, length: int, left: int
-) -> tuple[tuple[int, ...] | None, int]:
-    """The first u-v path of ``length`` edges (or None), and the expansions left.
+def _aim(adj: Sequence[int], todo: int, full: int, length: int):
+    """The filters of a search out of u for the targets ``todo``; ``full`` is V - u.
 
-    Raises SearchBudgetExceeded when the search needs more than ``left``.
+    Returns ``beside``, the vertices adjacent to a target, and ``near``,
+    whose entry j holds the vertices within j edges of a target in G - u.
+    Every available set of the search lies inside V - u, so these
+    distances bound those a completion can use.  Below length
+    ``_NEAR_FROM``, ``near`` filters nothing.
     """
-    tbit = 1 << v
+    beside = 0
+    rest = todo
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        beside |= adj[low.bit_length() - 1]
+    if length < _NEAR_FROM:
+        return beside, [full] * length
+    return beside, _within(adj, todo, full, length - 1)
+
+
+def _search_path(
+    adj: Sequence[int], n: int, u: int, targets: int, length: int, left: int
+) -> tuple[dict[int, tuple[int, ...]], int]:
+    """The first path of ``length`` edges from u to each of ``targets``, and the expansions left.
+
+    ``targets`` is a non-empty mask of vertices other than u.  The dict maps
+    each target that some such path reaches to the lexicographically first
+    one; a target with no such path is missing from it.  Raises
+    SearchBudgetExceeded when the search needs more than ``left``.
+    """
+    found: dict[int, tuple[int, ...]] = {}
     path = [u]
     full = ((1 << n) - 1) ^ (1 << u)
-    # near[j]: the vertices within j edges of v in G - u.  Every avail below
-    # lies inside V - u, so these distances bound those a completion can use.
-    near = _within(adj, tbit, full, length - 1)
+    todo = targets  # the targets not found yet
+    beside, near = _aim(adj, todo, full, length)
 
     def rec(cur: int, avail: int, remaining: int) -> bool:
-        nonlocal left
+        # Whether a target was found under this node.
+        nonlocal left, todo, beside, near
         left -= 1
         if left < 0:
             raise SearchBudgetExceeded("node expansion budget exhausted")
-        if remaining == 1:
-            if adj[cur] & tbit:
-                path.append(v)
-                return True
-            return False
-        if remaining == 2:
-            # Midpoint in closed form: any available common neighbor.
-            mids = adj[cur] & adj[v] & avail & ~tbit
-            if mids:
-                w = (mids & -mids).bit_length() - 1
-                path.append(w)
-                path.append(v)
-                return True
-            return False
+        if remaining <= 2:
+            if remaining == 1:
+                hits = adj[cur] & todo & avail
+                m = hits
+                while m:
+                    low = m & -m
+                    m ^= low
+                    t = low.bit_length() - 1
+                    found[t] = (*path, t)
+            else:
+                # Midpoints in closed form: each available target takes the
+                # least available common neighbor.
+                mids = adj[cur] & avail & beside
+                if not mids:
+                    return False
+                live = todo & avail
+                hits = 0
+                while mids:
+                    low = mids & -mids
+                    mids ^= low
+                    w = low.bit_length() - 1
+                    ends = adj[w] & live & ~hits
+                    if ends:
+                        hits |= ends
+                        while ends:
+                            tbit = ends & -ends
+                            ends ^= tbit
+                            t = tbit.bit_length() - 1
+                            found[t] = (*path, w, t)
+                        if hits == live:
+                            break
+            if not hits:
+                return False
+            todo ^= hits
+            if todo:
+                beside, near = _aim(adj, todo, full, length)
+            return True
         if remaining >= 8:
             # Two BFS passes pay off only on deep branches (the module
             # docstring has the measurements); the children search inside
             # the usable set.
-            avail = _usable(adj, avail, cur, v, remaining)
+            avail = _usable(adj, avail, cur, todo & avail, remaining)
             if avail.bit_count() < remaining:
                 return False
-        m = adj[cur] & avail & near[remaining - 1] & ~tbit
+        # lone: the one target this branch can still end at, if only one is
+        # left; it cannot be interior
+        live = todo & avail
+        m = adj[cur] & avail & near[remaining - 1] & ~(0 if live & (live - 1) else live)
+        got = False
         while m:
             low = m & -m
             m ^= low
             w = low.bit_length() - 1
             path.append(w)
             if rec(w, avail ^ low, remaining - 1):
-                return True
+                if not todo:
+                    return True
+                # Targets were found under w: filter by those left.
+                path.pop()
+                got = True
+                live = todo & avail
+                if not live:
+                    return True
+                m &= near[remaining - 1] & ~(0 if live & (live - 1) else live)
+                continue
             path.pop()
-            # w failed, so every later twin of w fails too: drop them.
+            # w failed, so every later twin x of w whose swap with w fixes
+            # the targets fails too: drop them.
             aw = adj[w]
             rest = m
             while rest:
                 xbit = rest & -rest
                 rest ^= xbit
-                if not (adj[xbit.bit_length() - 1] ^ aw) & ~(low | xbit):
+                pair = low | xbit
+                if not (adj[xbit.bit_length() - 1] ^ aw) & ~pair and (todo & pair) in (0, pair):
                     m ^= xbit
-        return False
+        return got
 
-    found = rec(u, full, length)
-    return (tuple(path) if found else None), left
+    rec(u, full, length)
+    return found, left
 
 
 def exists_path_of_length(
@@ -211,7 +303,7 @@ def exists_path_of_length(
         raise ValueError(f"path length must be positive, got {length}")
     if length > G.n - 1:
         return None
-    return _search_path(G.adj, G.n, u, v, length, left)[0]
+    return _search_path(G.adj, G.n, u, 1 << v, length, left)[0].get(v)
 
 
 def has_cycle_of_length(G: Graph, k: int, budget: int | None = None) -> tuple[int, ...] | None:
@@ -236,9 +328,9 @@ def has_cycle_of_length(G: Graph, k: int, budget: int | None = None) -> tuple[in
     for u, v in G.edges:
         adj[u] ^= 1 << v
         adj[v] ^= 1 << u
-        found, left = _search_path(adj, G.n, u, v, k - 1, left)
-        if found is not None:
-            return found
+        found, left = _search_path(adj, G.n, u, 1 << v, k - 1, left)
+        if found:
+            return found[v]
     return None
 
 

@@ -179,25 +179,60 @@ def is_ck_free(G: Graph, k: int) -> SaturationVerdict:
     return SaturationVerdict(found is None, cycle=found)
 
 
+# The longest path length whose non-edges one search per source answers.
+# On the h1 sweep of acceptance criterion 1 (t = 1..5, all r), per-source
+# searches spend half the expansions of one query per non-edge at k = 10
+# and a quarter fewer at k = 11; at k = 12 they spend as many, in a
+# seventh less time.  At k = 13 they spend an eighth more and take a sixth
+# longer: the distance filter and the usable set measure to the nearest
+# unfound target, so deep branches live while any target is near.
+_PER_SOURCE_UPTO = 11
+
+
+def _nonedge_paths(G: Graph, length: int):
+    """Each non-edge (u, v), u < v, in order, with its first path of ``length`` edges.
+
+    Yields ``(u, v, path)``, path None when u and v have no such path.  Up
+    to length ``_PER_SOURCE_UPTO``, one search out of each u, with the
+    default budget, answers all its v.  A u with a single v, and every
+    non-edge of a longer length, asks ``exists_path_of_length``: one
+    non-edge at a time, lazily.
+    """
+    full = (1 << G.n) - 1
+    for u in range(G.n):
+        later = full & ~G.adj[u] & ~((2 << u) - 1)
+        if later & (later - 1) and length <= _PER_SOURCE_UPTO:
+            found = _search_path(G.adj, G.n, u, later, length, DEFAULT_EXPANSION_BUDGET)[0]
+            for v in _iter_bits(later):
+                yield u, v, found.get(v)
+        else:
+            for v in _iter_bits(later):
+                yield u, v, exists_path_of_length(G, u, v, length)
+
+
 def is_semisaturated(G: Graph, k: int, want_certificate: bool = True) -> SaturationVerdict:
     """Every non-edge uv admits a u-v path of exactly k-1 edges.
 
-    Fails fast on the first (lexicographically) failing non-edge.  With
-    ``want_certificate`` the witness cycles for all non-edges are collected.
+    Fails on the first (lexicographically) failing non-edge.  Verdicts and
+    certificates take one route (``_nonedge_paths``).  Up to k = 12, one
+    path search out of each u answers every non-edge uv with v > u at
+    once, and a failing check stops after the first u that has a failing
+    non-edge.  From k = 13, each non-edge is one query, and a failing check
+    stops at it.  Each search has the default expansion budget.  With
+    ``want_certificate`` the witness paths of all non-edges are kept.
     """
     if k < 3:
         raise ValueError(f"cycle length must be at least 3, got {k}")
     if G.n < k:
         raise TooFewVertices(f"impossible: {G.n} vertices cannot host a {k}-cycle")
     per: dict[tuple[int, int], tuple[int, ...]] = {}
-    for u, v in G.non_edges():
-        path = exists_path_of_length(G, u, v, k - 1)
+    for u, v, path in _nonedge_paths(G, k - 1):
         if path is None:
             return SaturationVerdict(False, failing_nonedge=(u, v))
-        if want_certificate:
-            per[(u, v)] = path
-    cert = Certificate(G.n, k, "semisaturated", per) if want_certificate else None
-    return SaturationVerdict(True, certificate=cert)
+        per[(u, v)] = path
+    if not want_certificate:
+        return SaturationVerdict(True)
+    return SaturationVerdict(True, certificate=Certificate(G.n, k, "semisaturated", per))
 
 
 def is_saturated(G: Graph, k: int, want_certificate: bool = True) -> SaturationVerdict:
@@ -337,8 +372,8 @@ def check_structure(
                     Violation("ii", f"leaf neighbor {w} has degree {G.degree(w)}")
                 )
         elif check == "iii":
-            scan = G.non_edges() if x_sorted and G.n > k else []
-            pathless = [e for e in scan if exists_path_of_length(G, *e, k - 1) is None]
+            scan = _nonedge_paths(G, k - 1) if x_sorted and G.n > k else ()
+            pathless = [(u, v) for u, v, path in scan if path is None]
             for v in x_sorted:
                 if G.n <= k:
                     violations.append(
@@ -441,7 +476,7 @@ def greedy_saturate(n: int, k: int, edge_order: Iterable[tuple[int, int]]) -> Gr
     adj = [0] * n
     kept = []
     for u, v in order:
-        if _search_path(adj, n, u, v, k - 1, DEFAULT_EXPANSION_BUDGET)[0] is None:
+        if not _search_path(adj, n, u, 1 << v, k - 1, DEFAULT_EXPANSION_BUDGET)[0]:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             kept.append((u, v))

@@ -2,7 +2,10 @@
 
 The reference implementations here are deliberately naive (permutation
 scans, bitmask sweeps) so they stay independent of the search kernel and
-canonical-labeling code they are used to check.
+canonical-labeling code they are used to check.  The subset DP
+``dp_first_path`` is the one fast reference: it reaches n = 9..12, where
+the permutation scan is too slow, and is checked against that scan for
+n <= 8.
 """
 
 from __future__ import annotations
@@ -58,10 +61,12 @@ def is_cycle_in(G: Graph, cycle: tuple[int, ...]) -> bool:
 
 @st.composite
 def graphs(draw, min_n: int = 0, max_n: int = 8) -> Graph:
+    """Graphs of every density: a density d/8 is drawn, then each pair is an
+    edge with that chance.  Shrinking lowers d or drops single edges."""
     n = draw(st.integers(min_n, max_n))
-    pairs = list(itertools.combinations(range(n), 2))
-    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
-    return Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+    d = draw(st.integers(0, 8))
+    pairs = itertools.combinations(range(n), 2)
+    return Graph(n, [p for p in pairs if draw(st.integers(0, 7)) >= 8 - d])
 
 
 @st.composite
@@ -110,26 +115,81 @@ def naive_first_path(G: Graph, u: int, v: int, length: int) -> tuple[int, ...] |
     return None
 
 
-def naive_first_cycle(G: Graph, k: int) -> tuple[int, ...] | None:
+def naive_first_cycle(G: Graph, k: int, first_path=naive_first_path) -> tuple[int, ...] | None:
     """The first edge uv of ``G.edges`` on a k-cycle, closing the least u-v path of G - uv."""
     for u, v in G.edges:
-        seq = naive_first_path(without_edge(G, u, v), u, v, k - 1)
+        seq = first_path(without_edge(G, u, v), u, v, k - 1)
         if seq is not None:
             return seq
     return None
 
 
-def naive_usable(adj, avail: int, cur: int, target: int, remaining: int):
+def _hamiltonian_ends(G: Graph, v: int) -> list[int]:
+    """Held-Karp table: entry S (a vertex set holding v) is the mask of the x
+    from which a path through exactly the vertices of S ends at v."""
+    ends = [0] * (1 << G.n)
+    vbit = 1 << v
+    ends[vbit] = vbit
+    # every proper subset of S is a smaller number, so it is filled first
+    for mask in range(1 << G.n):
+        if mask & vbit and mask != vbit:
+            for x in range(G.n):
+                xbit = 1 << x
+                if x != v and mask & xbit and G.adj[x] & ends[mask ^ xbit]:
+                    ends[mask] |= xbit
+    return ends
+
+
+def dp_first_path(G: Graph, u: int, v: int, length: int) -> tuple[int, ...] | None:
+    """The lexicographically least u-v path with ``length`` edges, by subset DP.
+
+    The path grows from u one vertex at a time, taking the least neighbour
+    w of its end from which some set of vertices off the path carries a
+    w-v path with the edges still needed.  Fast enough for n <= 12, and
+    shares nothing with the search kernel.
+    """
+    if length > G.n - 1:
+        return None
+    ends = _hamiltonian_ends(G, v)
+    vbit = 1 << v
+    path = [u]
+    off = ((1 << G.n) - 1) ^ (1 << u) ^ vbit  # vertices off the path, v aside
+    for r in range(length, 0, -1):
+        # starts: the w beginning a w-v path of r - 1 edges on vertices off the path
+        starts = 0
+        sub = off
+        while True:
+            if sub.bit_count() == r - 1:
+                starts |= ends[sub | vbit]
+            if not sub:
+                break
+            sub = (sub - 1) & off
+        step = G.adj[path[-1]] & starts
+        if not step:
+            return None
+        w = (step & -step).bit_length() - 1
+        path.append(w)
+        off &= ~(1 << w)
+    return tuple(path)
+
+
+def dp_first_cycle(G: Graph, k: int) -> tuple[int, ...] | None:
+    """``naive_first_cycle`` with the subset DP for each edge's path."""
+    return naive_first_cycle(G, k, dp_first_path)
+
+
+def naive_usable(adj, avail: int, cur: int, targets: int, remaining: int):
     """The usable set of ``cycles._usable``, by definition.
 
-    Plain BFS distance maps from ``cur`` and from ``target`` inside ``avail``;
-    the usable vertices are those x != cur with d_cur(x) + d_t(x) <= remaining,
-    and there are none when the target is unreachable or farther than that.
+    Plain BFS distance maps from ``cur`` and from the set ``targets`` inside
+    ``avail``; the usable vertices are those x != cur with d_cur(x) +
+    d_T(x) <= remaining.  There are none when every target is unreachable
+    or farther than that, as a target is usable when any vertex is.
     """
 
-    def distances(source: int) -> dict[int, int]:
-        dist = {source: 0}
-        queue = [source]
+    def distances(sources: list[int]) -> dict[int, int]:
+        dist = dict.fromkeys(sources, 0)
+        queue = list(sources)
         for x in queue:
             for y in range(len(adj)):
                 if adj[x] >> y & 1 and avail >> y & 1 and y not in dist:
@@ -137,9 +197,8 @@ def naive_usable(adj, avail: int, cur: int, target: int, remaining: int):
                     queue.append(y)
         return dist
 
-    d_cur, d_t = distances(cur), distances(target)
-    if target not in d_cur or d_cur[target] > remaining:
-        return 0
+    d_cur = distances([cur])
+    d_t = distances([t for t in range(len(adj)) if targets >> t & 1])
     usable = 0
     for x, d in d_cur.items():
         if x != cur and x in d_t and d + d_t[x] <= remaining:
@@ -372,3 +431,13 @@ def star_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     return Graph(n, list(itertools.combinations(range(n), 2)))
+
+
+def petersen_graph() -> Graph:
+    """Outer 5-cycle, inner pentagram, spokes."""
+    return Graph(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, 5 + i) for i in range(5)],
+    )

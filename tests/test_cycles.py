@@ -1,13 +1,15 @@
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     complement,
     complete_graph,
     cycle_graph,
+    dp_first_cycle,
+    dp_first_path,
     graphs,
     is_cycle_in,
     is_path_in,
@@ -17,12 +19,16 @@ from conftest import (
     naive_path_exists,
     naive_usable,
     path_graph,
+    petersen_graph,
     twin_rich_graphs,
     with_edge,
     without_edge,
 )
+from cyclesat.codec import graph6_decode
 from cyclesat.cycles import (
+    DEFAULT_EXPANSION_BUDGET,
     SearchBudgetExceeded,
+    _search_path,
     _usable,
     exists_path_of_length,
     has_cycle_of_length,
@@ -234,34 +240,130 @@ def test_witnesses_are_lexicographically_first(g):
     _assert_naive_witnesses(g)
 
 
-def _assert_deep_witnesses(g, data):
-    # lengths >= 8 reach the nodes that narrow to the exact usable set
+@st.composite
+def deep_queries(draw, graph_strategy):
+    """A graph with two path queries and one cycle query deep enough (path
+    length >= 8, cycle length >= 9) to narrow to the exact usable set."""
+    g = draw(graph_strategy)
+    paths = []
     for _ in range(2):
+        u = draw(st.integers(0, g.n - 1))
+        v = draw(st.integers(0, g.n - 1).filter(lambda x: x != u))
+        paths.append((u, v, draw(st.integers(8, g.n - 1))))
+    return g, paths, draw(st.integers(9, g.n))
+
+
+def _assert_deep_witnesses(g, paths, k):
+    # the subset DP stands in for the permutation scan, which is too slow here
+    for u, v, length in paths:
+        assert exists_path_of_length(g, u, v, length) == dp_first_path(g, u, v, length)
+    assert has_cycle_of_length(g, k) == dp_first_cycle(g, k)
+
+
+# The complements of the twin-rich graphs, in which twins stay twins, supply
+# the dense cases where deep paths exist.
+@given(
+    deep_queries(
+        st.one_of(
+            twin_rich_graphs(min_n=9, max_n=10),
+            twin_rich_graphs(min_n=9, max_n=10).map(complement),
+        )
+    )
+)
+@settings(max_examples=20, deadline=None)
+def test_twin_rich_deep_witnesses_are_lexicographically_first(query):
+    _assert_deep_witnesses(*query)
+
+
+# Sparse shapes, and the dense complement of one, as the graph strategy drew
+# them when it drew one integer edge mask.
+SPARSE_10 = Graph(10, [(0, 4), (1, 7), (2, 9), (3, 8), (5, 6), (6, 9)])
+
+
+@given(
+    deep_queries(st.one_of(graphs(min_n=9, max_n=10), graphs(min_n=9, max_n=10).map(complement)))
+)
+@example((Graph(9, []), [(0, 8, 8), (3, 5, 8)], 9))
+@example((SPARSE_10, [(0, 4, 9), (6, 9, 8)], 10))
+@example((complement(SPARSE_10), [(0, 4, 9), (6, 9, 8)], 10))
+@settings(max_examples=20, deadline=None)
+def test_deep_witnesses_are_lexicographically_first(query):
+    _assert_deep_witnesses(*query)
+
+
+@given(st.one_of(graphs(min_n=2), twin_rich_graphs()), st.data())
+@settings(max_examples=100, deadline=None)
+def test_subset_dp_matches_the_permutation_scan(g, data):
+    # the fast reference agrees with the slow one wherever both can run
+    assume(g.n >= 2)
+    for _ in range(3):
         u = data.draw(st.integers(0, g.n - 1))
         v = data.draw(st.integers(0, g.n - 1).filter(lambda x: x != u))
-        length = data.draw(st.integers(8, g.n - 1))
-        assert exists_path_of_length(g, u, v, length) == naive_first_path(g, u, v, length)
-    k = data.draw(st.integers(9, g.n))
-    assert has_cycle_of_length(g, k) == naive_first_cycle(g, k)
+        length = data.draw(st.integers(1, g.n))
+        assert dp_first_path(g, u, v, length) == naive_first_path(g, u, v, length)
+    k = data.draw(st.integers(3, max(3, g.n)))
+    assert dp_first_cycle(g, k) == naive_first_cycle(g, k)
 
 
-# The drawn graphs run sparse, so their complements, in which twins stay
-# twins, supply the dense cases where deep paths exist.
+def _first_paths(g, u, targets, length):
+    """The target-mask search's answer, by one single-target query each."""
+    found = {}
+    for v in range(g.n):
+        if targets >> v & 1:
+            path = exists_path_of_length(g, u, v, length)
+            if path is not None:
+                found[v] = path
+    return found
+
+
+def _search_all(g, u, targets, length, budget=DEFAULT_EXPANSION_BUDGET):
+    return _search_path(g.adj, g.n, u, targets, length, budget)[0]
+
+
 @given(
     st.one_of(
-        twin_rich_graphs(min_n=9, max_n=10), twin_rich_graphs(min_n=9, max_n=10).map(complement)
+        graphs(min_n=2, max_n=10),
+        graphs(min_n=2, max_n=10).map(complement),
+        twin_rich_graphs(max_n=10),
+        twin_rich_graphs(max_n=10).map(complement),
     ),
     st.data(),
 )
-@settings(max_examples=20, deadline=None)
-def test_twin_rich_deep_witnesses_are_lexicographically_first(g, data):
-    _assert_deep_witnesses(g, data)
+@settings(max_examples=150, deadline=None)
+def test_target_mask_search_matches_single_queries(g, data):
+    # each target's witness is its own lexicographically first path, bit for
+    # bit, whatever else is in the mask: per target, and by the subset DP
+    assume(g.n >= 2)
+    u = data.draw(st.integers(0, g.n - 1))
+    others = ((1 << g.n) - 1) ^ (1 << u)
+    targets = data.draw(st.integers(1, (1 << g.n) - 1).map(lambda t: t & others).filter(bool))
+    for length in range(1, g.n):
+        found = _search_all(g, u, targets, length)
+        assert found == _first_paths(g, u, targets, length)
+        for v, path in found.items():
+            assert path == dp_first_path(g, u, v, length)
 
 
-@given(st.one_of(graphs(min_n=9, max_n=10), graphs(min_n=9, max_n=10).map(complement)), st.data())
-@settings(max_examples=20, deadline=None)
-def test_deep_witnesses_are_lexicographically_first(g, data):
-    _assert_deep_witnesses(g, data)
+def test_twin_skip_keeps_a_later_twin_outside_the_targets():
+    # K_{2,3} with parts {0, 3} and {1, 2, 4}, searched from 4 for 0 and
+    # the twins 1 and 2.  Candidate 0 fails as an interior vertex, but its
+    # twin 3 is no target: swapping them moves the target set, and the only
+    # path, 4 3 1 0, runs through 3.
+    g = Graph(5, [(0, 1), (0, 2), (0, 4), (1, 3), (2, 3), (3, 4)])
+    assert _search_all(g, 4, 0b00111, 3) == {0: (4, 3, 1, 0)}
+
+
+def test_twin_skip_with_found_twins_among_the_targets():
+    # K_{3,3} with parts {1, 4, 5} and {2, 3, 6}, plus a spike 0 on 4, as
+    # is_semisaturated searches it at k = 7: from 0, for every later
+    # non-neighbour at once.  The twins 3 and 6 are found before 2, and
+    # once out of the targets they must not stand in for 2 in a swap.
+    g = Graph(7, [(0, 4), (1, 2), (1, 3), (1, 6), (2, 4), (2, 5), (3, 4), (3, 5), (4, 6), (5, 6)])
+    assert _search_all(g, 0, 0b1101110, 6) == {
+        2: (0, 4, 3, 1, 6, 5, 2),
+        3: (0, 4, 2, 1, 6, 5, 3),
+        6: (0, 4, 2, 1, 3, 5, 6),
+    }
 
 
 @given(twin_rich_graphs(max_n=9))
@@ -292,14 +394,16 @@ def test_budget_generous_enough_succeeds():
 @given(st.one_of(graphs(min_n=2), twin_rich_graphs()), st.data())
 @settings(max_examples=300, deadline=None)
 def test_usable_matches_distance_definition(g, data):
-    # the target-first pruned BFS gives exactly the distance-sum definition
+    # the target-first pruned BFS out of a target set gives exactly the
+    # distance-sum definition, with the distance to the nearest target
     assume(g.n >= 2)
     cur = data.draw(st.integers(0, g.n - 1))
     target = data.draw(st.integers(0, g.n - 1).filter(lambda x: x != cur))
-    avail = (data.draw(st.integers(0, (1 << g.n) - 1)) | 1 << target) & ~(1 << cur)
+    targets = (data.draw(st.integers(0, (1 << g.n) - 1)) | 1 << target) & ~(1 << cur)
+    avail = (data.draw(st.integers(0, (1 << g.n) - 1)) | targets) & ~(1 << cur)
     remaining = data.draw(st.integers(1, g.n))
-    want = naive_usable(g.adj, avail, cur, target, remaining)
-    assert _usable(g.adj, avail, cur, target, remaining) == want
+    want = naive_usable(g.adj, avail, cur, targets, remaining)
+    assert _usable(g.adj, avail, cur, targets, remaining) == want
 
 
 def _least_sufficient_budget(search):
@@ -326,10 +430,13 @@ def test_budget_is_exact(g, data):
     bu = data.draw(st.integers(0, big.n - 1))
     bv = data.draw(st.integers(0, big.n - 1).filter(lambda x: x != bu))
     blength = data.draw(st.integers(8, big.n - 1))
+    # and one search for a set of targets, as the certificates run it
+    targets = (data.draw(st.integers(0, (1 << g.n) - 1)) | 1 << v) & ~(1 << u)
     queries = [
         lambda b: exists_path_of_length(g, u, v, length, budget=b),
         lambda b: has_cycle_of_length(g, k, budget=b),
         lambda b: exists_path_of_length(big, bu, bv, blength, budget=b),
+        lambda b: _search_all(g, u, targets, length, DEFAULT_EXPANSION_BUDGET if b is None else b),
     ]
     leasts = []
     for search in queries:
@@ -342,4 +449,54 @@ def test_budget_is_exact(g, data):
         leasts.append(least)
     # only a query that runs no search at all gets by on budget 0
     assert leasts[0] >= 1 and (leasts[1] == 0) == (k > g.n or not g.edges)
-    assert leasts[2] >= 1
+    assert leasts[2] >= 1 and leasts[3] >= 1
+
+
+# A sparse graph as greedy_saturate(16, 8, ...) leaves it; (13, 14) is an edge.
+GREEDY_16 = graph6_decode("O`??H_HKUV?O@bKSEIMDS")
+
+
+# Least sufficient budgets of single queries, measured before the kernel
+# took a target set: a one-target search must do exactly that work.
+@pytest.mark.parametrize(
+    "search,least,answer",
+    [
+        (
+            lambda b: exists_path_of_length(build_h1(12, 58).graph, 0, 4, 11, budget=b),
+            47_271,
+            (0, 18, 19, 20, 21, 22, 23, 24, 25, 1, 2, 4),
+        ),
+        (
+            lambda b: exists_path_of_length(build_h1(12, 58).graph, 17, 22, 11, budget=b),
+            68,
+            (17, 10, 2, 4, 3, 1, 0, 18, 19, 20, 21, 22),
+        ),
+        (
+            lambda b: exists_path_of_length(build_h1(12, 58).graph, 55, 57, 11, budget=b),
+            22,
+            (55, 54, 53, 52, 51, 50, 0, 2, 4, 3, 1, 57),
+        ),
+        (
+            lambda b: has_cycle_of_length(petersen_graph(), 9, budget=b),
+            7,
+            (0, 4, 3, 2, 7, 5, 8, 6, 1),
+        ),
+        (lambda b: has_cycle_of_length(petersen_graph(), 7, budget=b), 77, None),
+        (lambda b: has_cycle_of_length(petersen_graph(), 10, budget=b), 132, None),
+        (
+            lambda b: exists_path_of_length(without_edge(GREEDY_16, 13, 14), 13, 14, 7, budget=b),
+            66,
+            None,
+        ),
+        (
+            lambda b: exists_path_of_length(GREEDY_16, 0, 2, 7, budget=b),
+            6,
+            (0, 1, 10, 4, 8, 7, 3, 2),
+        ),
+        (lambda b: exists_path_of_length(heawood_graph(), 0, 2, 13, budget=b), 363, None),
+    ],
+)
+def test_single_target_work_is_pinned(search, least, answer):
+    assert search(least) == answer
+    with pytest.raises(SearchBudgetExceeded):
+        search(least - 1)

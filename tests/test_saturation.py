@@ -6,20 +6,26 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     cached_levels,
+    complement,
     complete_graph,
     cycle_graph,
     decoded,
     graphs,
     is_cycle_in,
+    naive_first_path,
     naive_is_saturated,
     naive_is_semisaturated,
     path_graph,
+    petersen_graph,
     star_graph,
+    twin_rich_graphs,
     with_edge,
 )
+from cyclesat import saturation
 from cyclesat.codec import graph6_decode, graph6_encode
 from cyclesat.cycles import exists_path_of_length
 from cyclesat.families import build_h1, build_h3, build_wheel
@@ -137,12 +143,7 @@ def test_h1_is_saturated_with_sound_certificate():
 # The Petersen graph: outer 5-cycle, inner pentagram, spokes.  It has no
 # Hamiltonian cycle, and adding any non-edge creates one (it is maximally
 # non-Hamiltonian; Clark and Entringer, Period. Math. Hungar. 1983).
-PETERSEN = Graph(
-    10,
-    [(i, (i + 1) % 5) for i in range(5)]
-    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    + [(i, 5 + i) for i in range(5)],
-)
+PETERSEN = petersen_graph()
 
 
 def test_petersen_is_c10_saturated():
@@ -177,6 +178,65 @@ def test_agrees_with_naive_definition_checker(g):
 
 
 # -- certificates -------------------------------------------------------------
+
+
+def _scan(g: Graph, k: int):
+    """The first non-edge with no path of k - 1 edges (or None), and the
+    paths of the non-edges before it: one single query per non-edge."""
+    per = {}
+    for u, v in g.non_edges():
+        path = exists_path_of_length(g, u, v, k - 1)
+        if path is None:
+            return (u, v), per
+        per[(u, v)] = path
+    return None, per
+
+
+def _with_complements(strategy):
+    return st.one_of(strategy, strategy.map(complement))
+
+
+@given(_with_complements(st.one_of(graphs(min_n=3, max_n=10), twin_rich_graphs(max_n=10))))
+@settings(max_examples=120, deadline=None)
+def test_certificates_match_a_per_nonedge_scan(g):
+    # one search per source vertex gives the certificate and the failing
+    # non-edge of one query per non-edge, and so does the verdict alone
+    for k in range(3, g.n + 1):
+        failing, per = _scan(g, k)
+        semi = is_semisaturated(g, k)
+        assert semi.failing_nonedge == failing
+        assert is_semisaturated(g, k, want_certificate=False).failing_nonedge == failing
+        sat = is_saturated(g, k)
+        assert sat.holds == (failing is None and is_ck_free(g, k).holds)
+        if failing is not None:
+            assert semi.certificate is None and sat.failing_nonedge == failing
+            continue
+        assert semi.certificate.per_nonedge == per
+        if sat.holds:
+            assert sat.certificate.per_nonedge == per
+        if g.n <= 8:
+            for (u, v), path in per.items():
+                assert path == naive_first_path(g, u, v, k - 1)
+
+
+@pytest.mark.parametrize("drop", [None, 0, 5])
+def test_per_source_and_per_nonedge_routes_agree(monkeypatch, drop):
+    # h1(13, 22), with one edge dropped or none: from k = 13 each non-edge is
+    # one query; forcing one search per source gives the same answers
+    g = build_h1(13, 22).graph
+    if drop is not None:
+        g = Graph(g.n, g.edges[:drop] + g.edges[drop + 1:])
+    failing, per = _scan(g, 13)
+    routes = []
+    for upto in (saturation._PER_SOURCE_UPTO, 12):
+        monkeypatch.setattr(saturation, "_PER_SOURCE_UPTO", upto)
+        semi = is_semisaturated(g, 13)
+        assert semi.failing_nonedge == failing
+        assert is_semisaturated(g, 13, want_certificate=False).failing_nonedge == failing
+        routes.append(semi.certificate)
+    assert routes[0] == routes[1]
+    if failing is None:
+        assert routes[0].per_nonedge == per
 
 
 def test_certificate_text_round_trip():
@@ -530,6 +590,27 @@ def test_structure_rejects_a_bare_string_of_checks():
     with pytest.raises(ValueError, match="the string 'iv'"):
         check_structure(g, 7, checks="iv")
     assert check_structure(g, 7, checks=("iv",)).checks_run == ("iv",)
+
+
+def _pair_scan_iii(g, k):
+    """Check iii's violations with one path query per non-edge of G."""
+    leaves = [v for v in range(g.n) if g.degree(v) == 1]
+    if g.n <= k:
+        return [f"removing leaf {v} drops below {k} vertices" for v in leaves]
+    pathless = [e for e in g.non_edges() if exists_path_of_length(g, *e, k - 1) is None]
+    return [
+        f"graph minus leaf {v} is not semisaturated"
+        for v in leaves
+        if any(v not in pair for pair in pathless)
+    ]
+
+
+@given(_with_complements(twin_rich_graphs(max_n=10)) | graphs(min_n=3, max_n=10))
+@settings(max_examples=120, deadline=None)
+def test_check_iii_matches_a_per_pair_scan(g):
+    for k in range(3, g.n + 2):
+        report = check_structure(g, k, checks=("iii",))
+        assert [v.detail for v in report.violations] == _pair_scan_iii(g, k)
 
 
 def _minus_vertex(g, v):
