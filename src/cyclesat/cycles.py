@@ -68,7 +68,10 @@ The distance filter starts at length 4.  Lengths 1 and 2 answer at the
 root and never read it.  At length 3 the BFS out of T costs more than the
 closed-form children it saves: on the 801 length-3 queries of
 ``exact_min(8, 4, "sat")`` skipping it spends 1,785 expansions instead of
-1,397, yet runs those queries about 15% faster (CPython 3.11).
+1,397, yet runs those queries about 15% faster (CPython 3.11).  The filter
+is rebuilt whenever T shrinks: a stale one, built for a superset of T,
+stays correct, but certifying the ``h1`` sweep (t = 1..5) then spends 41%
+more expansions at k = 10 and 31% more at k = 11.
 
 Witnesses are plain vertex tuples: a path lists its vertices from one end
 to the other, and a k-cycle lists its k vertices in cyclic order with the
@@ -83,7 +86,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import Graph, _bfs_layers
+from .graphs import Graph, _within
 
 # The budget when a caller passes None; a budget of 0 allows no expansion.
 DEFAULT_EXPANSION_BUDGET = 10**8
@@ -105,29 +108,10 @@ def _expansions(budget: int | None) -> int:
     return budget
 
 
-def _within(adj: Sequence[int], start: int, avail: int, depth: int) -> list[int]:
-    """Cumulative BFS layers out of the vertex set ``start`` inside ``avail``.
-
-    Entry j (j = 0..depth) holds the vertices within j edges of ``start``.
-    Not _bfs_layers: the kernel calls this per query and per search node,
-    where a generator measurably slows.
-    """
-    within = [start]
-    seen = frontier = start
-    for _ in range(depth):
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= adj[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & avail & ~seen
-        if not frontier:
-            within += [seen] * (depth + 1 - len(within))
-            break
-        seen |= frontier
-        within.append(seen)
-    return within
+def _check_cycle_length(k: int) -> None:
+    """Raise ValueError unless ``k`` is an int (not a bool) of at least 3."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 3:
+        raise ValueError(f"cycle length must be at least 3, got {k!r}")
 
 
 def _usable(adj: Sequence[int], avail: int, cur: int, targets: int, remaining: int):
@@ -292,9 +276,13 @@ def exists_path_of_length(
 
     ``budget`` caps the node expansions (None selects the default).  A bool,
     a non-int or a negative budget raises ValueError before anything else
-    is looked at; running out raises SearchBudgetExceeded.
+    is looked at, and a bool or non-int u, v or length does so next;
+    running out raises SearchBudgetExceeded.
     """
     left = _expansions(budget)
+    for name, x in (("u", u), ("v", v), ("length", length)):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ValueError(f"{name} must be an int, got {x!r}")
     if u == v:
         raise ValueError("path endpoints must be distinct")
     if not (0 <= u < G.n and 0 <= v < G.n):
@@ -320,8 +308,7 @@ def has_cycle_of_length(G: Graph, k: int, budget: int | None = None) -> tuple[in
     ``budget``, checked as in ``exists_path_of_length``.
     """
     left = _expansions(budget)  # shared by all edges
-    if k < 3:
-        raise ValueError(f"cycle length must be at least 3, got {k}")
+    _check_cycle_length(k)
     if k > G.n:
         return None
     adj = list(G.adj)
@@ -346,13 +333,13 @@ def shortest_cycle_through(G: Graph, w: int) -> int | None:
     if len(nbrs) < 2:
         return None
     avail = ((1 << G.n) - 1) & ~(1 << w)
-    best: int | None = None
+    best = G.n + 1
     for u in nbrs:
         # Neighbors of w above u; pairs below u were covered from their side.
+        # Only a path of at most best - 3 edges gives a shorter cycle.
         later = G.adj[w] >> (u + 1) << (u + 1)
-        for d, layer in enumerate(_bfs_layers(G.adj, 1 << u, avail), 1):
-            if layer & later:
-                if best is None or d + 2 < best:
-                    best = d + 2
+        for d, within in enumerate(_within(G.adj, 1 << u, avail, best - 3)):
+            if within & later:
+                best = d + 2
                 break
-    return best
+    return None if best > G.n else best

@@ -36,23 +36,30 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _bfs_layers(adj: tuple[int, ...], start: int, avail: int) -> Iterator[int]:
-    """Breadth-first layers out of the vertex set ``start`` inside ``avail``.
+def _within(adj: Sequence[int], start: int, avail: int, depth: int) -> list[int]:
+    """Cumulative BFS layers out of the vertex set ``start`` inside ``avail``.
 
-    All sets are bitmasks.  The d-th yielded mask (d = 1, 2, ...) holds the
-    vertices of ``avail`` at distance exactly d from ``start`` in the
-    subgraph induced by ``avail`` plus ``start``.
+    All sets are bitmasks.  Entry j (j = 0..depth) holds the vertices within
+    j edges of ``start`` in the subgraph induced by ``avail`` plus ``start``.
+    A plain loop and a list: the path kernel calls this per query and per
+    search node, where a generator measurably slows.
     """
+    within = [start]
     seen = frontier = start
-    while True:
+    for _ in range(depth):
         nxt = 0
-        for v in _iter_bits(frontier):
-            nxt |= adj[v]
+        m = frontier
+        while m:
+            low = m & -m
+            nxt |= adj[low.bit_length() - 1]
+            m ^= low
         frontier = nxt & avail & ~seen
         if not frontier:
-            return
+            within += [seen] * (depth + 1 - len(within))
+            break
         seen |= frontier
-        yield frontier
+        within.append(seen)
+    return within
 
 
 class Graph:
@@ -115,10 +122,7 @@ class Graph:
         if self.n <= 1:
             return True
         full = (1 << self.n) - 1
-        seen = 1
-        for layer in _bfs_layers(self.adj, 1, full):
-            seen |= layer
-        return seen == full
+        return _within(self.adj, 1, full, self.n - 1)[-1] == full
 
     # -- derived graphs ------------------------------------------------
 

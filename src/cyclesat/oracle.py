@@ -102,7 +102,7 @@ from typing import Callable, Iterator
 
 from .bounds import eval_bounds
 from .codec import graph6_encode
-from .cycles import exists_path_of_length
+from .cycles import _check_cycle_length, exists_path_of_length
 from .graphs import (
     Graph,
     Permutation,
@@ -215,8 +215,8 @@ def class_levels(
     holds.
     """
     _check_codable(n)
-    if free_of is not None and free_of < 3:
-        raise ValueError(f"cycle length must be at least 3, got {free_of}")
+    if free_of is not None:
+        _check_cycle_length(free_of)
     code, generators = _refined_code([0] * n)
     parents = {code: generators}
     for m in range(1, comb(n, 2) + 1):

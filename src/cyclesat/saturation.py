@@ -34,12 +34,13 @@ from typing import Iterable, Sequence
 
 from .cycles import (
     DEFAULT_EXPANSION_BUDGET,
+    _check_cycle_length,
     _search_path,
     exists_path_of_length,
     has_cycle_of_length,
     shortest_cycle_through,
 )
-from .graphs import Graph, _bfs_layers, _iter_bits
+from .graphs import Graph, _iter_bits, _within
 
 
 class TooFewVertices(ValueError):
@@ -221,8 +222,7 @@ def is_semisaturated(G: Graph, k: int, want_certificate: bool = True) -> Saturat
     stops at it.  Each search has the default expansion budget.  With
     ``want_certificate`` the witness paths of all non-edges are kept.
     """
-    if k < 3:
-        raise ValueError(f"cycle length must be at least 3, got {k}")
+    _check_cycle_length(k)
     if G.n < k:
         raise TooFewVertices(f"impossible: {G.n} vertices cannot host a {k}-cycle")
     per: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -347,8 +347,7 @@ def check_structure(
     G - v is semisaturated iff every non-edge of G that avoids v has a
     (k-1)-edge path in G, and one scan of G's non-edges serves every leaf.
     """
-    if k < 3:
-        raise ValueError(f"cycle length must be at least 3, got {k}")
+    _check_cycle_length(k)
     if isinstance(checks, str):
         raise ValueError(f"checks must be a sequence of check names, got the string {checks!r}")
     part = degree_partition(G)
@@ -430,9 +429,7 @@ def _path_components(G: Graph, k: int, zone: frozenset[int]) -> list[str]:
     msgs = []
     left = zone_mask = sum(1 << v for v in zone)
     while left:
-        mask = left & -left
-        for layer in _bfs_layers(G.adj, mask, zone_mask):
-            mask |= layer
+        mask = _within(G.adj, left & -left, zone_mask, len(zone))[-1]
         left &= ~mask
         comp = list(_iter_bits(mask))
         degs = sorted((G.adj[v] & zone_mask).bit_count() for v in comp)
@@ -466,8 +463,7 @@ def greedy_saturate(n: int, k: int, edge_order: Iterable[tuple[int, int]]) -> Gr
     one adjacency list that the path kernel reads directly; the ``Graph`` is
     built once, at the end.
     """
-    if k < 3:
-        raise ValueError(f"cycle length must be at least 3, got {k}")
+    _check_cycle_length(k)
     if n < k:
         raise TooFewVertices(f"need at least {k} vertices, got {n}")
     order = list(edge_order)

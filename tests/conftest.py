@@ -178,27 +178,28 @@ def dp_first_cycle(G: Graph, k: int) -> tuple[int, ...] | None:
     return naive_first_cycle(G, k, dp_first_path)
 
 
+def naive_distances(adj, sources: list[int], avail: int) -> dict[int, int]:
+    """Plain BFS distances from the vertices ``sources``, stepping only into ``avail``."""
+    dist = dict.fromkeys(sources, 0)
+    queue = list(sources)
+    for x in queue:
+        for y in range(len(adj)):
+            if adj[x] >> y & 1 and avail >> y & 1 and y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
 def naive_usable(adj, avail: int, cur: int, targets: int, remaining: int):
     """The usable set of ``cycles._usable``, by definition.
 
-    Plain BFS distance maps from ``cur`` and from the set ``targets`` inside
+    BFS distance maps from ``cur`` and from the set ``targets`` inside
     ``avail``; the usable vertices are those x != cur with d_cur(x) +
     d_T(x) <= remaining.  There are none when every target is unreachable
     or farther than that, as a target is usable when any vertex is.
     """
-
-    def distances(sources: list[int]) -> dict[int, int]:
-        dist = dict.fromkeys(sources, 0)
-        queue = list(sources)
-        for x in queue:
-            for y in range(len(adj)):
-                if adj[x] >> y & 1 and avail >> y & 1 and y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        return dist
-
-    d_cur = distances([cur])
-    d_t = distances([t for t in range(len(adj)) if targets >> t & 1])
+    d_cur = naive_distances(adj, [cur], avail)
+    d_t = naive_distances(adj, [t for t in range(len(adj)) if targets >> t & 1], avail)
     usable = 0
     for x, d in d_cur.items():
         if x != cur and x in d_t and d + d_t[x] <= remaining:

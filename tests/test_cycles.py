@@ -75,6 +75,13 @@ K3 = complete_graph(3)
         (lambda: has_cycle_of_length(K3, 3, budget=2.5), "budget .* got 2.5"),
         (lambda: has_cycle_of_length(K3, 3, budget=False), "budget .* got False"),
         (lambda: has_cycle_of_length(K3, 4, budget=-1), "budget .* got -1"),
+        # endpoints and length are ints, checked before the search and
+        # before the early return for a query longer than the graph allows
+        (lambda: exists_path_of_length(cycle_graph(6), True, 5, 3), "u must be an int, got True"),
+        (lambda: exists_path_of_length(K3, 0, 2.0, 1), "v must be an int, got 2.0"),
+        (lambda: exists_path_of_length(K3, 0, 1, 2.0), "length must be an int, got 2.0"),
+        (lambda: exists_path_of_length(K3, 0, 1, False), "length must be an int, got False"),
+        (lambda: exists_path_of_length(K3, 0, 1, 9.5), "length must be an int, got 9.5"),
     ],
 )
 def test_bad_query_arguments_raise(call, message):
@@ -173,6 +180,23 @@ def test_shortest_cycle_through_path_vertex():
 def test_shortest_cycle_through_c5():
     for v in range(5):
         assert shortest_cycle_through(cycle_graph(5), v) == 5
+
+
+@pytest.mark.parametrize(
+    "extra,shortest",
+    [
+        # through neighbours 5 and 6 of 0: a triangle
+        ([(5, 6)], 3),
+        # a 5-cycle 0-5-7-8-6, one shorter than the first, so the BFS out
+        # of 5 needs its full depth bound of best - 3 = 3 edges
+        ([(5, 7), (7, 8), (8, 6)], 5),
+    ],
+)
+def test_shortest_cycle_through_improves_on_the_first_neighbour(extra, shortest):
+    # the first neighbour 1 of vertex 0 closes the 6-cycle 0-1-2-3-4-5, and
+    # a later neighbour closes a shorter one
+    g = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 6), *extra])
+    assert shortest_cycle_through(g, 0) == shortest
 
 
 @given(graphs(min_n=1, max_n=6))

@@ -12,6 +12,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     graphs,
+    naive_distances,
     naive_equitable_refinement,
     path_graph,
     relabel,
@@ -30,6 +31,7 @@ from cyclesat.graphs import (
     _graph_from_code,
     _refine,
     _refined_code,
+    _within,
     canonical_code,
     canonical_form_and_code,
 )
@@ -240,6 +242,35 @@ def test_connectivity():
     assert not Graph(4, [(0, 1), (2, 3)]).is_connected()
     assert Graph(1, []).is_connected()
     assert not Graph(3, [(0, 1)]).is_connected()  # isolated vertex
+
+
+@given(graphs(max_n=9))
+@settings(max_examples=150, deadline=None)
+def test_is_connected_matches_union_find(g):
+    parent = list(range(g.n))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in g.edges:
+        parent[root(u)] = root(v)
+    assert g.is_connected() == (len({root(x) for x in range(g.n)}) <= 1)
+
+
+@given(graphs(max_n=9), st.data())
+@settings(max_examples=300, deadline=None)
+def test_within_matches_bfs_distances(g, data):
+    # entry j: start plus the vertices of avail within j edges of start,
+    # stepping only into avail; padded with the whole ball up to depth
+    full = (1 << g.n) - 1
+    start = data.draw(st.integers(0, full))
+    avail = data.draw(st.integers(0, full))
+    depth = data.draw(st.integers(0, g.n + 1))
+    dist = naive_distances(g.adj, [x for x in range(g.n) if start >> x & 1], avail)
+    want = [sum(1 << x for x, d in dist.items() if d <= j) for j in range(depth + 1)]
+    assert _within(g.adj, start, avail, depth) == want
 
 
 def test_immutability_style_operations():

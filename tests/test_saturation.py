@@ -27,9 +27,10 @@ from conftest import (
 )
 from cyclesat import saturation
 from cyclesat.codec import graph6_decode, graph6_encode
-from cyclesat.cycles import exists_path_of_length
+from cyclesat.cycles import exists_path_of_length, has_cycle_of_length
 from cyclesat.families import build_h1, build_h3, build_wheel
 from cyclesat.graphs import Graph, canonical_form_and_code
+from cyclesat.oracle import class_levels
 from cyclesat.saturation import (
     LEAF_CHECKS,
     SATURATED_CHECKS,
@@ -102,6 +103,33 @@ def test_too_few_vertices_is_an_error():
         is_saturated(path_graph(4), 5)
     with pytest.raises(TooFewVertices, match="need at least 5 vertices, got 3"):
         greedy_saturate(3, 5, list(itertools.combinations(range(3), 2)))
+
+
+H1_7_9 = build_h1(7, 9).graph
+
+
+@pytest.mark.parametrize("k", [2, 7.5, True])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: has_cycle_of_length(H1_7_9, k),
+        lambda k: is_semisaturated(H1_7_9, k),
+        lambda k: check_structure(H1_7_9, k),
+        lambda k: greedy_saturate(9, k, list(itertools.combinations(range(9), 2))),
+        lambda k: next(class_levels(5, free_of=k)),
+    ],
+    ids=[
+        "has_cycle_of_length",
+        "is_semisaturated",
+        "check_structure",
+        "greedy_saturate",
+        "class_levels",
+    ],
+)
+def test_every_cycle_length_argument_is_an_int_of_at_least_3(call, k):
+    # one check: a float or a bool is refused up front like a short length
+    with pytest.raises(ValueError, match=re.escape(f"cycle length must be at least 3, got {k!r}")):
+        call(k)
 
 
 def test_semisaturation_rejects_a_cycle_length_below_3():
@@ -494,24 +522,30 @@ def test_claim_iii_needs_more_than_k_vertices(code, k):
     ]
 
 
-# Census of the connected 7-vertex classes per k: the C_k-semisaturated
+# Census of the connected n-vertex classes per k: the C_k-semisaturated
 # classes with their least m, and the C_k-saturated ones with their m range.
 CENSUS_7 = {
     5: (594, 9, 12, (9, 12)),
     6: (410, 9, 8, (10, 13)),
     7: (186, 11, 7, (12, 16)),
 }
+CENSUS_8 = {
+    5: (9076, 10, 25, (10, 16)),
+    6: (8346, 10, 19, (11, 16)),
+    7: (6277, 10, 18, (10, 18)),
+    8: (2868, 12, 9, (15, 22)),
+}
 
 
-def test_census_of_7_vertex_classes_against_the_structural_claims():
-    # every connected class at every 5 <= k <= 7: saturation is freeness
-    # plus semisaturation, checks i-iii hold on the semisaturated classes
-    # and iv-vi on the saturated ones, but for claim iii at n = k
+def census_and_violations(n: int, ks) -> tuple[dict, list]:
+    """The census of the connected n-vertex classes at each k, and the
+    structural claims they break: checks i-iii on the semisaturated
+    classes, iv-vi on the saturated ones."""
     census = {}
     violations = []
-    for k in CENSUS_7:
+    for k in ks:
         semi_m, sat_m = [], []
-        for level in cached_levels(7):
+        for level in cached_levels(n):
             for _, g in decoded(level):
                 if not g.is_connected():
                     continue
@@ -528,8 +562,19 @@ def test_census_of_7_vertex_classes_against_the_structural_claims():
                         name = graph6_encode(canonical_form_and_code(g)[0])
                         violations += [(name, k, v.check) for v in report.violations]
         census[k] = (len(semi_m), min(semi_m), len(sat_m), (min(sat_m), max(sat_m)))
-    assert census == CENSUS_7
-    assert violations == [("FJ\\~w", 7, "iii")]
+    return census, violations
+
+
+def test_census_of_7_vertex_classes_against_the_structural_claims():
+    # every connected class at every 5 <= k <= 7: saturation is freeness
+    # plus semisaturation, and the claims hold but for claim iii at n = k
+    assert census_and_violations(7, CENSUS_7) == (CENSUS_7, [("FJ\\~w", 7, "iii")])
+
+
+@pytest.mark.slow
+def test_census_of_8_vertex_classes_against_the_structural_claims():
+    # the k = 8 exception is K_7 plus a leaf, as at n = k = 7
+    assert census_and_violations(8, CENSUS_8) == (CENSUS_8, [("GJ\\z~{", 8, "iii")])
 
 
 def reduced_test(G: Graph, k: int) -> bool:
@@ -555,25 +600,36 @@ def reduced_test(G: Graph, k: int) -> bool:
     return a and b and c
 
 
+def leaf_lemma_semisaturated(n: int) -> int:
+    """The C_k-semisaturated (class, k) pairs over the connected n-vertex
+    classes and 4 <= k <= n, after checking the module docstring's leaf
+    lemma on every pair: a semisaturated class has leaves with distinct
+    neighbours of degree at least 3, and the reduced test on H = G - leaves
+    gives its verdict."""
+    semisaturated = 0
+    for level in cached_levels(n):
+        for _, g in decoded(level):
+            if not g.is_connected():
+                continue
+            for k in range(4, n + 1):
+                semi = is_semisaturated(g, k, want_certificate=False).holds
+                assert reduced_test(g, k) == semi, (g.edges, k)
+                if semi:
+                    semisaturated += 1
+                    ws = [g.neighbors(v)[0] for v in range(n) if g.degree(v) == 1]
+                    assert len(set(ws)) == len(ws), (g.edges, k)
+                    assert all(g.degree(w) >= 3 for w in ws), (g.edges, k)
+    return semisaturated
+
+
 def test_leaf_lemma_on_every_connected_class_up_to_7_vertices():
-    # the module docstring's leaf lemma, at every 4 <= k <= n: a
-    # semisaturated class has leaves with distinct neighbours of degree at
-    # least 3, and the reduced test on H = G - leaves gives its verdict
-    semisaturated = {}
-    for n in range(4, 8):
-        for level in cached_levels(n):
-            for _, g in decoded(level):
-                if not g.is_connected():
-                    continue
-                for k in range(4, n + 1):
-                    semi = is_semisaturated(g, k, want_certificate=False).holds
-                    assert reduced_test(g, k) == semi, (g.edges, k)
-                    if semi:
-                        semisaturated[n] = semisaturated.get(n, 0) + 1
-                        ws = [g.neighbors(v)[0] for v in range(n) if g.degree(v) == 1]
-                        assert len(set(ws)) == len(ws), (g.edges, k)
-                        assert all(g.degree(w) >= 3 for w in ws), (g.edges, k)
-    assert semisaturated == {4: 3, 5: 22, 6: 155, 7: 1767}
+    counts = {n: leaf_lemma_semisaturated(n) for n in range(4, 8)}
+    assert counts == {4: 3, 5: 22, 6: 155, 7: 1767}
+
+
+@pytest.mark.slow
+def test_leaf_lemma_on_every_connected_8_vertex_class():
+    assert leaf_lemma_semisaturated(8) == 34644
 
 
 @pytest.mark.parametrize("k", [2, 0])
