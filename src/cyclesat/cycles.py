@@ -64,14 +64,17 @@ percent faster, but certifying random greedy C_k-saturated graphs for
 k = 5, 6, 8 takes a fifth longer, as every k = 8 cycle search then
 computes U at its root.
 
-The distance filter starts at length 4.  Lengths 1 and 2 answer at the
-root and never read it.  At length 3 the BFS out of T costs more than the
-closed-form children it saves: on the 801 length-3 queries of
-``exact_min(8, 4, "sat")`` skipping it spends 1,785 expansions instead of
-1,397, yet runs those queries about 15% faster (CPython 3.11).  The filter
-is rebuilt whenever T shrinks: a stale one, built for a superset of T,
-stays correct, but certifying the ``h1`` sweep (t = 1..5) then spends 41%
-more expansions at k = 10 and 31% more at k = 11.
+The distance filter is built for every query, by one ``_within`` call out
+of T, and no other mask aims at the targets: at r = 2 the closed form
+takes its midpoints from layer 1, the targets and every vertex beside one.
+A length-3 query pays for a two-layer BFS to prune its root.  On the 696
+length-3 searches of ``exact_min(8, 4, "sat")`` the filter cuts the
+expansions from 1,558 to 1,257, and their kernel time moves from
+2.7-4.3 ms to 2.9-3.4 ms over five runs (CPython 3.11), against about
+55 ms for the whole search.  The filter is rebuilt whenever T shrinks: a
+stale one, built for a superset of T, stays correct, but certifying the
+``h1`` sweep (t = 1..5) then spends 41% more expansions at k = 10 and 31%
+more at k = 11.
 
 Witnesses are plain vertex tuples: a path lists its vertices from one end
 to the other, and a k-cycle lists its k vertices in cyclic order with the
@@ -90,9 +93,6 @@ from .graphs import Graph, _within
 
 # The budget when a caller passes None; a budget of 0 allows no expansion.
 DEFAULT_EXPANSION_BUDGET = 10**8
-
-# The least query length whose search builds the target-distance filter.
-_NEAR_FROM = 4
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -141,26 +141,6 @@ def _usable(adj: Sequence[int], avail: int, cur: int, targets: int, remaining: i
     return seen
 
 
-def _aim(adj: Sequence[int], todo: int, full: int, length: int):
-    """The filters of a search out of u for the targets ``todo``; ``full`` is V - u.
-
-    Returns ``beside``, the vertices adjacent to a target, and ``near``,
-    whose entry j holds the vertices within j edges of a target in G - u.
-    Every available set of the search lies inside V - u, so these
-    distances bound those a completion can use.  Below length
-    ``_NEAR_FROM``, ``near`` filters nothing.
-    """
-    beside = 0
-    rest = todo
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        beside |= adj[low.bit_length() - 1]
-    if length < _NEAR_FROM:
-        return beside, [full] * length
-    return beside, _within(adj, todo, full, length - 1)
-
-
 def _search_path(
     adj: Sequence[int], n: int, u: int, targets: int, length: int, left: int
 ) -> tuple[dict[int, tuple[int, ...]], int]:
@@ -175,11 +155,12 @@ def _search_path(
     path = [u]
     full = ((1 << n) - 1) ^ (1 << u)
     todo = targets  # the targets not found yet
-    beside, near = _aim(adj, todo, full, length)
+    # near[j]: the vertices within j edges of a target in G - u
+    near = _within(adj, todo, full, length - 1)
 
     def rec(cur: int, avail: int, remaining: int) -> bool:
         # Whether a target was found under this node.
-        nonlocal left, todo, beside, near
+        nonlocal left, todo, near
         left -= 1
         if left < 0:
             raise SearchBudgetExceeded("node expansion budget exhausted")
@@ -194,8 +175,10 @@ def _search_path(
                     found[t] = (*path, t)
             else:
                 # Midpoints in closed form: each available target takes the
-                # least available common neighbor.
-                mids = adj[cur] & avail & beside
+                # least available common neighbor.  Layer 1 of the filter
+                # holds the targets and every vertex beside one; a target
+                # beside no other target gives no end.
+                mids = adj[cur] & avail & near[1]
                 if not mids:
                     return False
                 live = todo & avail
@@ -218,7 +201,7 @@ def _search_path(
                 return False
             todo ^= hits
             if todo:
-                beside, near = _aim(adj, todo, full, length)
+                near = _within(adj, todo, full, length - 1)
             return True
         if remaining >= 8:
             # Two BFS passes pay off only on deep branches (the module
@@ -326,7 +309,10 @@ def shortest_cycle_through(G: Graph, w: int) -> int | None:
 
     A shortest cycle through w is w plus two distinct neighbors joined by a
     shortest path avoiding w, so BFS from each neighbor in G - w suffices.
+    A bool or non-int w raises ValueError.
     """
+    if isinstance(w, bool) or not isinstance(w, int):
+        raise ValueError(f"w must be an int, got {w!r}")
     if not 0 <= w < G.n:
         raise ValueError(f"vertex {w} outside 0..{G.n - 1}")
     nbrs = G.neighbors(w)

@@ -64,6 +64,15 @@ def _path_blocks(
     return list(range(first, first + t * size))
 
 
+def _verified(family: str, graph: Graph, labels: Labels, k: int) -> LabeledGraph:
+    """The built graph with its labels; raises unless it is semisaturated for k."""
+    if not is_semisaturated(graph, k, want_certificate=False).holds:
+        raise ConstructionPostconditionError(
+            f"{family} output on {graph.n} vertices is not semisaturated for k={k}"
+        )
+    return LabeledGraph(graph, labels)
+
+
 def _require_suitable(report: SuitabilityReport) -> None:
     if not report.suitable:
         raise UnsuitableCoreError(
@@ -142,7 +151,8 @@ def build_h2(core: LabeledGraph, k: int, t: int, unchecked: bool = False) -> Lab
     """Core plus t disjoint a1-a2 paths of length k-2 (k-3 new vertices each).
 
     The core must pass the plain suitability checks unless the caller
-    waives them with ``unchecked``.
+    waives them with ``unchecked``; the post-build semisaturation check
+    always runs and raises ConstructionPostconditionError on failure.
     """
     if k < 4:
         raise ConstructionParamError(f"family h2 needs k >= 4, got k={k}")
@@ -157,7 +167,7 @@ def build_h2(core: LabeledGraph, k: int, t: int, unchecked: bool = False) -> Lab
     _path_blocks(edges, labels, a1, a2, q, t, k - 3)
     graph = Graph(q + t * (k - 3), edges)
     assert graph.edge_count == core.graph.edge_count + t * (k - 2)
-    return LabeledGraph(graph, labels)
+    return _verified("h2", graph, labels, k)
 
 
 def build_h3(
@@ -172,8 +182,8 @@ def build_h3(
     Each path block holds k-5 interior vertices; t(k-5) - r pendant spikes
     are matched onto the interiors, skipping the r highest-indexed interior
     vertices of the last blocks.  ``unchecked`` waives the core suitability
-    gate; the post-build semisaturation check always runs and backstops
-    waived cores.
+    gate; the post-build semisaturation check always runs, as in
+    ``build_h2``.
     """
     if k < 6:
         raise ConstructionParamError(f"family h3 needs k >= 6, got k={k}")
@@ -196,8 +206,4 @@ def build_h3(
     edges += [(interior[j], d_base + j) for j in range(spikes)]
     graph = Graph(d_base + spikes, edges)
     assert graph.edge_count == core.graph.edge_count + t * (2 * k - 9) - r
-    if not is_semisaturated(graph, k, want_certificate=False).holds:
-        raise ConstructionPostconditionError(
-            f"h3 output on {graph.n} vertices is not semisaturated for k={k}"
-        )
-    return LabeledGraph(graph, labels)
+    return _verified("h3", graph, labels, k)

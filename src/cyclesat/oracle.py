@@ -375,7 +375,8 @@ def exact_min(
     """
     if mode not in DEFAULT_CEILING:
         raise ValueError(f"mode must be 'sat' or 'ssat', got {mode!r}")
-    if not 3 <= k <= n:
+    _check_cycle_length(k)
+    if k > n:
         raise ValueError(f"need n >= k >= 3, got n={n}, k={k}")
     cap = DEFAULT_CEILING[mode] if ceiling is None else ceiling
     passes = _verifier(mode, k)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cycles import exists_path_of_length
+from .cycles import _check_cycle_length, exists_path_of_length
 from .graphs import Graph, LabeledGraph
 from .oracle import SearchStats, scan_strata
 from .saturation import is_semisaturated
@@ -63,10 +63,12 @@ _MIN_K = {"k-suitable": 4, "kk2-suitable": 6}
 def split_pairs(k: int, mode: str) -> list[tuple[int, int]]:
     """The (m1, m2) splits a core must serve, per suitability mode.
 
-    Raises ValueError for an unknown mode or a k below the mode's minimum.
+    Raises ValueError for an unknown mode, a bool or non-int k, or a k
+    below the mode's minimum.
     """
     if mode not in _MIN_K:
         raise ValueError(f"unknown suitability mode {mode!r}")
+    _check_cycle_length(k)
     if k < _MIN_K[mode]:
         raise ValueError(f"mode {mode} needs k >= {_MIN_K[mode]}, got k={k}")
     if mode == "k-suitable":

@@ -146,14 +146,15 @@ def test_verify_saturated_on_a_graph_with_a_k_cycle_exit_1(capsys, monkeypatch):
     assert err == "graph already contains a 7-cycle: 0 2 3 4 5 6 1\n"
 
 
-def test_construct_unchecked_core_that_fails_verification_exit_1(capsys, tmp_path):
+@pytest.mark.parametrize("family", ["h2", "h3"])
+def test_construct_unchecked_core_that_fails_verification_exit_1(capsys, tmp_path, family):
     # the path P8 is no suitable core; --unchecked skips the core checks, and
     # the built graph's own check then fails
     core, sidecar = tmp_path / "p8.g6", tmp_path / "p8.lab"
     core.write_text("GhCGGC\n")
     sidecar.write_text("a1=0\na2=7\n")
     code, out, err = run(
-        capsys, "construct", "--family", "h3", "--k", "8", "--t", "2", "--unchecked",
+        capsys, "construct", "--family", family, "--k", "8", "--t", "2", "--unchecked",
         "--core", str(core), "--core-labels", str(sidecar),
     )
     assert (code, out) == (1, "")

@@ -63,8 +63,9 @@ K3 = complete_graph(3)
     "call,message",
     [
         (lambda: exists_path_of_length(K3, 0, 3, 1), r"endpoints \(0, 3\) outside 0..2"),
-        (lambda: has_cycle_of_length(K3, 2), "cycle length must be at least 3, got 2"),
         (lambda: shortest_cycle_through(K3, 99), "vertex 99 outside 0..2"),
+        (lambda: shortest_cycle_through(build_h1(7, 9).graph, True), "w must be an int, got True"),
+        (lambda: shortest_cycle_through(build_h1(7, 9).graph, 1.0), "w must be an int, got 1.0"),
         # a budget is a non-negative int or None, checked before the early
         # return for a query longer than the graph allows
         (lambda: exists_path_of_length(K3, 0, 1, 2, budget=-1), "budget .* got -1"),
@@ -524,3 +525,26 @@ def test_single_target_work_is_pinned(search, least, answer):
     assert search(least) == answer
     with pytest.raises(SearchBudgetExceeded):
         search(least - 1)
+
+
+# Least sufficient budgets of length-3 queries, which the target-distance
+# filter prunes at the root: a candidate with no target within two edges is
+# never expanded.
+@pytest.mark.parametrize(
+    "search,least,answer",
+    [
+        (lambda b: exists_path_of_length(petersen_graph(), 0, 5, 3, budget=b), 1, None),
+        (lambda b: exists_path_of_length(GREEDY_16, 0, 2, 3, budget=b), 2, (0, 10, 7, 2)),
+    ],
+)
+def test_length_3_work_is_pinned(search, least, answer):
+    assert search(least) == answer
+    with pytest.raises(SearchBudgetExceeded):
+        search(least - 1)
+
+
+def test_length_2_midpoints_may_be_targets():
+    # Target 1 is the least midpoint to target 3; target 4, beside no other
+    # target, is a midpoint that reaches no end.
+    g = Graph(5, [(0, 1), (0, 2), (0, 4), (1, 3), (2, 3)])
+    assert _search_all(g, 0, 0b11010, 2) == {3: (0, 1, 3)}

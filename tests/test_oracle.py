@@ -109,12 +109,6 @@ def test_triangle_free_totals_match_oeis():
     assert totals == A006785
 
 
-@pytest.mark.parametrize("free_of", [0, 2, -3])
-def test_free_of_below_3_raises(free_of):
-    with pytest.raises(ValueError, match="cycle length must be at least 3"):
-        next(class_levels(5, free_of=free_of))
-
-
 PARENTS = [0, 1, 7, 60, 400]
 
 

@@ -30,7 +30,7 @@ from cyclesat.codec import graph6_decode, graph6_encode
 from cyclesat.cycles import exists_path_of_length, has_cycle_of_length
 from cyclesat.families import build_h1, build_h3, build_wheel
 from cyclesat.graphs import Graph, canonical_form_and_code
-from cyclesat.oracle import class_levels
+from cyclesat.oracle import class_levels, exact_min
 from cyclesat.saturation import (
     LEAF_CHECKS,
     SATURATED_CHECKS,
@@ -45,6 +45,7 @@ from cyclesat.saturation import (
     is_semisaturated,
     strip_leaves,
 )
+from cyclesat.suitability import split_pairs
 
 
 # -- freeness ---------------------------------------------------------------
@@ -108,33 +109,36 @@ def test_too_few_vertices_is_an_error():
 H1_7_9 = build_h1(7, 9).graph
 
 
-@pytest.mark.parametrize("k", [2, 7.5, True])
+@pytest.mark.parametrize("k", [2, 1, 0, -3, 7.5, True])
 @pytest.mark.parametrize(
     "call",
     [
         lambda k: has_cycle_of_length(H1_7_9, k),
         lambda k: is_semisaturated(H1_7_9, k),
         lambda k: check_structure(H1_7_9, k),
+        # raised before any check runs, also on a graph with a leaf
+        lambda k: check_structure(path_graph(4), k),
+        # with no such cycle to avoid, every pair would be kept: K_n
         lambda k: greedy_saturate(9, k, list(itertools.combinations(range(9), 2))),
         lambda k: next(class_levels(5, free_of=k)),
+        lambda k: split_pairs(k, "k-suitable"),
+        lambda k: exact_min(9, k, "sat"),
     ],
     ids=[
         "has_cycle_of_length",
         "is_semisaturated",
         "check_structure",
+        "check_structure_leaf",
         "greedy_saturate",
         "class_levels",
+        "split_pairs",
+        "exact_min",
     ],
 )
 def test_every_cycle_length_argument_is_an_int_of_at_least_3(call, k):
     # one check: a float or a bool is refused up front like a short length
     with pytest.raises(ValueError, match=re.escape(f"cycle length must be at least 3, got {k!r}")):
         call(k)
-
-
-def test_semisaturation_rejects_a_cycle_length_below_3():
-    with pytest.raises(ValueError, match="cycle length must be at least 3, got 2"):
-        is_semisaturated(path_graph(4), 2)
 
 
 def test_adding_an_edge_keeps_semisaturation():
@@ -632,14 +636,6 @@ def test_leaf_lemma_on_every_connected_8_vertex_class():
     assert leaf_lemma_semisaturated(8) == 34644
 
 
-@pytest.mark.parametrize("k", [2, 0])
-@pytest.mark.parametrize("g", [path_graph(4), cycle_graph(5)])
-def test_structure_rejects_k_below_3(g, k):
-    # raised before any check runs, whether or not the graph has a leaf
-    with pytest.raises(ValueError, match=f"cycle length must be at least 3, got {k}"):
-        check_structure(g, k)
-
-
 def test_structure_rejects_a_bare_string_of_checks():
     # a str is a sequence of its letters: "iv" must not run checks i and v
     g = build_h1(7, 12).graph
@@ -784,13 +780,6 @@ def test_greedy_random_orders_all_saturated():
 def test_greedy_rejects_partial_order():
     with pytest.raises(ValueError):
         greedy_saturate(5, 3, [(0, 1)])
-
-
-@pytest.mark.parametrize("k", [2, 1, 0, -3])
-def test_greedy_rejects_a_cycle_length_below_3(k):
-    # with no such cycle to avoid, every pair would be kept: K_n
-    with pytest.raises(ValueError, match="cycle length must be at least 3"):
-        greedy_saturate(5, k, list(itertools.combinations(range(5), 2)))
 
 
 @pytest.mark.parametrize("repeat", [(0, 1), (1, 2)])
