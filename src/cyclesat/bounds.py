@@ -16,6 +16,8 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable
 
+from .graphs import _check_int
+
 SAT = "sat"
 SSAT = "ssat"
 
@@ -74,6 +76,8 @@ class BoundTable:
 
 def known_exact(n: int, k: int) -> int | None:
     """Exact saturation number when a closed form is known for (n, k)."""
+    _check_int(n, "n")
+    _check_int(k, "k")
     if k == 3 and n >= 3:
         return n - 1
     if k == 4 and n >= 5:
@@ -93,6 +97,8 @@ def _epsilon(k: int) -> int | None:
 
 def eval_bounds(n: int, k: int) -> BoundTable:
     """All bound values for one (n, k), each self-gated on its regime."""
+    _check_int(n, "n")
+    _check_int(k, "k")
     if n < 1 or k < 3:
         raise ValueError(f"need n >= 1 and k >= 3, got n={n}, k={k}")
     F = Fraction

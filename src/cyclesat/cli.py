@@ -65,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--core-r", type=int, help="spike count when the core is a built wheel; default 0"
     )
-    c.add_argument("--unchecked", action="store_true", help="waive core suitability checks")
     c.add_argument("--format", choices=["graph6", "edges"], default="graph6")
     c.add_argument("--out", help="write the graph here instead of stdout")
     c.add_argument("--labels", help="write the role sidecar here")
@@ -128,15 +127,15 @@ def _write(text: str, path: str | None) -> None:
 _FAMILY_FLAGS = {
     "h1": ("n",),
     "wheel": ("r",),
-    "h2": ("t", "core", "core_labels", "core_r", "unchecked"),
-    "h3": ("t", "r", "core", "core_labels", "core_r", "unchecked"),
+    "h2": ("t", "core", "core_labels", "core_r"),
+    "h3": ("t", "r", "core", "core_labels", "core_r"),
 }
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     specific = {d for flags in _FAMILY_FLAGS.values() for d in flags}
     for dest in sorted(specific - set(_FAMILY_FLAGS[args.family])):
-        if getattr(args, dest) not in (None, False):
+        if getattr(args, dest) is not None:
             flag = "--" + dest.replace("_", "-")
             raise ValueError(f"construct --family {args.family} does not read {flag}")
     if bool(args.core) != bool(args.core_labels):
@@ -159,9 +158,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         else:
             core = build_wheel(args.k, args.core_r or 0)
         if args.family == "h2":
-            built = build_h2(core, args.k, args.t, unchecked=args.unchecked)
+            built = build_h2(core, args.k, args.t)
         else:
-            built = build_h3(core, args.k, args.t, args.r or 0, unchecked=args.unchecked)
+            built = build_h3(core, args.k, args.t, args.r or 0)
     if args.format == "graph6":
         out = graph6_encode(built.graph) + "\n"
     else:

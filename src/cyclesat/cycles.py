@@ -89,7 +89,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import Graph, _within
+from .graphs import Graph, _check_int, _within
 
 # The budget when a caller passes None; a budget of 0 allows no expansion.
 DEFAULT_EXPANSION_BUDGET = 10**8
@@ -103,15 +103,8 @@ def _expansions(budget: int | None) -> int:
     """The expansion budget a query may spend: None selects the default."""
     if budget is None:
         return DEFAULT_EXPANSION_BUDGET
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
-        raise ValueError(f"budget must be a non-negative int or None, got {budget!r}")
+    _check_int(budget, "budget", 0)
     return budget
-
-
-def _check_cycle_length(k: int) -> None:
-    """Raise ValueError unless ``k`` is an int (not a bool) of at least 3."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 3:
-        raise ValueError(f"cycle length must be at least 3, got {k!r}")
 
 
 def _usable(adj: Sequence[int], avail: int, cur: int, targets: int, remaining: int):
@@ -263,9 +256,9 @@ def exists_path_of_length(
     running out raises SearchBudgetExceeded.
     """
     left = _expansions(budget)
-    for name, x in (("u", u), ("v", v), ("length", length)):
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise ValueError(f"{name} must be an int, got {x!r}")
+    _check_int(u, "u")
+    _check_int(v, "v")
+    _check_int(length, "length")
     if u == v:
         raise ValueError("path endpoints must be distinct")
     if not (0 <= u < G.n and 0 <= v < G.n):
@@ -291,7 +284,7 @@ def has_cycle_of_length(G: Graph, k: int, budget: int | None = None) -> tuple[in
     ``budget``, checked as in ``exists_path_of_length``.
     """
     left = _expansions(budget)  # shared by all edges
-    _check_cycle_length(k)
+    _check_int(k, "cycle length", 3)
     if k > G.n:
         return None
     adj = list(G.adj)
@@ -311,8 +304,7 @@ def shortest_cycle_through(G: Graph, w: int) -> int | None:
     shortest path avoiding w, so BFS from each neighbor in G - w suffices.
     A bool or non-int w raises ValueError.
     """
-    if isinstance(w, bool) or not isinstance(w, int):
-        raise ValueError(f"w must be an int, got {w!r}")
+    _check_int(w, "w")
     if not 0 <= w < G.n:
         raise ValueError(f"vertex {w} outside 0..{G.n - 1}")
     nbrs = G.neighbors(w)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .graphs import Graph, LabeledGraph
+from .graphs import Graph, LabeledGraph, _check_int
 from .saturation import is_semisaturated
 from .suitability import SuitabilityReport, is_k_suitable, is_kk2_suitable
 
@@ -82,6 +82,8 @@ def _require_suitable(report: SuitabilityReport) -> None:
 
 def h1_decompose(k: int, n: int) -> tuple[int, int]:
     """Split n as (k-1) + r + t(k-4) with t >= 1 and 0 <= r <= k-5."""
+    _check_int(k, "k")
+    _check_int(n, "n")
     if k < 7:
         raise ConstructionParamError(f"family h1 needs k >= 7, got k={k}")
     if n < 2 * k - 5:
@@ -133,6 +135,8 @@ def build_wheel(k: int, r: int) -> LabeledGraph:
     k + r vertices and 2k - 2 + r edges; spikes attach to a1, ..., a_r in
     index order (the first spike hangs off the hub).
     """
+    _check_int(k, "k")
+    _check_int(r, "r")
     if k < 4:
         raise ConstructionParamError(f"wheel needs k >= 4, got k={k}")
     if not 0 <= r <= k:
@@ -147,20 +151,21 @@ def build_wheel(k: int, r: int) -> LabeledGraph:
     return LabeledGraph(graph, labels)
 
 
-def build_h2(core: LabeledGraph, k: int, t: int, unchecked: bool = False) -> LabeledGraph:
+def build_h2(core: LabeledGraph, k: int, t: int) -> LabeledGraph:
     """Core plus t disjoint a1-a2 paths of length k-2 (k-3 new vertices each).
 
-    The core must pass the plain suitability checks unless the caller
-    waives them with ``unchecked``; the post-build semisaturation check
-    always runs and raises ConstructionPostconditionError on failure.
+    The core must pass the plain suitability checks (UnsuitableCoreError
+    otherwise), and the built graph must be semisaturated for k
+    (ConstructionPostconditionError otherwise).
     """
+    _check_int(k, "k")
+    _check_int(t, "t")
     if k < 4:
         raise ConstructionParamError(f"family h2 needs k >= 4, got k={k}")
     if t < 0:
         raise ConstructionParamError(f"family h2 needs t >= 0, got t={t}")
     a1, a2 = core.special_pair()
-    if not unchecked:
-        _require_suitable(is_k_suitable(core, k))
+    _require_suitable(is_k_suitable(core, k))
     q = core.graph.n
     edges = list(core.graph.edges)
     labels: Labels = {"a1": a1, "a2": a2, "Q": tuple(range(q))}
@@ -170,21 +175,17 @@ def build_h2(core: LabeledGraph, k: int, t: int, unchecked: bool = False) -> Lab
     return _verified("h2", graph, labels, k)
 
 
-def build_h3(
-    core: LabeledGraph,
-    k: int,
-    t: int,
-    r: int,
-    unchecked: bool = False,
-) -> LabeledGraph:
+def build_h3(core: LabeledGraph, k: int, t: int, r: int) -> LabeledGraph:
     """Core plus t disjoint a1-a2 paths of length k-4, plus pendant spikes.
 
     Each path block holds k-5 interior vertices; t(k-5) - r pendant spikes
     are matched onto the interiors, skipping the r highest-indexed interior
-    vertices of the last blocks.  ``unchecked`` waives the core suitability
-    gate; the post-build semisaturation check always runs, as in
-    ``build_h2``.
+    vertices of the last blocks.  The core must pass the extended
+    suitability checks; the built graph is verified as in ``build_h2``.
     """
+    _check_int(k, "k")
+    _check_int(t, "t")
+    _check_int(r, "r")
     if k < 6:
         raise ConstructionParamError(f"family h3 needs k >= 6, got k={k}")
     if t < 2:
@@ -194,8 +195,7 @@ def build_h3(
             f"family h3 needs 0 <= r < 2k-10 = {2 * k - 10}, got r={r}"
         )
     a1, a2 = core.special_pair()
-    if not unchecked:
-        _require_suitable(is_kk2_suitable(core, k))
+    _require_suitable(is_kk2_suitable(core, k))
     q = core.graph.n
     edges = list(core.graph.edges)
     labels: Labels = {"a1": a1, "a2": a2, "Q": tuple(range(q))}

@@ -28,6 +28,23 @@ class DuplicateEdgeError(GraphError):
     """The same unordered pair is listed more than once."""
 
 
+def _check_int(
+    value: object, name: str, least: int | None = None, error: type[ValueError] = ValueError
+) -> None:
+    """Raise ``error`` unless ``value`` is an int, not a bool, of at least ``least``.
+
+    Both faults get one message: "<name> must be an int", or with a bound
+    "<name> must be at least <least>" ("non-negative" for 0), then the value.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or (least is not None and value < least)
+    ):
+        need = "an int" if least is None else "non-negative" if least == 0 else f"at least {least}"
+        raise error(f"{name} must be {need}, got {value!r}")
+
+
 def _iter_bits(mask: int) -> Iterator[int]:
     """Yield set-bit positions of ``mask`` in ascending order."""
     while mask:
@@ -73,8 +90,8 @@ class Graph:
     __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if n < 0:
-            raise GraphError(f"vertex count must be non-negative, got {n}")
+        if n.__class__ is not int or n < 0:  # one test on the hot path for a plain int
+            _check_int(n, "vertex count", 0, GraphError)
         normalized = []
         for u, v in edges:
             if u == v:
@@ -163,11 +180,13 @@ class LabeledGraph:
     labels: dict[str, int | tuple[int, ...]]
 
     def special_pair(self) -> tuple[int, int]:
-        """The labelled (a1, a2), which must be two distinct vertices."""
+        """The labelled (a1, a2), which must be two distinct int vertices."""
         try:
-            a1, a2 = int(self.labels["a1"]), int(self.labels["a2"])
+            a1, a2 = self.labels["a1"], self.labels["a2"]
         except KeyError as exc:
             raise GraphError("graph has no (a1, a2) labels") from exc
+        _check_int(a1, "a1", error=VertexRangeError)
+        _check_int(a2, "a2", error=VertexRangeError)
         n = self.graph.n
         if a1 == a2 or not (0 <= a1 < n and 0 <= a2 < n):
             raise VertexRangeError(
@@ -293,8 +312,7 @@ def _graph_from_code(code: bytes) -> Graph:
 
 
 def _check_codable(n: int) -> None:
-    if n < 0:
-        raise GraphError(f"vertex count must be non-negative, got {n}")
+    _check_int(n, "vertex count", 0, GraphError)
     if n > 255:  # a code's first byte is n
         raise GraphError(f"canonical codes hold at most 255 vertices, got {n}")
 

@@ -102,11 +102,12 @@ from typing import Callable, Iterator
 
 from .bounds import eval_bounds
 from .codec import graph6_encode
-from .cycles import _check_cycle_length, exists_path_of_length
+from .cycles import exists_path_of_length
 from .graphs import (
     Graph,
     Permutation,
     _check_codable,
+    _check_int,
     _graph_from_code,
     _refined_code,
     canonical_code,
@@ -216,7 +217,7 @@ def class_levels(
     """
     _check_codable(n)
     if free_of is not None:
-        _check_cycle_length(free_of)
+        _check_int(free_of, "cycle length", 3)
     code, generators = _refined_code([0] * n)
     parents = {code: generators}
     for m in range(1, comb(n, 2) + 1):
@@ -325,6 +326,7 @@ def scan_strata(
     proven floor and no witness.  Raises CeilingExceeded when n is above
     ``ceiling``, and AssertionError when nothing passes up to C(n, 2).
     """
+    _check_int(ceiling, "ceiling")
     if n > ceiling:
         raise CeilingExceeded(
             f"{n} vertices is above the ceiling {ceiling}; raise `ceiling` to allow"
@@ -375,7 +377,8 @@ def exact_min(
     """
     if mode not in DEFAULT_CEILING:
         raise ValueError(f"mode must be 'sat' or 'ssat', got {mode!r}")
-    _check_cycle_length(k)
+    _check_int(n, "n")
+    _check_int(k, "cycle length", 3)
     if k > n:
         raise ValueError(f"need n >= k >= 3, got n={n}, k={k}")
     cap = DEFAULT_CEILING[mode] if ceiling is None else ceiling

@@ -34,13 +34,12 @@ from typing import Iterable, Sequence
 
 from .cycles import (
     DEFAULT_EXPANSION_BUDGET,
-    _check_cycle_length,
     _search_path,
     exists_path_of_length,
     has_cycle_of_length,
     shortest_cycle_through,
 )
-from .graphs import Graph, _iter_bits, _within
+from .graphs import Graph, _check_int, _iter_bits, _within
 
 
 class TooFewVertices(ValueError):
@@ -222,7 +221,7 @@ def is_semisaturated(G: Graph, k: int, want_certificate: bool = True) -> Saturat
     stops at it.  Each search has the default expansion budget.  With
     ``want_certificate`` the witness paths of all non-edges are kept.
     """
-    _check_cycle_length(k)
+    _check_int(k, "cycle length", 3)
     if G.n < k:
         raise TooFewVertices(f"impossible: {G.n} vertices cannot host a {k}-cycle")
     per: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -347,7 +346,7 @@ def check_structure(
     G - v is semisaturated iff every non-edge of G that avoids v has a
     (k-1)-edge path in G, and one scan of G's non-edges serves every leaf.
     """
-    _check_cycle_length(k)
+    _check_int(k, "cycle length", 3)
     if isinstance(checks, str):
         raise ValueError(f"checks must be a sequence of check names, got the string {checks!r}")
     part = degree_partition(G)
@@ -463,7 +462,8 @@ def greedy_saturate(n: int, k: int, edge_order: Iterable[tuple[int, int]]) -> Gr
     one adjacency list that the path kernel reads directly; the ``Graph`` is
     built once, at the end.
     """
-    _check_cycle_length(k)
+    _check_int(n, "n")
+    _check_int(k, "cycle length", 3)
     if n < k:
         raise TooFewVertices(f"need at least {k} vertices, got {n}")
     order = list(edge_order)

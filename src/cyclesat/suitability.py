@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cycles import _check_cycle_length, exists_path_of_length
-from .graphs import Graph, LabeledGraph
+from .cycles import exists_path_of_length
+from .graphs import Graph, LabeledGraph, _check_int
 from .oracle import SearchStats, scan_strata
 from .saturation import is_semisaturated
 
@@ -68,7 +68,7 @@ def split_pairs(k: int, mode: str) -> list[tuple[int, int]]:
     """
     if mode not in _MIN_K:
         raise ValueError(f"unknown suitability mode {mode!r}")
-    _check_cycle_length(k)
+    _check_int(k, "cycle length", 3)
     if k < _MIN_K[mode]:
         raise ValueError(f"mode {mode} needs k >= {_MIN_K[mode]}, got k={k}")
     if mode == "k-suitable":

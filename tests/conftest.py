@@ -22,6 +22,7 @@ from cyclesat.graphs import (
     canonical_form_and_code,
 )
 from cyclesat.oracle import Level, class_levels
+from cyclesat.suitability import SuitabilityReport
 
 
 def with_edge(G: Graph, u: int, v: int) -> Graph:
@@ -416,6 +417,19 @@ def brute_nonedge_orbits(
         if not any((u, v) in orbit for orbit in orbits):
             orbits.append({tuple(sorted((p[u], p[v]))) for p in group})
     return orbits
+
+
+def pass_suitability_gate(monkeypatch) -> None:
+    """Make ``build_h2`` and ``build_h3`` take any core as suitable.
+
+    Only their post-build verification then stands between a broken core
+    and a returned graph, which is what the postcondition tests check.
+    """
+    for name, mode in (("is_k_suitable", "k-suitable"), ("is_kk2_suitable", "kk2-suitable")):
+        monkeypatch.setattr(
+            f"cyclesat.families.{name}",
+            lambda core, k, mode=mode: SuitabilityReport(mode, k, None, (), ()),
+        )
 
 
 def path_graph(n: int) -> Graph:

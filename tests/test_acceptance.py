@@ -118,7 +118,7 @@ def test_criterion_4_semisaturated_families_and_closed_forms():
         for t in (1, 3):
             for r in (4, k):
                 core = build_wheel(k, r)
-                built = build_h2(core, k, t, unchecked=True)
+                built = build_h2(core, k, t)
                 expected = core.graph.edge_count + t * (k - 2)
                 assert built.graph.edge_count == expected, (k, t, r)
                 assert built.graph.n == core.graph.n + t * (k - 3)
@@ -130,7 +130,7 @@ def test_criterion_4_semisaturated_families_and_closed_forms():
         for t in (2, 3):
             for r in (0, 1, 2 * k - 11):
                 core = build_wheel(k, 0)
-                built = build_h3(core, k, t, r, unchecked=True)
+                built = build_h3(core, k, t, r)
                 expected = core.graph.edge_count + t * (2 * k - 9) - r
                 assert built.graph.edge_count == expected, (k, t, r)
                 assert built.graph.n == core.graph.n + t * (2 * k - 10) - r

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from cyclesat.cli import main
+from conftest import pass_suitability_gate
+from cyclesat.cli import _FAMILY_FLAGS, _build_parser, main
 from cyclesat.codec import graph6_decode, graph6_encode, labels_decode
 from cyclesat.families import build_h1, build_wheel
 from cyclesat.graphs import Graph
@@ -79,16 +80,17 @@ def test_construct_bad_params_exit_2(capsys):
         ),
         (("--family", "wheel", "--k", "6", "--n", "9", "--t", "3"), "does not read --n"),
         (("--family", "wheel", "--k", "6", "--r", "0", "--t", "3"), "does not read --t"),
+        # a zero is given too
+        (("--family", "h1", "--k", "7", "--n", "9", "--r", "0"), "does not read --r"),
         (
             ("--family", "h2", "--k", "6", "--t", "1", "--r", "3",
              "--core-labels", "/nonexistent"),
             "construct --family h2 does not read --r",
         ),
         (
-            ("--family", "h1", "--k", "7", "--n", "9", "--unchecked", "--core-r", "3"),
+            ("--family", "h1", "--k", "7", "--n", "9", "--core-r", "3"),
             "does not read --core-r",
         ),
-        (("--family", "h1", "--k", "7", "--n", "9", "--unchecked"), "does not read --unchecked"),
         (("--family", "h3", "--k", "8", "--t", "2", "--n", "20"), "does not read --n"),
         (
             ("--family", "h2", "--k", "6", "--t", "1", "--core-labels", "/nonexistent"),
@@ -110,6 +112,13 @@ def test_construct_flag_its_family_does_not_read_exit_2(capsys, flags, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_family_flags_are_construct_options_that_default_to_none():
+    # _cmd_construct reads each as an attribute and takes None as not given
+    args = vars(_build_parser().parse_args(["construct", "--family", "h1", "--k", "7"]))
+    for dest in {d for flags in _FAMILY_FLAGS.values() for d in flags}:
+        assert dest in args and args[dest] is None, dest
 
 
 @pytest.mark.parametrize(
@@ -146,17 +155,24 @@ def test_verify_saturated_on_a_graph_with_a_k_cycle_exit_1(capsys, monkeypatch):
     assert err == "graph already contains a 7-cycle: 0 2 3 4 5 6 1\n"
 
 
-@pytest.mark.parametrize("family", ["h2", "h3"])
-def test_construct_unchecked_core_that_fails_verification_exit_1(capsys, tmp_path, family):
-    # the path P8 is no suitable core; --unchecked skips the core checks, and
-    # the built graph's own check then fails
+@pytest.mark.parametrize("family,mode", [("h2", "k-suitable"), ("h3", "kk2-suitable")])
+def test_construct_core_that_fails_verification_exit_1(
+    capsys, monkeypatch, tmp_path, family, mode
+):
+    # the path P8 is no suitable core, so the gate refuses it; with the gate
+    # made to pass it, the built graph's own check then fails
     core, sidecar = tmp_path / "p8.g6", tmp_path / "p8.lab"
     core.write_text("GhCGGC\n")
     sidecar.write_text("a1=0\na2=7\n")
-    code, out, err = run(
-        capsys, "construct", "--family", family, "--k", "8", "--t", "2", "--unchecked",
+    argv = [
+        "construct", "--family", family, "--k", "8", "--t", "2",
         "--core", str(core), "--core-labels", str(sidecar),
-    )
+    ]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: core is not {mode} for k=8: ")
+    pass_suitability_gate(monkeypatch)
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("construction failed verification: ")
 
@@ -560,7 +576,6 @@ def test_bad_budget_rejected(capsys, command, value):
         assert f"time budget must be a non-negative number of seconds, got {float(value)}" in err
 
 
-@pytest.mark.parametrize("unchecked", [False, True])
 @pytest.mark.parametrize(
     "labels,message",
     [
@@ -572,7 +587,7 @@ def test_bad_budget_rejected(capsys, command, value):
         ("a1=0\na2=1\nbogus=3\n", "bad label line 'bogus=3'"),
     ],
 )
-def test_construct_bad_special_pair_exit_2(capsys, tmp_path, labels, message, unchecked):
+def test_construct_bad_special_pair_exit_2(capsys, tmp_path, labels, message):
     core = tmp_path / "w6.g6"
     core.write_text(graph6_encode(build_wheel(6, 0).graph) + "\n")
     sidecar = tmp_path / "core.lab"
@@ -581,7 +596,7 @@ def test_construct_bad_special_pair_exit_2(capsys, tmp_path, labels, message, un
         "construct", "--family", "h2", "--k", "6", "--t", "1",
         "--core", str(core), "--core-labels", str(sidecar),
     ]
-    code, out, err = run(capsys, *argv, *(["--unchecked"] if unchecked else []))
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err

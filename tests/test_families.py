@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from conftest import pass_suitability_gate, path_graph
 from cyclesat.bounds import eval_bounds
 from cyclesat.families import (
     ConstructionParamError,
@@ -13,7 +14,7 @@ from cyclesat.families import (
     build_wheel,
     h1_decompose,
 )
-from cyclesat.graphs import Graph, LabeledGraph
+from cyclesat.graphs import LabeledGraph
 from cyclesat.saturation import is_saturated, is_semisaturated
 
 
@@ -165,8 +166,6 @@ def test_h2_rejects_unsuitable_core():
     core = LabeledGraph(bad_core.graph, {"a1": 1, "a2": 4})
     with pytest.raises(UnsuitableCoreError, match="core is not k-suitable"):
         build_h2(core, 6, 1)
-    # the waiver skips the gate
-    build_h2(core, 6, 1, unchecked=True)
 
 
 # -- h3 ---------------------------------------------------------------------
@@ -188,7 +187,7 @@ def test_h3_with_trimmed_spikes():
 
 
 def test_h3_spike_trimming_removes_last_block_first():
-    h = build_h3(build_wheel(8, 0), 8, 2, 2, unchecked=True)
+    h = build_h3(build_wheel(8, 0), 8, 2, 2)
     g = h.graph
     r2 = h.labels["R2"]
     # the two highest-indexed interior vertices of the last block are bare
@@ -206,17 +205,26 @@ def test_h3_rejects_bad_params():
         build_h3(build_wheel(5, 0), 5, 2, 0)  # k < 6
 
 
-def test_h3_postcondition_catches_broken_core():
-    # a path is not remotely suitable; with the gate waived, the output
-    # verification must still reject the assembled graph
-    path_core = LabeledGraph(Graph(8, [(i, i + 1) for i in range(7)]), {"a1": 0, "a2": 7})
-    with pytest.raises(UnsuitableCoreError, match="core is not kk2-suitable"):
-        build_h3(path_core, 8, 2, 0)
-    with pytest.raises(ConstructionPostconditionError):
-        build_h3(path_core, 8, 2, 0, unchecked=True)
+@pytest.mark.parametrize(
+    "build,mode",
+    [
+        (lambda core: build_h2(core, 8, 2), "k-suitable"),
+        (lambda core: build_h3(core, 8, 2, 0), "kk2-suitable"),
+    ],
+    ids=["h2", "h3"],
+)
+def test_postcondition_catches_broken_core(monkeypatch, build, mode):
+    # a path is not remotely suitable, so the gate refuses it; with the gate
+    # made to pass it, the output verification must still reject the graph
+    path_core = LabeledGraph(path_graph(8), {"a1": 0, "a2": 7})
+    with pytest.raises(UnsuitableCoreError, match=f"core is not {mode}"):
+        build(path_core)
+    pass_suitability_gate(monkeypatch)
+    with pytest.raises(ConstructionPostconditionError, match="is not semisaturated for k=8"):
+        build(path_core)
 
 
 def test_builders_deterministic():
-    a = build_h3(build_wheel(9, 0), 9, 2, 1, unchecked=True)
-    b = build_h3(build_wheel(9, 0), 9, 2, 1, unchecked=True)
+    a = build_h3(build_wheel(9, 0), 9, 2, 1)
+    b = build_h3(build_wheel(9, 0), 9, 2, 1)
     assert a.graph == b.graph and a.labels == b.labels

@@ -324,3 +324,7 @@ def test_special_pair():
     for a1, a2 in [(0, 3), (-1, 1), (1, 1)]:
         with pytest.raises(VertexRangeError):
             LabeledGraph(g, {"a1": a1, "a2": a2}).special_pair()
+    # roles are ints, not strings, floats or bools that int() would coerce
+    for a1, a2, bad in [("0", 1.9, "a1 .* '0'"), (0, 1.9, "a2 .* 1.9"), (True, 2, "a1 .* True")]:
+        with pytest.raises(VertexRangeError, match=f"{bad}$"):
+            LabeledGraph(g, {"a1": a1, "a2": a2}).special_pair()

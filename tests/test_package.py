@@ -3,6 +3,8 @@ import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import cyclesat
 
 # The package's public names; a name joins or leaves the API only by an
@@ -108,3 +110,40 @@ def test_no_import_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert not found
+
+
+@pytest.mark.parametrize("x", [5.0, True])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: cyclesat.Graph(x, []),
+        lambda x: cyclesat.known_exact(x, 4),
+        lambda x: cyclesat.exact_min(x, 4, "sat"),
+        lambda x: cyclesat.exact_min(6, 4, "sat", ceiling=x),
+        lambda x: cyclesat.mine_suitable(6, ceiling=x),
+        lambda x: cyclesat.eval_bounds(9, x),
+        lambda x: cyclesat.build_h1(x, 9),
+        lambda x: cyclesat.build_wheel(6, x),
+        lambda x: cyclesat.build_h2(cyclesat.build_wheel(6, 0), 6, t=x),
+        lambda x: cyclesat.build_h3(cyclesat.build_wheel(8, 0), 8, 2, r=x),
+        lambda x: cyclesat.greedy_saturate(x, 5, []),
+    ],
+    ids=[
+        "Graph",
+        "known_exact",
+        "exact_min-n",
+        "exact_min-ceiling",
+        "mine_suitable-ceiling",
+        "eval_bounds",
+        "build_h1",
+        "build_wheel",
+        "build_h2",
+        "build_h3",
+        "greedy_saturate",
+    ],
+)
+def test_integer_arguments_refuse_floats_and_bools(call, x):
+    # refused up front with a typed ValueError naming the value, not a
+    # TypeError from deep inside or an answer computed from it
+    with pytest.raises(ValueError, match=f"must be .*, got {re.escape(repr(x))}$"):
+        call(x)
