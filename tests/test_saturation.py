@@ -5,7 +5,7 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -14,10 +14,13 @@ from conftest import (
     complete_graph,
     cycle_graph,
     decoded,
+    dp_greedy_saturate,
     graphs,
     is_cycle_in,
     naive_first_path,
+    naive_greedy_saturate,
     naive_is_saturated,
+    naive_path_exists,
     naive_is_semisaturated,
     path_graph,
     petersen_graph,
@@ -775,6 +778,51 @@ def test_greedy_random_orders_all_saturated():
         rng.shuffle(order)
         g = greedy_saturate(10, 5, order)
         assert is_saturated(g, 5, want_certificate=False).holds
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_greedy_matches_one_search_per_pair(n):
+    # every k = 3..n: at k = 3 the end swap marks every two neighbours of
+    # x1, at k = n the paths are Hamiltonian; the subset DP serves n >= 9
+    reference = naive_greedy_saturate if n <= 8 else dp_greedy_saturate
+    rng = random.Random(n)
+    for k in range(3, n + 1):
+        for _ in range(2):
+            order = list(itertools.combinations(range(n), 2))
+            rng.shuffle(order)
+            assert greedy_saturate(n, k, order).edges == reference(n, k, order).edges, (n, k)
+
+
+def test_greedy_output_is_pinned():
+    # the SHA-256 of the edge lists as one path search per pair gives them
+    rng = random.Random(30)
+    digest = hashlib.sha256()
+    for n in range(16, 21):
+        for k in (5, 6, 8):
+            for _ in range(8):
+                order = list(itertools.combinations(range(n), 2))
+                rng.shuffle(order)
+                digest.update(repr(greedy_saturate(n, k, order).edges).encode())
+    assert digest.hexdigest() == "583176dfceab286e20ce36812b95c1ab41ab3cc9444b753e14c4781e3e4d23d2"
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(min_n=3, max_n=10), st.data())
+def test_marked_pairs_are_joined(G, data):
+    path = [data.draw(st.integers(0, G.n - 1))]
+    while len(path) < 3 or data.draw(st.booleans()):
+        nxt = [w for w in range(G.n) if G.has_edge(path[-1], w) and w not in path]
+        if not nxt:
+            break
+        path.append(data.draw(st.sampled_from(nxt)))
+    assume(len(path) >= 3)
+    joined = [0] * G.n
+    saturation._mark_joined(G.adj, tuple(path), joined)
+    assert joined[path[0]] >> path[-1] & 1
+    for y, z in itertools.permutations(range(G.n), 2):
+        if joined[y] >> z & 1:
+            assert joined[z] >> y & 1
+            assert naive_path_exists(G, y, z, len(path) - 1), (path, y, z)
 
 
 def test_greedy_rejects_partial_order():

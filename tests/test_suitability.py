@@ -261,7 +261,7 @@ def test_mine_checks_s1_once_per_class(monkeypatch):
     assert len(calls) == offered + 1
 
 
-@pytest.mark.parametrize("budget", [float("nan"), -1.0])
+@pytest.mark.parametrize("budget", [float("nan"), -1.0, True, "3"])
 def test_mine_bad_budget_raises(budget):
     with pytest.raises(ValueError, match="time budget must be a non-negative number of seconds"):
         mine_suitable(5, budget_seconds=budget)
