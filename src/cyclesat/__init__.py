@@ -26,6 +26,7 @@ from .cycles import (
     SearchBudgetExceeded,
     exists_path_of_length,
     has_cycle_of_length,
+    paths_of_length,
     shortest_cycle_through,
 )
 from .families import (

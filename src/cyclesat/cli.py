@@ -116,6 +116,17 @@ def _read_graph(path: str | None) -> Graph:
         raise ValueError(f"malformed graph input: {exc}") from exc
 
 
+def _check_out(path: str | None, flag: str) -> None:
+    """Refuse an output path that cannot take a file, before any work is done."""
+    if path is None:
+        return
+    p = Path(path)
+    if p.is_dir():
+        raise ValueError(f"{flag} path is a directory: {p}")
+    if not p.parent.is_dir():
+        raise ValueError(f"{flag} directory not found: {p.parent}")
+
+
 def _write(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -133,6 +144,8 @@ _FAMILY_FLAGS = {
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    _check_out(args.out, "--out")
+    _check_out(args.labels, "--labels")
     specific = {d for flags in _FAMILY_FLAGS.values() for d in flags}
     for dest in sorted(specific - set(_FAMILY_FLAGS[args.family])):
         if getattr(args, dest) is not None:
@@ -174,6 +187,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.mode == "free" and args.certificate:
         raise ValueError("certificates need --mode saturated or --mode semisaturated")
+    _check_out(args.certificate, "--certificate")
     G = _read_graph(args.infile)
     if args.mode == "free":
         res = is_ck_free(G, args.k)

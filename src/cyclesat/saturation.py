@@ -33,10 +33,11 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .cycles import (
-    DEFAULT_EXPANSION_BUDGET,
+    _expansions,
     _search_path,
     exists_path_of_length,
     has_cycle_of_length,
+    paths_of_length,
     shortest_cycle_through,
 )
 from .graphs import Graph, _check_int, _iter_bits, _within
@@ -79,6 +80,8 @@ class Certificate:
     def validate(self, G: Graph) -> list[str]:
         """Re-check every claim against ``G``; returns problem descriptions."""
         problems: list[str] = []
+        if self.mode not in _HEADER_VALUES["mode"]:
+            problems.append(f"unknown mode {self.mode!r}")
         if self.n != G.n:
             problems.append(f"certificate is for n={self.n}, graph has n={G.n}")
             return problems
@@ -179,47 +182,28 @@ def is_ck_free(G: Graph, k: int) -> SaturationVerdict:
     return SaturationVerdict(found is None, cycle=found)
 
 
-# The longest path length whose non-edges one search per source answers.
-# On the h1 sweep of acceptance criterion 1 (t = 1..5, all r), per-source
-# searches spend half the expansions of one query per non-edge at k = 10
-# and a quarter fewer at k = 11; at k = 12 they spend as many, in a
-# seventh less time.  At k = 13 they spend an eighth more and take a sixth
-# longer: the distance filter and the usable set measure to the nearest
-# unfound target, so deep branches live while any target is near.
-_PER_SOURCE_UPTO = 11
-
-
 def _nonedge_paths(G: Graph, length: int):
-    """Each non-edge (u, v), u < v, in order, with its first path of ``length`` edges.
+    """Each non-edge (u, v), u < v, in order, with its first path of ``length`` edges or None.
 
-    Yields ``(u, v, path)``, path None when u and v have no such path.  Up
-    to length ``_PER_SOURCE_UPTO``, one search out of each u, with the
-    default budget, answers all its v.  A u with a single v, and every
-    non-edge of a longer length, asks ``exists_path_of_length``: one
-    non-edge at a time, lazily.
+    Each u asks ``paths_of_length`` for all its v (a single v: ``exists_path_of_length``).
     """
-    full = (1 << G.n) - 1
     for u in range(G.n):
-        later = full & ~G.adj[u] & ~((2 << u) - 1)
-        if later & (later - 1) and length <= _PER_SOURCE_UPTO:
-            found = _search_path(G.adj, G.n, u, later, length, DEFAULT_EXPANSION_BUDGET)[0]
-            for v in _iter_bits(later):
+        later = list(_iter_bits(((1 << G.n) - (2 << u)) & ~G.adj[u]))
+        if len(later) == 1:
+            yield u, later[0], exists_path_of_length(G, u, later[0], length)
+        elif later:
+            found = paths_of_length(G, u, later, length)
+            for v in later:
                 yield u, v, found.get(v)
-        else:
-            for v in _iter_bits(later):
-                yield u, v, exists_path_of_length(G, u, v, length)
 
 
 def is_semisaturated(G: Graph, k: int, want_certificate: bool = True) -> SaturationVerdict:
     """Every non-edge uv admits a u-v path of exactly k-1 edges.
 
-    Fails on the first (lexicographically) failing non-edge.  Verdicts and
-    certificates take one route (``_nonedge_paths``).  Up to k = 12, one
-    path search out of each u answers every non-edge uv with v > u at
-    once, and a failing check stops after the first u that has a failing
-    non-edge.  From k = 13, each non-edge is one query, and a failing check
-    stops at it.  Each search has the default expansion budget.  With
-    ``want_certificate`` the witness paths of all non-edges are kept.
+    Fails on the first (lexicographically) failing non-edge.  One route
+    (``_nonedge_paths``) serves verdicts and certificates: one query per u,
+    default budget, for every non-edge uv with v > u; a failing check stops
+    after the first u with one.  ``want_certificate`` keeps the witness paths.
     """
     _check_int(k, "cycle length", 3)
     if G.n < k:
@@ -493,8 +477,8 @@ def greedy_saturate(n: int, k: int, edge_order: Iterable[tuple[int, int]]) -> Gr
 
     A pair is added exactly when no path of k-1 edges currently joins it.
     The result is maximal C_k-free, hence C_k-saturated.  The graph grows in
-    one adjacency list that the path kernel reads directly; the ``Graph`` is
-    built once, at the end.
+    one adjacency list that the path kernel (``cycles._search_path``) reads
+    directly, unchecked; the ``Graph`` is built once, at the end.
 
     The graph only gains edges, so a path of the current graph stays a path
     at every later pair: a pair it joins would be searched and found when
@@ -516,10 +500,11 @@ def greedy_saturate(n: int, k: int, edge_order: Iterable[tuple[int, int]]) -> Gr
     adj = [0] * n
     joined = [0] * n
     kept = []
+    budget = _expansions(None)  # the default, for each search
     for u, v in order:
         if joined[u] >> v & 1:
             continue
-        found = _search_path(adj, n, u, 1 << v, k - 1, DEFAULT_EXPANSION_BUDGET)[0]
+        found = _search_path(adj, n, u, 1 << v, k - 1, budget)[0]
         if found:
             _mark_joined(adj, found[v], joined)
         else:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cycles import exists_path_of_length
+from .cycles import exists_path_of_length, paths_of_length
 from .graphs import Graph, LabeledGraph, _check_int
 from .oracle import SearchStats, scan_strata
 from .saturation import is_semisaturated
@@ -90,14 +90,13 @@ def _report(
 ) -> SuitabilityReport:
     """Evaluate S2 and S3 for the special pair (a1, a2), given G's S1 outcome."""
     s2_missing = [ell for ell in range(1, k - 1) if exists_path_of_length(G, a1, a2, ell) is None]
-    s3_failures = [
-        (q, m1, m2)
-        for q in range(G.n)
-        if q not in (a1, a2)
-        for m1, m2 in pairs
-        if exists_path_of_length(G, a1, q, m1) is None
-        and exists_path_of_length(G, a2, q, m2) is None
-    ]
+    others = [q for q in range(G.n) if q not in (a1, a2)]
+    failing = set()
+    for m1, m2 in pairs:
+        reached = paths_of_length(G, a1, others, m1)
+        reached |= paths_of_length(G, a2, [q for q in others if q not in reached], m2)
+        failing.update((q, m1, m2) for q in others if q not in reached)
+    s3_failures = [(q, m1, m2) for q in others for m1, m2 in pairs if (q, m1, m2) in failing]
     return SuitabilityReport(mode, k, s1_failing_nonedge, tuple(s2_missing), tuple(s3_failures))
 
 

@@ -379,6 +379,29 @@ def test_file_system_errors_exit_2(capsys, h1_files, tmp_path, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "is-dir"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--family", "h1", "--k", "7", "--n", "9", "--out", "{bad}"],
+        ["construct", "--family", "h1", "--k", "7", "--n", "9", "--out", "{good}",
+         "--labels", "{bad}"],
+        ["verify", "--k", "7", "--mode", "saturated", "--in", "{graph}",
+         "--certificate", "{bad}"],
+    ],
+    ids=["out", "labels", "certificate"],
+)
+def test_output_paths_are_checked_before_any_work(capsys, h1_files, tmp_path, argv, where):
+    # exit 2 with nothing printed and nothing written: no graph6 line
+    # before a bad --labels, no verdict before a bad --certificate
+    bad = tmp_path / "missing" / "x.txt" if where == "missing-dir" else tmp_path
+    paths = {"bad": bad, "good": tmp_path / "g.g6", "graph": h1_files[0]}
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and argv[-2] in err
+    assert not (tmp_path / "g.g6").exists() and not (tmp_path / "missing").exists()
+
+
 def test_bounds_table(capsys):
     code, out, _ = run(capsys, "bounds", "--k", "6", "--n", "20")
     assert code == 0

@@ -24,6 +24,7 @@ from conftest import (
     with_edge,
     without_edge,
 )
+from cyclesat import cycles
 from cyclesat.codec import graph6_decode
 from cyclesat.cycles import (
     DEFAULT_EXPANSION_BUDGET,
@@ -32,6 +33,7 @@ from cyclesat.cycles import (
     _usable,
     exists_path_of_length,
     has_cycle_of_length,
+    paths_of_length,
     shortest_cycle_through,
 )
 from cyclesat.families import build_h1, build_wheel
@@ -83,6 +85,18 @@ K3 = complete_graph(3)
         (lambda: exists_path_of_length(K3, 0, 1, 2.0), "length must be an int, got 2.0"),
         (lambda: exists_path_of_length(K3, 0, 1, False), "length must be an int, got False"),
         (lambda: exists_path_of_length(K3, 0, 1, 9.5), "length must be an int, got 9.5"),
+        # the target-set query checks every target as exists_path_of_length
+        # checks v, and its budget first of all
+        (lambda: paths_of_length(K3, 0, (1, True), 2), "v must be an int, got True"),
+        (lambda: paths_of_length(K3, 0, [2, 1.0], 2), "v must be an int, got 1.0"),
+        (lambda: paths_of_length(K3, 1, (2, 1), 2), "path endpoints must be distinct"),
+        (lambda: paths_of_length(K3, 0, (1, 3), 2), r"endpoints \(0, 3\) outside 0..2"),
+        (lambda: paths_of_length(K3, 0, (-1,), 2), r"endpoints \(0, -1\) outside 0..2"),
+        (lambda: paths_of_length(K3, 3, (1,), 2), r"endpoints \(3, 1\) outside 0..2"),
+        (lambda: paths_of_length(K3, 0, (1,), 0), "path length must be positive, got 0"),
+        (lambda: paths_of_length(K3, 0, (1, 1.5), 2.5, budget=-1), "budget .* got -1"),
+        (lambda: paths_of_length(K3, True, (0, 0), 9, budget=0.5), "budget .* got 0.5"),
+        (lambda: paths_of_length(K3, 0, (), 2, budget=False), "budget .* got False"),
     ],
 )
 def test_bad_query_arguments_raise(call, message):
@@ -367,6 +381,54 @@ def test_target_mask_search_matches_single_queries(g, data):
         assert found == _first_paths(g, u, targets, length)
         for v, path in found.items():
             assert path == dp_first_path(g, u, v, length)
+
+
+@pytest.mark.parametrize("upto", [0, 99])
+@given(
+    st.one_of(
+        graphs(min_n=2, max_n=10),
+        graphs(min_n=2, max_n=10).map(complement),
+        twin_rich_graphs(max_n=10),
+        twin_rich_graphs(max_n=10).map(complement),
+    ),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_paths_of_length_matches_single_queries(upto, g, data):
+    # both routes of the public door, one search per target (upto = 0) and
+    # one search for the whole set (upto = 99), give each target's own
+    # lexicographically first path, whatever order the targets come in
+    assume(g.n >= 2)
+    u = data.draw(st.integers(0, g.n - 1))
+    others = ((1 << g.n) - 1) ^ (1 << u)
+    targets = data.draw(st.integers(1, (1 << g.n) - 1).map(lambda t: t & others).filter(bool))
+    order = data.draw(st.permutations([v for v in range(g.n) if targets >> v & 1]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cycles, "_PER_SOURCE_UPTO", upto)
+        for length in range(1, g.n + 1):
+            assert paths_of_length(g, u, order, length) == _first_paths(g, u, targets, length)
+
+
+def test_paths_of_length_without_targets_or_room():
+    assert paths_of_length(K3, 0, (), 2) == {}
+    assert paths_of_length(K3, 0, iter([1, 2]), 3) == {}
+    assert paths_of_length(K3, 0, iter([1, 2]), 2) == {1: (0, 2, 1), 2: (0, 1, 2)}
+
+
+def test_paths_of_length_shares_one_budget_over_its_targets():
+    # Above _PER_SOURCE_UPTO each target is one search, and the searches
+    # draw on one budget: in K13 each 12-edge path alone needs 11
+    # expansions, both together 22.
+    g = complete_graph(13)
+    assert cycles._PER_SOURCE_UPTO < 12
+    for v in (1, 2):
+        assert exists_path_of_length(g, 0, v, 12, budget=11) is not None
+    with pytest.raises(SearchBudgetExceeded):
+        paths_of_length(g, 0, (1, 2), 12, budget=21)
+    assert paths_of_length(g, 0, (1, 2), 12, budget=22) == {
+        1: (0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 1),
+        2: (0, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 2),
+    }
 
 
 def test_twin_skip_keeps_a_later_twin_outside_the_targets():

@@ -68,6 +68,7 @@ PUBLIC_NAMES = [
     "labels_decode",
     "labels_encode",
     "mine_suitable",
+    "paths_of_length",
     "search_stratum",
     "shortest_cycle_through",
     "split_pairs",
@@ -109,6 +110,31 @@ def test_no_import_inside_a_function():
                     for node in ast.walk(fn)
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
+    assert not found
+
+
+def test_private_cycles_names_stay_in_cycles():
+    # Other modules reach the path kernel through the public queries; only
+    # greedy_saturate, whose graph grows in a bare adjacency list, runs the
+    # kernel itself, with the budget read once per call.
+    allowed = {"saturation.py": {"_search_path", "_expansions"}}
+    found = []
+    for path in sorted(Path(cyclesat.__file__).parent.glob("*.py")):
+        if path.name == "cycles.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in ("cycles", "cyclesat.cycles"):
+                names = {alias.name for alias in node.names}
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "cycles"
+            ):
+                names = {node.attr}
+            else:
+                continue
+            private = {n for n in names if n.startswith("_")} - allowed.get(path.name, set())
+            found += [f"{path.name}:{node.lineno}: {n}" for n in sorted(private)]
     assert not found
 
 

@@ -28,7 +28,7 @@ from conftest import (
     twin_rich_graphs,
     with_edge,
 )
-from cyclesat import saturation
+from cyclesat import cycles, saturation
 from cyclesat.codec import graph6_decode, graph6_encode
 from cyclesat.cycles import exists_path_of_length, has_cycle_of_length
 from cyclesat.families import build_h1, build_h3, build_wheel
@@ -263,8 +263,8 @@ def test_per_source_and_per_nonedge_routes_agree(monkeypatch, drop):
         g = Graph(g.n, g.edges[:drop] + g.edges[drop + 1:])
     failing, per = _scan(g, 13)
     routes = []
-    for upto in (saturation._PER_SOURCE_UPTO, 12):
-        monkeypatch.setattr(saturation, "_PER_SOURCE_UPTO", upto)
+    for upto in (cycles._PER_SOURCE_UPTO, 12):
+        monkeypatch.setattr(cycles, "_PER_SOURCE_UPTO", upto)
         semi = is_semisaturated(g, 13)
         assert semi.failing_nonedge == failing
         assert is_semisaturated(g, 13, want_certificate=False).failing_nonedge == failing
@@ -406,6 +406,17 @@ def test_certificate_freeness_claim_on_graph_with_k_cycle():
     assert claim.validate(complete_graph(5)) == [
         "graph contains a k-cycle despite freeness claim"
     ]
+
+
+@pytest.mark.parametrize("mode", ["saturatd", "free", ""])
+def test_certificate_with_a_mode_no_verifier_writes_is_a_problem(mode):
+    # from_text refuses the same text; validate must not pass it either,
+    # nor skip the freeness check silently
+    h = build_h1(7, 9)
+    per = is_saturated(h.graph, 7).certificate.per_nonedge
+    assert Certificate(9, 7, mode, per).validate(h.graph) == [f"unknown mode {mode!r}"]
+    with pytest.raises(CertificateError, match="unknown mode"):
+        Certificate.from_text(Certificate(9, 7, mode, per).to_text())
 
 
 # -- degree partition ----------------------------------------------------------

@@ -2,6 +2,7 @@ import pytest
 
 from conftest import cached_levels, decoded, naive_path_exists, path_graph
 from cyclesat.codec import graph6_encode
+from cyclesat.cycles import exists_path_of_length
 from cyclesat.families import build_wheel
 from cyclesat.graphs import (
     Graph,
@@ -96,6 +97,42 @@ def test_report_verdicts_match_naive_path_scan():
     for core, k, mode, full in cases:
         report = full(core, k)
         assert (report.s2_missing, report.s3_failures) == naive_verdicts(core, k, mode)
+
+
+def per_query_s3(g: Graph, a1: int, a2: int, pairs) -> tuple:
+    """S3 failures by one exists_path_of_length query per (q, split) and side."""
+    return tuple(
+        (q, m1, m2)
+        for q in range(g.n)
+        if q not in (a1, a2)
+        for m1, m2 in pairs
+        if exists_path_of_length(g, a1, q, m1) is None
+        and exists_path_of_length(g, a2, q, m2) is None
+    )
+
+
+@pytest.mark.parametrize("mode", ["k-suitable", "kk2-suitable"])
+def test_s3_searches_per_split_match_per_query_reference(mode):
+    # the wheel cores at their special pairs and at every other pair, and
+    # every 7-vertex class at one pair each, in turn over all 21 pairs
+    all_pairs = [(a1, a2) for a1 in range(7) for a2 in range(a1 + 1, 7)]
+    cases = [
+        (core.graph, k, a1, a2)
+        for k in (6, 7, 8)
+        for r in (0, 2, k)
+        for core in [build_wheel(k, r)]
+        for a1 in range(core.graph.n)
+        for a2 in range(a1 + 1, core.graph.n)
+    ]
+    classes = [g for level in cached_levels(7) for _, g in decoded(level)]
+    cases += [(g, 7, *all_pairs[i % len(all_pairs)]) for i, g in enumerate(classes)]
+    failing = 0
+    for g, k, a1, a2 in cases:
+        pairs = split_pairs(k, mode)
+        got = suitability._report(g, a1, a2, k, mode, pairs, None).s3_failures
+        assert got == per_query_s3(g, a1, a2, pairs)
+        failing += bool(got)
+    assert 0 < failing < len(cases)
 
 
 def test_missing_labels_rejected():
