@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cycles import (
     _expansions,
@@ -301,12 +301,13 @@ class StructureReport:
 
 LEAF_CHECKS = ("i", "ii", "iii")
 SATURATED_CHECKS = ("iv", "v", "vi")
+_CHECK_NAMES = LEAF_CHECKS + SATURATED_CHECKS + ("cycle-cover",)
 
 
 def check_structure(
     G: Graph,
     k: int,
-    checks: Sequence[str] = LEAF_CHECKS + SATURATED_CHECKS,
+    checks: Iterable[str] = LEAF_CHECKS + SATURATED_CHECKS,
 ) -> StructureReport:
     """Run named structural checks and report violations.
 
@@ -315,7 +316,8 @@ def check_structure(
     and "cycle-cover" of semisaturated graphs with minimum degree 2 (every
     vertex on a cycle of length at most k+1).  Nothing is assumed about the
     input; a violation on a graph that was claimed saturated falsifies
-    either the claim or the implementation.
+    either the claim or the implementation.  ``checks`` is read once; a
+    string or an unknown name is refused before any claim runs.
 
     Claim iii needs n > k: G - v has n - 1 vertices, and no graph on fewer
     than k vertices is C_k-semisaturated.  At n = k the C_k-semisaturated
@@ -333,96 +335,70 @@ def check_structure(
     _check_int(k, "cycle length", 3)
     if isinstance(checks, str):
         raise ValueError(f"checks must be a sequence of check names, got the string {checks!r}")
-    part = degree_partition(G)
-    violations: list[Violation] = []
-    x_sorted = sorted(part.x)
-
+    checks = tuple(checks)
     for check in checks:
-        if check == "i":
-            seen: dict[int, int] = {}
-            for v in x_sorted:
-                w = G.neighbors(v)[0]
-                if w in seen:
-                    violations.append(
-                        Violation("i", f"leaves {seen[w]} and {v} share neighbor {w}")
-                    )
-                else:
-                    seen[w] = v
-        elif check == "ii":
-            for w in sorted(part.y_low):
-                violations.append(
-                    Violation("ii", f"leaf neighbor {w} has degree {G.degree(w)}")
-                )
-        elif check == "iii":
-            scan = _nonedge_paths(G, k - 1) if x_sorted and G.n > k else ()
-            pathless = [(u, v) for u, v, path in scan if path is None]
-            for v in x_sorted:
-                if G.n <= k:
-                    violations.append(
-                        Violation("iii", f"removing leaf {v} drops below {k} vertices")
-                    )
-                elif any(v not in pair for pair in pathless):
-                    violations.append(
-                        Violation("iii", f"graph minus leaf {v} is not semisaturated")
-                    )
-        elif check == "iv":
-            forbidden = part.x | part.y
-            for v in sorted(part.z2):
-                for w in G.neighbors(v):
-                    if w in forbidden:
-                        violations.append(
-                            Violation("iv", f"degree-2 vertex {v} adjacent to {w}")
-                        )
-        elif check == "v":
-            for v in sorted(part.y3):
-                in_x = sum(1 for w in G.neighbors(v) if w in part.x)
-                in_z3 = sum(1 for w in G.neighbors(v) if w in part.z3plus)
-                for w in G.neighbors(v):
-                    if w in part.y3 or w in part.y4plus:
-                        violations.append(
-                            Violation("v", f"degree-3 leaf neighbor {v} adjacent to {w}")
-                        )
-                if (in_x, in_z3) != (1, 2):
-                    violations.append(
-                        Violation(
-                            "v",
-                            f"vertex {v} has {in_x} leaf / {in_z3} core neighbors",
-                        )
-                    )
-        elif check == "vi":
-            for msg in _path_components(G, k, part.z2):
-                violations.append(Violation("vi", msg))
-        elif check == "cycle-cover":
-            for v in range(G.n):
-                shortest = shortest_cycle_through(G, v)
-                if shortest is None or shortest > k + 1:
-                    violations.append(
-                        Violation(
-                            "cycle-cover",
-                            f"vertex {v} lies on no cycle of length <= {k + 1}",
-                        )
-                    )
-        else:
+        if check not in _CHECK_NAMES:
             raise ValueError(f"unknown structural check {check!r}")
-    return StructureReport(tuple(checks), tuple(violations))
+    part = degree_partition(G)
+    violations = (
+        Violation(check, detail) for check in checks for detail in _claim(G, k, part, check)
+    )
+    return StructureReport(checks, tuple(violations))
 
 
-def _path_components(G: Graph, k: int, zone: frozenset[int]) -> list[str]:
-    """Messages for components of G[zone] that are not paths of length <= k-2."""
-    msgs = []
-    left = zone_mask = sum(1 << v for v in zone)
-    while left:
-        mask = _within(G.adj, left & -left, zone_mask, len(zone))[-1]
-        left &= ~mask
-        comp = list(_iter_bits(mask))
-        degs = sorted((G.adj[v] & zone_mask).bit_count() for v in comp)
-        edges = sum(degs) // 2
-        is_path = edges == len(comp) - 1 and (not degs or degs[-1] <= 2)
-        if not is_path:
-            msgs.append(f"component {comp} of the degree-2 zone is not a path")
-        elif edges > k - 2:
-            msgs.append(f"degree-2 zone path {comp} has length {edges} > {k - 2}")
-    return msgs
+def _claim(G: Graph, k: int, part: DegreePartition, check: str) -> Iterator[str]:
+    """The detail of each violation of the structural claim named ``check``."""
+    if check == "i":
+        seen: dict[int, int] = {}
+        for v in sorted(part.x):
+            w = G.neighbors(v)[0]
+            if seen.setdefault(w, v) != v:
+                yield f"leaves {seen[w]} and {v} share neighbor {w}"
+    elif check == "ii":
+        for w in sorted(part.y_low):
+            yield f"leaf neighbor {w} has degree {G.degree(w)}"
+    elif check == "iii":
+        scan = _nonedge_paths(G, k - 1) if part.x and G.n > k else ()
+        pathless = [(u, v) for u, v, path in scan if path is None]
+        for v in sorted(part.x):
+            if G.n <= k:
+                yield f"removing leaf {v} drops below {k} vertices"
+            elif any(v not in pair for pair in pathless):
+                yield f"graph minus leaf {v} is not semisaturated"
+    elif check == "iv":
+        forbidden = part.x | part.y
+        for v in sorted(part.z2):
+            for w in G.neighbors(v):
+                if w in forbidden:
+                    yield f"degree-2 vertex {v} adjacent to {w}"
+    elif check == "v":
+        for v in sorted(part.y3):
+            for w in G.neighbors(v):
+                if w in part.y3 or w in part.y4plus:
+                    yield f"degree-3 leaf neighbor {v} adjacent to {w}"
+            in_x = len(part.x.intersection(G.neighbors(v)))
+            in_z3 = len(part.z3plus.intersection(G.neighbors(v)))
+            if (in_x, in_z3) != (1, 2):
+                yield f"vertex {v} has {in_x} leaf / {in_z3} core neighbors"
+    elif check == "vi":
+        # Each zone vertex has degree 2 in G, so a component of G[z2] is a
+        # path or a cycle: a path exactly when it has one edge fewer than
+        # vertices.
+        left = zone = sum(1 << v for v in part.z2)
+        while left:
+            mask = _within(G.adj, left & -left, zone, len(part.z2))[-1]
+            left &= ~mask
+            comp = list(_iter_bits(mask))
+            edges = sum((G.adj[v] & zone).bit_count() for v in comp) // 2
+            if edges != len(comp) - 1:
+                yield f"component {comp} of the degree-2 zone is not a path"
+            elif edges > k - 2:
+                yield f"degree-2 zone path {comp} has length {edges} > {k - 2}"
+    elif check == "cycle-cover":
+        for v in range(G.n):
+            shortest = shortest_cycle_through(G, v)
+            if shortest is None or shortest > k + 1:
+                yield f"vertex {v} lies on no cycle of length <= {k + 1}"
 
 
 def strip_leaves(G: Graph) -> tuple[Graph, int]:

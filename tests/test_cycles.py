@@ -38,6 +38,7 @@ from cyclesat.cycles import (
 )
 from cyclesat.families import build_h1, build_wheel
 from cyclesat.graphs import Graph
+from cyclesat.saturation import is_ck_free
 
 
 def test_triangle_two_path():
@@ -155,6 +156,11 @@ def test_no_cycle_in_tree():
     for k in range(3, 7):
         assert has_cycle_of_length(star, k) is None
         assert has_cycle_of_length(path_graph(6), k) is None
+
+
+def test_no_cycle_longer_than_the_graph():
+    assert has_cycle_of_length(complete_graph(4), 5) is None
+    assert is_ck_free(complete_graph(4), 5).holds
 
 
 def test_h1_is_k_cycle_free():

@@ -470,9 +470,30 @@ def test_wheel_cycle_cover():
     assert report.ok
 
 
-def test_unknown_check_rejected():
-    with pytest.raises(ValueError):
-        check_structure(cycle_graph(5), 5, checks=("vii",))
+def test_unknown_check_rejected(monkeypatch):
+    # every name is checked before the degree partition or any claim runs;
+    # on build_h1(8, 21), which has leaves, check iii would scan first
+    def not_reached(*args):
+        raise AssertionError("ran before the check names were read")
+
+    monkeypatch.setattr(saturation, "degree_partition", not_reached)
+    monkeypatch.setattr(saturation, "_nonedge_paths", not_reached)
+    for g, k, checks in [
+        (cycle_graph(5), 5, ("vii",)),
+        (build_h1(8, 21).graph, 8, ("iii", "vii")),
+        (build_h1(8, 21).graph, 8, iter(("iii", "vii"))),
+    ]:
+        with pytest.raises(ValueError, match="unknown structural check 'vii'"):
+            check_structure(g, k, checks=checks)
+
+
+def test_structure_reads_an_iterator_of_checks_once():
+    g = Graph(6, [(0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
+    names = ("i", "cycle-cover")
+    expected = check_structure(g, 5, checks=names)
+    assert expected.checks_run == names and not expected.ok
+    for checks in (iter(names), (name for name in names)):
+        assert check_structure(g, 5, checks=checks) == expected
 
 
 def test_greedy_graphs_pass_structure_checks():
