@@ -258,6 +258,7 @@ class Observation:
         _check_mode(self.mode)
         if self.kind not in ("exact", "upper-witness"):
             raise ValueError(f"kind must be 'exact' or 'upper-witness', got {self.kind!r}")
+        _check_int(self.value, "value", 0)
 
 
 @dataclass(frozen=True)

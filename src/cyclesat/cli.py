@@ -81,8 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bounds", help="evaluate all closed-form bounds")
     b.add_argument("--k", type=int, required=True)
-    b.add_argument("--n", type=int)
-    b.add_argument("--range", dest="nrange", help="evaluate for n in A..B")
+    b.add_argument("--n", required=True, help="one order N, or every n in A..B")
     b.add_argument("--csv", action="store_true", help="machine-readable output")
 
     o = sub.add_parser("oracle", help="exact minimum by exhaustive search")
@@ -116,15 +115,22 @@ def _read_graph(path: str | None) -> Graph:
         raise ValueError(f"malformed graph input: {exc}") from exc
 
 
-def _check_out(path: str | None, flag: str) -> None:
-    """Refuse an output path that cannot take a file, before any work is done."""
-    if path is None:
-        return
-    p = Path(path)
-    if p.is_dir():
-        raise ValueError(f"{flag} path is a directory: {p}")
-    if not p.parent.is_dir():
-        raise ValueError(f"{flag} directory not found: {p.parent}")
+def _check_out(outputs: dict[str, str | None], inputs: dict[str, str | None]) -> None:
+    """Refuse an output path that cannot take a file, or that names the same
+    file as another output or an input, before any work is done."""
+    named = {Path(path).resolve(): flag for flag, path in inputs.items() if path is not None}
+    for flag, path in outputs.items():
+        if path is None:
+            continue
+        p = Path(path)
+        if p.is_dir():
+            raise ValueError(f"{flag} path is a directory: {p}")
+        if not p.parent.is_dir():
+            raise ValueError(f"{flag} directory not found: {p.parent}")
+        where = p.resolve()
+        if where in named:
+            raise ValueError(f"{flag} names the same file as {named[where]}: {p}")
+        named[where] = flag
 
 
 def _write(text: str, path: str | None) -> None:
@@ -144,8 +150,10 @@ _FAMILY_FLAGS = {
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    _check_out(args.out, "--out")
-    _check_out(args.labels, "--labels")
+    _check_out(
+        {"--out": args.out, "--labels": args.labels},
+        {"--core": args.core, "--core-labels": args.core_labels},
+    )
     specific = {d for flags in _FAMILY_FLAGS.values() for d in flags}
     for dest in sorted(specific - set(_FAMILY_FLAGS[args.family])):
         if getattr(args, dest) is not None:
@@ -187,7 +195,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.mode == "free" and args.certificate:
         raise ValueError("certificates need --mode saturated or --mode semisaturated")
-    _check_out(args.certificate, "--certificate")
+    _check_out({"--certificate": args.certificate}, {"--in": args.infile})
     G = _read_graph(args.infile)
     if args.mode == "free":
         res = is_ck_free(G, args.k)
@@ -228,51 +236,34 @@ def _cmd_check_certificate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    if (args.n is None) == (args.nrange is None):
-        raise ValueError("bounds needs exactly one of --n or --range A..B")
-    if args.nrange is not None:
-        lo, _, hi = args.nrange.partition("..")
-        try:
-            ns = range(int(lo), int(hi) + 1)
-        except ValueError as exc:
-            raise ValueError(f"bad --range {args.nrange!r}; expected A..B") from exc
-        if not ns:
-            raise ValueError(f"empty --range {args.nrange!r}; B must not be below A")
-    else:
-        ns = range(args.n, args.n + 1)
+    lo, dots, hi = args.n.partition("..")
+    try:
+        ns = range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError as exc:
+        raise ValueError(f"bad --n {args.n!r}; expected N or A..B") from exc
+    if not ns:
+        raise ValueError(f"empty --n {args.n!r}; B must not be below A")
+    # A bad k or n fails on the smallest n, so it is refused before any output.
+    bounds_mod.eval_bounds(ns[0], args.k)
     multi = len(ns) > 1
     if args.csv:
-        header = ("name", "kind", "numerator", "denominator", "applicable")
-        print(",".join((("n",) + header) if multi else header))
-        for n in ns:
-            for e in bounds_mod.eval_bounds(n, args.k).entries:
-                row = (
-                    e.name,
-                    e.kind,
-                    str(e.value.numerator),
-                    str(e.value.denominator),
-                    "yes" if e.applicable else "no",
-                )
-                print(",".join(((str(n),) + row) if multi else row))
-        return EXIT_OK
+        print(("n," if multi else "") + "name,kind,numerator,denominator,applicable")
     for n in ns:
-        table = bounds_mod.eval_bounds(n, args.k)
-        print(f"bounds for n={n}, k={args.k}")
-        widths = (22, 13, 16, 10)
-        print(
-            f"{'name':<{widths[0]}}{'kind':<{widths[1]}}"
-            f"{'value':<{widths[2]}}{'~':<{widths[3]}}applicable"
-        )
-        for e in table.entries:
-            approx = f"{float(e.value):.2f}"
-            note = f"  ({e.note})" if e.note and e.applicable else ""
-            print(
-                f"{e.name:<{widths[0]}}{e.kind:<{widths[1]}}"
-                f"{str(e.value):<{widths[2]}}{approx:<{widths[3]}}"
-                f"{'yes' if e.applicable else 'no'}{note}"
-            )
-        if multi and n != ns[-1]:
-            print()
+        if not args.csv:
+            if n != ns[0]:
+                print()
+            print(f"bounds for n={n}, k={args.k}")
+            print(f"{'name':<22}{'kind':<13}{'value':<16}{'~':<10}applicable")
+        for e in bounds_mod.eval_bounds(n, args.k).entries:
+            yes = "yes" if e.applicable else "no"
+            if args.csv:
+                row = (e.name, e.kind, str(e.value.numerator), str(e.value.denominator), yes)
+                print(",".join(((str(n),) + row) if multi else row))
+            else:
+                note = f"  ({e.note})" if e.note and e.applicable else ""
+                print(
+                    f"{e.name:<22}{e.kind:<13}{str(e.value):<16}{float(e.value):<10.2f}{yes}{note}"
+                )
     return EXIT_OK
 
 

@@ -93,22 +93,23 @@ class Graph:
         if n.__class__ is not int or n < 0:  # one test on the hot path for a plain int
             _check_int(n, "vertex count", 0, GraphError)
         normalized = []
+        adj = [0] * n
         for u, v in edges:
+            if u.__class__ is not int or v.__class__ is not int:  # plain ints skip the call
+                _check_int(u, "edge endpoint", None, VertexRangeError)
+                _check_int(v, "edge endpoint", None, VertexRangeError)
             if u == v:
                 raise LoopEdgeError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise VertexRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
-            normalized.append((u, v) if u < v else (v, u))
-        normalized.sort()
-        for prev, cur in zip(normalized, normalized[1:]):
-            if prev == cur:
-                raise DuplicateEdgeError(f"edge {cur} listed more than once")
-        self.n = n
-        self.edges = tuple(normalized)
-        adj = [0] * n
-        for u, v in self.edges:
+            if adj[u] >> v & 1:
+                raise DuplicateEdgeError(f"edge {(min(u, v), max(u, v))} listed more than once")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+            normalized.append((u, v) if u < v else (v, u))
+        normalized.sort()
+        self.n = n
+        self.edges = tuple(normalized)
         self.adj = tuple(adj)
 
     # -- basic queries -------------------------------------------------

@@ -183,14 +183,17 @@ def test_eval_bounds_input_validation():
 
 
 @pytest.mark.parametrize(
-    "mode,kind,message",
+    "mode,kind,value,message",
     [
-        ("bogus", "exact", "mode must be 'sat' or 'ssat', got 'bogus'"),
-        ("sat", "bogus-kind", "kind must be 'exact' or 'upper-witness', got 'bogus-kind'"),
+        ("bogus", "exact", 3, "mode must be 'sat' or 'ssat', got 'bogus'"),
+        ("sat", "bogus-kind", 3, "kind must be 'exact' or 'upper-witness', got 'bogus-kind'"),
+        ("sat", "exact", 11.5, "value must be non-negative, got 11.5"),
+        ("sat", "exact", True, "value must be non-negative, got True"),
     ],
 )
-def test_observation_rejects_unknown_mode_or_kind(mode, kind, message):
-    # an unknown mode used to be checked against both modes' bounds, and an
-    # unknown kind was taken for a construction witness
+def test_observation_rejects_unknown_mode_or_kind(mode, kind, value, message):
+    # an unknown mode used to be checked against both modes' bounds, an
+    # unknown kind was taken for a construction witness, and a fractional
+    # value was compared with the bounds as if it were an edge count
     with pytest.raises(ValueError, match=message):
-        check_consistency(9, 7, [Observation("x", mode, kind, 3)])
+        check_consistency(9, 7, [Observation("x", mode, kind, value)])

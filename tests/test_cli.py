@@ -9,7 +9,7 @@ import pytest
 
 from conftest import pass_suitability_gate
 from cyclesat.cli import _FAMILY_FLAGS, _build_parser, main
-from cyclesat.codec import graph6_decode, graph6_encode, labels_decode
+from cyclesat.codec import graph6_decode, graph6_encode, labels_decode, labels_encode
 from cyclesat.families import build_h1, build_wheel
 from cyclesat.graphs import Graph
 from cyclesat.saturation import Certificate, is_saturated
@@ -402,6 +402,29 @@ def test_output_paths_are_checked_before_any_work(capsys, h1_files, tmp_path, ar
     assert not (tmp_path / "g.g6").exists() and not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--family", "h1", "--k", "7", "--n", "9", "--out", "{x}", "--labels", "{x}"],
+        ["verify", "--k", "7", "--mode", "saturated", "--in", "{x}", "--certificate", "{x}"],
+        ["construct", "--family", "h2", "--k", "6", "--t", "1", "--core", "{x}",
+         "--core-labels", "{labels}", "--out", "{x}"],
+    ],
+    ids=["out-labels", "in-certificate", "core-out"],
+)
+def test_an_output_naming_another_file_of_the_command_is_refused(capsys, tmp_path, argv):
+    # each used to exit 0 with the second write over the first, or over the input
+    wheel = build_wheel(6, 0)
+    x, labels = tmp_path / "x.g6", tmp_path / "labels.txt"
+    x.write_text(graph6_encode(build_h1(7, 9).graph if "h2" not in argv else wheel.graph) + "\n")
+    labels.write_text(labels_encode(wheel.labels))
+    before = {p: p.read_text() for p in tmp_path.iterdir()}
+    code, out, err = run(capsys, *(a.format(x=x, labels=labels) for a in argv))
+    first = argv[argv.index("{x}") - 1]
+    assert (code, out, err) == (2, "", f"error: {argv[-2]} names the same file as {first}: {x}\n")
+    assert {p: p.read_text() for p in tmp_path.iterdir()} == before
+
+
 def test_bounds_table(capsys):
     code, out, _ = run(capsys, "bounds", "--k", "6", "--n", "20")
     assert code == 0
@@ -425,7 +448,7 @@ def test_bounds_csv_columns(capsys):
 
 
 def test_bounds_range_csv(capsys):
-    code, out, _ = run(capsys, "bounds", "--k", "6", "--range", "10..12", "--csv")
+    code, out, _ = run(capsys, "bounds", "--k", "6", "--n", "10..12", "--csv")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("n,name,kind")
@@ -433,7 +456,7 @@ def test_bounds_range_csv(capsys):
 
 
 def test_bounds_range_table_separates_each_n_by_one_blank_line(capsys):
-    code, out, _ = run(capsys, "bounds", "--k", "6", "--range", "10..11")
+    code, out, _ = run(capsys, "bounds", "--k", "6", "--n", "10..11")
     assert code == 0
     tables = out.split("\n\n")
     assert len(tables) == 2
@@ -443,14 +466,14 @@ def test_bounds_range_table_separates_each_n_by_one_blank_line(capsys):
 
 
 def test_bounds_bad_range_exit_2(capsys):
-    code, out, err = run(capsys, "bounds", "--k", "6", "--range", "10-12")
-    assert (code, out, err) == (2, "", "error: bad --range '10-12'; expected A..B\n")
+    code, out, err = run(capsys, "bounds", "--k", "6", "--n", "10-12")
+    assert (code, out, err) == (2, "", "error: bad --n '10-12'; expected N or A..B\n")
 
 
 def test_bounds_into_a_closed_pipe_exit_141():
     # the reader takes one line and closes the pipe, as ``| head -1`` does
     src = Path(__file__).resolve().parents[1] / "src"
-    argv = ["bounds", "--k", "6", "--range", "10..2000", "--csv"]
+    argv = ["bounds", "--k", "6", "--n", "10..2000", "--csv"]
     proc = subprocess.Popen(
         [sys.executable, "-m", "cyclesat.cli", *argv],
         stdout=subprocess.PIPE,
@@ -465,15 +488,24 @@ def test_bounds_into_a_closed_pipe_exit_141():
 
 def test_bounds_requires_n_or_range(capsys):
     code, _, err = run(capsys, "bounds", "--k", "6")
-    assert code == 2
+    assert code == 2 and "--n" in err
 
 
 @pytest.mark.parametrize("fmt", [(), ("--csv",)])
-def test_bounds_empty_range_exit_2(capsys, fmt):
-    code, out, err = run(capsys, "bounds", "--k", "6", "--range", "9..5", *fmt)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "'9..5'" in err
+@pytest.mark.parametrize(
+    "k,n,message",
+    [
+        ("6", "9..5", "empty --n '9..5'; B must not be below A"),
+        ("6", "10-12", "bad --n '10-12'; expected N or A..B"),
+        # a bad k or n is refused before the CSV header is printed
+        ("2", "5", "need n >= 1 and k >= 3, got n=5, k=2"),
+        ("6", "0", "need n >= 1 and k >= 3, got n=0, k=6"),
+        ("6", "0..3", "need n >= 1 and k >= 3, got n=0, k=6"),
+    ],
+)
+def test_bounds_empty_range_exit_2(capsys, fmt, k, n, message):
+    code, out, err = run(capsys, "bounds", "--k", k, "--n", n, *fmt)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_oracle_writes_golden(capsys, tmp_path):

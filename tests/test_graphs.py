@@ -66,6 +66,13 @@ def test_build_rejects_out_of_range():
     [
         (lambda: Graph(-1, []), GraphError, "vertex count must be non-negative, got -1"),
         (lambda: Graph(3, [(0, 1)]).induced([0, 99]), VertexRangeError, "outside range"),
+        # a bool endpoint was kept in edges and encoded as "0 True"
+        (
+            lambda: Graph(3, [(0, True), (1, 2)]),
+            VertexRangeError,
+            "edge endpoint must be an int, got True",
+        ),
+        (lambda: Graph(3, [(0, 1.5)]), VertexRangeError, "edge endpoint must be an int, got 1.5"),
     ],
 )
 def test_construction_errors_are_typed(call, error, message):
