@@ -115,10 +115,21 @@ def _read_graph(path: str | None) -> Graph:
         raise ValueError(f"malformed graph input: {exc}") from exc
 
 
+def _file_key(path: str) -> object:
+    """One key for every name of one file: its device and inode once it
+    exists (the test of ``os.path.samefile``, so hard links match), else
+    its resolved path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return Path(path).resolve()
+    return st.st_dev, st.st_ino
+
+
 def _check_out(outputs: dict[str, str | None], inputs: dict[str, str | None]) -> None:
     """Refuse an output path that cannot take a file, or that names the same
     file as another output or an input, before any work is done."""
-    named = {Path(path).resolve(): flag for flag, path in inputs.items() if path is not None}
+    named = {_file_key(path): flag for flag, path in inputs.items() if path is not None}
     for flag, path in outputs.items():
         if path is None:
             continue
@@ -127,7 +138,7 @@ def _check_out(outputs: dict[str, str | None], inputs: dict[str, str | None]) ->
             raise ValueError(f"{flag} path is a directory: {p}")
         if not p.parent.is_dir():
             raise ValueError(f"{flag} directory not found: {p.parent}")
-        where = p.resolve()
+        where = _file_key(path)
         if where in named:
             raise ValueError(f"{flag} names the same file as {named[where]}: {p}")
         named[where] = flag

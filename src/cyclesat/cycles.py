@@ -248,8 +248,9 @@ def paths_of_length(
     is missing.  One search serves all targets up to ``_PER_SOURCE_UPTO``
     edges, one per target above, and ``budget`` (None: the default) caps
     their expansions together.  A bad budget raises ValueError first, then
-    a bool or non-int u, target or length, then a target equal to u or out
-    of range, then a length below 1; running out raises SearchBudgetExceeded.
+    a bool or non-int u, target or length, then a target equal to u or an
+    endpoint out of range (u too, with no targets), then a length below 1;
+    running out raises SearchBudgetExceeded.
     """
     left = _expansions(budget)
     _check_int(u, "u")
@@ -267,6 +268,8 @@ def paths_of_length(
         raise ValueError("path endpoints must be distinct")
     if bad is not None:
         raise ValueError(f"endpoints ({u}, {bad}) outside 0..{G.n - 1}")
+    if not top:  # u out of range and no target to name beside it
+        raise ValueError(f"endpoint {u} outside 0..{G.n - 1}")
     if length < 1:
         raise ValueError(f"path length must be positive, got {length}")
     if not mask or length > G.n - 1:

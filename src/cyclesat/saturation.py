@@ -21,9 +21,8 @@ k-2 edges in H to every other vertex of H, and (c) every two carriers have
 a path of k-3 edges in H between them.  An H with fewer than k vertices
 has no path of k-1 edges, so it passes (a) only when it is complete.
 
-Also here: the degree-one/degree-two vertex partition of a graph, the named
-structural checks that partition supports, and a greedy generator of
-saturated instances for property testing.
+Also here: the X/Y/Z degree partition, the structural claims that read it,
+and a greedy generator of saturated instances for property testing.
 """
 
 from __future__ import annotations
@@ -228,13 +227,10 @@ def is_saturated(G: Graph, k: int, want_certificate: bool = True) -> SaturationV
     if not semi.holds:
         return semi
     freeness = is_ck_free(G, k)
-    if not freeness.holds:
+    if not freeness.holds or semi.certificate is None:
         return freeness
-    cert = None
-    if want_certificate:
-        assert semi.certificate is not None
-        cert = Certificate(G.n, k, "saturated", semi.certificate.per_nonedge)
-    return SaturationVerdict(True, certificate=cert)
+    per = semi.certificate.per_nonedge
+    return SaturationVerdict(True, certificate=Certificate(G.n, k, "saturated", per))
 
 
 # -- degree partition ------------------------------------------------------
@@ -242,42 +238,20 @@ def is_saturated(G: Graph, k: int, want_certificate: bool = True) -> SaturationV
 
 @dataclass(frozen=True)
 class DegreePartition:
-    """Partition by degree-one vertices, their neighbors, and the rest.
+    """The paper's three parts X, Y and Z, which the structural claims split by degree.
 
-    ``x`` holds the degree-one vertices, ``y3``/``y4plus`` their neighbors
-    of degree exactly 3 / at least 4, ``z2``/``z3plus`` the remaining
-    vertices of degree exactly 2 / at least 3.  ``y_low`` (degree-2
-    neighbors of x) and ``z_low`` (isolated leftovers) are escape hatches
-    for graphs that are not semisaturated; both are empty on well-behaved
-    inputs, making the five named parts a true partition.
+    X is the degree-one vertices, Y their neighbours outside X, Z the rest.
     """
 
     x: frozenset[int]
-    y3: frozenset[int]
-    y4plus: frozenset[int]
-    z2: frozenset[int]
-    z3plus: frozenset[int]
-    y_low: frozenset[int]
-    z_low: frozenset[int]
-
-    @property
-    def y(self) -> frozenset[int]:
-        return self.y3 | self.y4plus | self.y_low
+    y: frozenset[int]
+    z: frozenset[int]
 
 
 def degree_partition(G: Graph) -> DegreePartition:
     x = frozenset(v for v in range(G.n) if G.degree(v) == 1)
     y = frozenset(w for v in x for w in G.neighbors(v)) - x
-    z = frozenset(range(G.n)) - x - y
-    return DegreePartition(
-        x=x,
-        y3=frozenset(v for v in y if G.degree(v) == 3),
-        y4plus=frozenset(v for v in y if G.degree(v) >= 4),
-        y_low=frozenset(v for v in y if G.degree(v) < 3),
-        z2=frozenset(v for v in z if G.degree(v) == 2),
-        z3plus=frozenset(v for v in z if G.degree(v) >= 3),
-        z_low=frozenset(v for v in z if G.degree(v) < 2),
-    )
+    return DegreePartition(x, y, frozenset(range(G.n)) - x - y)
 
 
 # -- structural checks ------------------------------------------------------
@@ -305,9 +279,7 @@ _CHECK_NAMES = LEAF_CHECKS + SATURATED_CHECKS + ("cycle-cover",)
 
 
 def check_structure(
-    G: Graph,
-    k: int,
-    checks: Iterable[str] = LEAF_CHECKS + SATURATED_CHECKS,
+    G: Graph, k: int, checks: Iterable[str] = LEAF_CHECKS + SATURATED_CHECKS
 ) -> StructureReport:
     """Run named structural checks and report violations.
 
@@ -319,6 +291,15 @@ def check_structure(
     either the claim or the implementation.  ``checks`` is read once; a
     string or an unknown name is refused before any claim runs.
 
+    With X, Y and Z the parts of ``degree_partition``, Y3 and Y4+ the
+    vertices of Y of degree 3 and at least 4, and Z2 and Z3+ those of Z of
+    degree 2 and at least 3, the claims are: i, no two vertices of X share
+    a neighbour; ii, Y has no vertex of degree below 3; iii, G - v is
+    C_k-semisaturated for every v in X; iv, every neighbour of a vertex of
+    Z2 lies in Z; v, a vertex of Y3 has no neighbour in Y3 or Y4+, one in X
+    and two in Z3+; vi, each component of G[Z2] is a path of at most k - 2
+    edges.
+
     Claim iii needs n > k: G - v has n - 1 vertices, and no graph on fewer
     than k vertices is C_k-semisaturated.  At n = k the C_k-semisaturated
     graphs with a leaf are K_{k-1} plus one leaf, such as ``FJ\\~w`` (k = 7)
@@ -327,10 +308,9 @@ def check_structure(
     "removing leaf 0 drops below k vertices"; if a complete graph counts as
     vacuously semisaturated, claim iii holds there too.
 
-    Check iii reads G itself.  A degree-1 vertex v is interior to no path,
-    so for x, y != v the x-y paths of G - v are exactly those of G.  Hence
-    G - v is semisaturated iff every non-edge of G that avoids v has a
-    (k-1)-edge path in G, and one scan of G's non-edges serves every leaf.
+    Check iii reads G itself: a leaf v is interior to no path, so G - v is
+    semisaturated iff every non-edge of G that avoids v has a (k-1)-edge
+    path in G, and one scan of G's non-edges serves every leaf.
     """
     _check_int(k, "cycle length", 3)
     if isinstance(checks, str):
@@ -355,8 +335,9 @@ def _claim(G: Graph, k: int, part: DegreePartition, check: str) -> Iterator[str]
             if seen.setdefault(w, v) != v:
                 yield f"leaves {seen[w]} and {v} share neighbor {w}"
     elif check == "ii":
-        for w in sorted(part.y_low):
-            yield f"leaf neighbor {w} has degree {G.degree(w)}"
+        for w in sorted(part.y):
+            if G.degree(w) < 3:
+                yield f"leaf neighbor {w} has degree {G.degree(w)}"
     elif check == "iii":
         scan = _nonedge_paths(G, k - 1) if part.x and G.n > k else ()
         pathless = [(u, v) for u, v, path in scan if path is None]
@@ -366,27 +347,25 @@ def _claim(G: Graph, k: int, part: DegreePartition, check: str) -> Iterator[str]
             elif any(v not in pair for pair in pathless):
                 yield f"graph minus leaf {v} is not semisaturated"
     elif check == "iv":
-        forbidden = part.x | part.y
-        for v in sorted(part.z2):
+        for v in sorted(v for v in part.z if G.degree(v) == 2):
             for w in G.neighbors(v):
-                if w in forbidden:
+                if w not in part.z:
                     yield f"degree-2 vertex {v} adjacent to {w}"
     elif check == "v":
-        for v in sorted(part.y3):
+        for v in sorted(v for v in part.y if G.degree(v) == 3):
             for w in G.neighbors(v):
-                if w in part.y3 or w in part.y4plus:
+                if w in part.y and G.degree(w) >= 3:
                     yield f"degree-3 leaf neighbor {v} adjacent to {w}"
             in_x = len(part.x.intersection(G.neighbors(v)))
-            in_z3 = len(part.z3plus.intersection(G.neighbors(v)))
+            in_z3 = sum(w in part.z and G.degree(w) >= 3 for w in G.neighbors(v))
             if (in_x, in_z3) != (1, 2):
                 yield f"vertex {v} has {in_x} leaf / {in_z3} core neighbors"
     elif check == "vi":
-        # Each zone vertex has degree 2 in G, so a component of G[z2] is a
-        # path or a cycle: a path exactly when it has one edge fewer than
-        # vertices.
-        left = zone = sum(1 << v for v in part.z2)
+        # A vertex of Z2 has degree 2, so a component of G[Z2] is a path or
+        # a cycle: a path exactly when it has one edge fewer than vertices.
+        left = zone = sum(1 << v for v in part.z if G.degree(v) == 2)
         while left:
-            mask = _within(G.adj, left & -left, zone, len(part.z2))[-1]
+            mask = _within(G.adj, left & -left, zone, zone.bit_count())[-1]
             left &= ~mask
             comp = list(_iter_bits(mask))
             edges = sum((G.adj[v] & zone).bit_count() for v in comp) // 2

@@ -425,6 +425,26 @@ def test_an_output_naming_another_file_of_the_command_is_refused(capsys, tmp_pat
     assert {p: p.read_text() for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--family", "h1", "--k", "7", "--n", "9", "--out", "{x}", "--labels", "{y}"],
+        ["verify", "--k", "7", "--mode", "saturated", "--in", "{x}", "--certificate", "{y}"],
+    ],
+    ids=["out-labels", "in-certificate"],
+)
+def test_a_hard_link_to_another_file_of_the_command_is_refused(capsys, tmp_path, argv):
+    # y is a second name of x: each used to exit 0 with the second write over x
+    x, y = tmp_path / "x.g6", tmp_path / "y.g6"
+    x.write_text(graph6_encode(build_h1(7, 9).graph) + "\n")
+    os.link(x, y)
+    before = x.read_bytes()
+    code, out, err = run(capsys, *(a.format(x=x, y=y) for a in argv))
+    first = argv[argv.index("{x}") - 1]
+    assert (code, out, err) == (2, "", f"error: {argv[-2]} names the same file as {first}: {y}\n")
+    assert x.read_bytes() == before and sorted(tmp_path.iterdir()) == [x, y]
+
+
 def test_bounds_table(capsys):
     code, out, _ = run(capsys, "bounds", "--k", "6", "--n", "20")
     assert code == 0

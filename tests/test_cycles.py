@@ -94,6 +94,10 @@ K3 = complete_graph(3)
         (lambda: paths_of_length(K3, 0, (1, 3), 2), r"endpoints \(0, 3\) outside 0..2"),
         (lambda: paths_of_length(K3, 0, (-1,), 2), r"endpoints \(0, -1\) outside 0..2"),
         (lambda: paths_of_length(K3, 3, (1,), 2), r"endpoints \(3, 1\) outside 0..2"),
+        # with no targets, u itself is checked
+        (lambda: paths_of_length(build_h1(7, 9).graph, 99, [], 3), "endpoint 99 outside 0..8"),
+        (lambda: paths_of_length(build_h1(7, 9).graph, -1, [], 3), "endpoint -1 outside 0..8"),
+        (lambda: paths_of_length(K3, 3, iter(()), 0), "endpoint 3 outside 0..2"),
         (lambda: paths_of_length(K3, 0, (1,), 0), "path length must be positive, got 0"),
         (lambda: paths_of_length(K3, 0, (1, 1.5), 2.5, budget=-1), "budget .* got -1"),
         (lambda: paths_of_length(K3, True, (0, 0), 9, budget=0.5), "budget .* got 0.5"),

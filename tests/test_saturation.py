@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import random
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -39,6 +39,7 @@ from cyclesat.saturation import (
     SATURATED_CHECKS,
     Certificate,
     CertificateError,
+    DegreePartition,
     TooFewVertices,
     check_structure,
     degree_partition,
@@ -422,18 +423,44 @@ def test_certificate_with_a_mode_no_verifier_writes_is_a_problem(mode):
 # -- degree partition ----------------------------------------------------------
 
 
+def _by_degree(g, part):
+    """The degree classes of Y and Z that the structural claims read.
+
+    Y3, Y4+, Z2 and Z3+, and the vertices of Y below degree 3 and of Z
+    below degree 2, which no C_k-semisaturated graph with k >= 4 has.
+    """
+
+    def having(vertices, test):
+        return frozenset(v for v in vertices if test(g.degree(v)))
+
+    return {
+        "y3": having(part.y, lambda d: d == 3),
+        "y4plus": having(part.y, lambda d: d >= 4),
+        "y_low": having(part.y, lambda d: d < 3),
+        "z2": having(part.z, lambda d: d == 2),
+        "z3plus": having(part.z, lambda d: d >= 3),
+        "z_low": having(part.z, lambda d: d < 2),
+    }
+
+
 def test_partition_star():
-    part = degree_partition(star_graph(6))
+    g = star_graph(6)
+    part = degree_partition(g)
+    fine = _by_degree(g, part)
     assert part.x == frozenset({1, 2, 3, 4, 5})
-    assert part.y4plus == frozenset({0})
-    assert not part.y3 and not part.z2 and not part.z3plus
-    assert not part.y_low and not part.z_low
+    assert part.y == fine["y4plus"] == frozenset({0})
+    assert part.z == frozenset()
+    assert not fine["y3"] and not fine["z2"] and not fine["z3plus"]
+    assert not fine["y_low"] and not fine["z_low"]
 
 
 def test_partition_c6():
-    part = degree_partition(cycle_graph(6))
-    assert part.z2 == frozenset(range(6))
-    assert not part.x and not part.y3 and not part.y4plus and not part.z3plus
+    g = cycle_graph(6)
+    part = degree_partition(g)
+    fine = _by_degree(g, part)
+    assert part.z == fine["z2"] == frozenset(range(6))
+    assert not part.x and not part.y
+    assert not fine["y3"] and not fine["y4plus"] and not fine["z3plus"]
 
 
 def test_partition_h1_without_pendants():
@@ -447,11 +474,30 @@ def test_partition_identity_with_leaves():
     h = build_h1(8, 21)  # r = 2 pendant vertices
     assert len(h.labels["D"]) == 2
     part = degree_partition(h.graph)
+    fine = _by_degree(h.graph, part)
     assert len(part.x) == 2 and len(part.y) == 2
-    assert not part.y_low and not part.z_low
+    assert not fine["y_low"] and not fine["z_low"]
     assert h.graph.n == (
-        len(part.z2) + 2 * len(part.y3) + len(part.z3plus) + 2 * len(part.y4plus)
+        len(fine["z2"]) + 2 * len(fine["y3"]) + len(fine["z3plus"]) + 2 * len(fine["y4plus"])
     )
+
+
+def test_partition_is_the_leaves_their_neighbours_and_the_rest():
+    # on every class with n <= 7: X is the degree-one vertices, Y = N(X) - X,
+    # and X, Y and Z are disjoint and cover V; the three are the only fields
+    assert [f.name for f in fields(DegreePartition)] == ["x", "y", "z"]
+    classes = 0
+    for n in range(8):
+        for level in cached_levels(n):
+            for _, g in decoded(level):
+                part = degree_partition(g)
+                assert part.x == {v for v in range(g.n) if g.degree(v) == 1}, g.edges
+                assert part.y == {w for v in part.x for w in g.neighbors(v)} - part.x
+                assert not (part.x & part.y or part.x & part.z or part.y & part.z)
+                assert part.x | part.y | part.z == set(range(g.n)), g.edges
+                classes += 1
+    # 1, 1, 2, 4, 11, 34, 156 and 1,044 classes on 0..7 vertices
+    assert classes == 1_253
 
 
 # -- structural checks -----------------------------------------------------------
@@ -516,7 +562,7 @@ def test_greedy_graph_with_leaves_passes_all_structure_checks():
     rng.shuffle(order)
     g = greedy_saturate(9, 6, order)
     part = degree_partition(g)
-    assert part.x and part.y3
+    assert part.x and _by_degree(g, part)["y3"]
     report = check_structure(g, 6, checks=("i", "ii", "iii", "iv", "v", "vi"))
     assert report.ok, report.violations
 
@@ -718,7 +764,8 @@ def _reference_iii(g, k):
 
 
 def _reference_vi(g, k):
-    z2 = sorted(degree_partition(g).z2)
+    # Z2: the degree-2 vertices with no leaf neighbour
+    z2 = [v for v in range(g.n) if g.degree(v) == 2 and 1 not in map(g.degree, g.neighbors(v))]
     sub, _ = g.induced(z2)
     details, seen = [], set()
     for start in range(sub.n):
